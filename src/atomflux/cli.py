@@ -311,17 +311,20 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
 
 
 def cmd_relax(cfg: RunConfig) -> int:
-    result = langevin.run_ensemble(
-        cfg.atom,
-        cfg.bath,
-        cutoff=cfg.cutoff,
-        dt=cfg.langevin_dt,
-        t_total=cfg.t_total,
-        n_traj=cfg.n_traj,
-        master_seed=cfg.seed,
-        t_burn=cfg.t_burn,
-        workers=cfg.workers,
-    )
+    try:
+        result = langevin.run_ensemble(
+            cfg.atom,
+            cfg.bath,
+            cutoff=cfg.cutoff,
+            dt=cfg.langevin_dt,
+            t_total=cfg.t_total,
+            n_traj=cfg.n_traj,
+            master_seed=cfg.seed,
+            t_burn=cfg.t_burn,
+            workers=cfg.workers,
+        )
+    except langevin.NyquistError as exc:
+        raise ConfigError("langevin.dt", str(exc)) from None
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
     rel_dev = abs(stats.var_q - predicted) / predicted

@@ -14,6 +14,12 @@ Determinism contract: every trajectory is a pure function of
 (master_seed, trajectory_index) through a splittable counter-based generator,
 and all reductions run in a fixed order, so ensembles are bit-identical for
 any worker count.
+
+Engine layout: a chunk of k trajectories is synthesized trajectory-major as one
+(k, n) record (O(k n) memory), then propagated in blocks of ``_BLOCK_STEPS``
+steps with the filter state carried from block to block.  Each block is
+reduced as soon as it is made, so propagation and reductions hold
+O(k * block) memory however long the record is.
 """
 
 from __future__ import annotations
@@ -38,8 +44,7 @@ from .greens import (
 from .spectral import integrate_spectrum
 
 _CHUNK_SIZE = 32  # trajectories per worker chunk; fixed so reductions never move
-
-_TRAJECTORY_MAGIC = "atomflux-trajectory 1"
+_BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(k * block)
 
 
 class NyquistError(ValueError):
@@ -159,17 +164,29 @@ def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
     return n_fft, amp, amp_real
 
 
-def _synthesize_samples(bath, p, cutoff, dt, n_samples, rng, pre=None) -> np.ndarray:
-    if pre is None:
-        pre = _synthesis_amplitudes(bath, p, cutoff, dt, n_samples)
-    n_fft, amp, amp_real = pre
-    a = rng.standard_normal(n_fft // 2 + 1)
-    b = rng.standard_normal(n_fft // 2 + 1)
-    y = amp * (a + 1j * b)
-    y[0] = amp_real[0] * a[0]  # zero mode is real
+def _synthesize_rows(bath, p, cutoff, dt, n_samples, seed, spawn_keys) -> np.ndarray:
+    """Forcing records of shape (len(spawn_keys), n_samples); row j is seeded by (seed, spawn_keys[j]).
+
+    Each row draws all its ``a`` normals, then all its ``b`` normals, so a row
+    does not depend on which other rows share the batch; one batched inverse
+    FFT then shapes every row.
+    """
+    n_fft, amp, amp_real = _synthesis_amplitudes(bath, p, cutoff, dt, n_samples)
+    a = np.empty((len(spawn_keys), n_fft // 2 + 1))
+    b = np.empty_like(a)
+    for j, key in enumerate(spawn_keys):
+        rng = _noise_generator(seed, key)
+        rng.standard_normal(out=a[j])
+        rng.standard_normal(out=b[j])
+    # amp * (a + 1j * b), evaluated in place with the same operand order
+    y = np.multiply(1j, b)
+    np.add(a, y, out=y)
+    np.multiply(amp, y, out=y)
+    y[:, 0] = amp_real[0] * a[:, 0]  # zero mode is real
     if n_fft % 2 == 0:
-        y[-1] = amp_real[-1] * a[-1]  # Nyquist mode is real
-    return np.fft.irfft(y, n=n_fft)[:n_samples]
+        y[:, -1] = amp_real[-1] * a[:, -1]  # Nyquist mode is real
+    del a, b
+    return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
 
 
 def synthesize_noise(
@@ -199,8 +216,7 @@ def synthesize_noise(
     n_steps = int(round(t_total / dt))
     if n_steps < 1:
         raise ValueError("t_total must cover at least one step")
-    rng = _noise_generator(seed, spawn_key)
-    samples = _synthesize_samples(bath, p, cutoff, dt, n_steps + 1, rng)
+    samples = _synthesize_rows(bath, p, cutoff, dt, n_steps + 1, seed, [spawn_key])[0]
     return NoiseRealization(
         dt=dt, n_steps=n_steps, samples=samples, seed=seed, cutoff=cutoff, spawn_key=spawn_key
     )
@@ -227,75 +243,93 @@ def _step_coefficients(p: AtomParams, dt: float):
     return e00, e01, e10, e11, f0q, f0v, f1q, f1v
 
 
-def _ar1(lam: complex, drive: np.ndarray, z0: np.ndarray) -> np.ndarray:
-    """Run z_{n+1} = lam * z_n + drive_n through a first-order filter; returns all z_n."""
-    n, k = drive.shape
-    out = np.empty((n + 1, k), dtype=complex)
-    out[0] = z0
-    zi = lam * np.atleast_2d(z0)
-    out[1:], _ = _lfilter(np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=0, zi=zi)
-    return out
+def _ar1(lam: complex, drive: np.ndarray, zi: np.ndarray, z0=None):
+    """Run z_{n+1} = lam * z_n + drive_n along the rows of ``drive`` from filter state ``zi``.
+
+    Returns the outputs time-major, shape (L, k) (preceded by the row ``z0``
+    when given), and the final filter state for the next block.
+    """
+    y, zf = _lfilter(np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=-1, zi=zi)
+    first = z0 is not None
+    out = np.empty((y.shape[1] + first, y.shape[0]), dtype=complex)
+    if first:
+        out[0] = z0
+    out[first:] = y.T
+    return out, zf
 
 
-def _advance(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0):
-    """Propagate columns of forcing samples to coordinate/velocity columns.
+def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
+    """Propagate rows of forcing samples; yield ``(t0, q, v)`` blocks of ``block`` steps.
+
+    ``xi`` has shape (k, n + 1), one trajectory per row.  Each yielded ``q``
+    and ``v`` is time-major, shape (L, k), and holds samples t0 .. t0 + L - 1;
+    the first block starts at the initial condition, sample 0.
 
     The exact one-step map ``y_{n+1} = E y_n + Phi0 xi_n + Phi1 dxi_n`` is
     diagonalized: in the eigenbasis of the damped oscillator it splits into two
     first-order recursions with multipliers exp(mu_pm dt), mu_pm = -gamma pm
     sqrt(gamma^2 - omega^2), which are run as constant-coefficient filters at C
-    speed.  First-order sections stay well conditioned even when omega*dt is
+    speed along the contiguous time axis, carrying the filter state across
+    blocks.  First-order sections stay well conditioned even when omega*dt is
     tiny (a direct second-order recursion would lose several digits there).
     The critically damped point has a defective map and falls back to an
     explicit step loop.
     """
     e00, e01, e10, e11, f0q, f0v, f1q, f1v = _step_coefficients(p, dt)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    n = xi.shape[0] - 1
-    k = xi.shape[1]
-    dxi = xi[1:] - xi[:-1]
-    u = f0q * xi[:-1] + f1q * dxi  # coordinate drive per step
-    w = f0v * xi[:-1] + f1v * dxi  # velocity drive per step
-    q0 = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
-    v0 = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
+    k, n = xi.shape[0], xi.shape[1] - 1
+    q = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
+    v = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
 
     disc = p.gamma**2 - p.omega**2
-    if disc == 0:  # critically damped: defective propagator, explicit loop
-        q_mat = np.empty((n + 1, k))
-        v_mat = np.empty((n + 1, k))
-        q_mat[0] = q0
-        v_mat[0] = v0
-        q, v = q0.copy(), v0.copy()
-        for i in range(n):
-            q, v = (
-                e00 * q + e01 * v + u[i],
-                e10 * q + e11 * v + w[i],
-            )
-            q_mat[i + 1] = q
-            v_mat[i + 1] = v
-        return q_mat, v_mat
-
     if disc < 0:
         # underdamped: the second mode is the conjugate of the first, so one
         # complex filter carries the whole state
         mu_p = complex(-p.gamma, math.sqrt(-disc))
         denom = 2j * math.sqrt(-disc)
-        alpha = _ar1(np.exp(mu_p * dt), (w - np.conj(mu_p) * u) / denom, (v0 - np.conj(mu_p) * q0) / denom)
-        q_mat = 2.0 * alpha.real
-        v_mat = 2.0 * (mu_p * alpha).real
-        return q_mat, v_mat
+        lam = np.exp(mu_p * dt)
+        za = (v - np.conj(mu_p) * q) / denom
+        zi_a = lam * za[:, None]
+    elif disc > 0:
+        # overdamped: two real decaying modes
+        nu = math.sqrt(disc)
+        mu_p = -p.gamma + nu
+        mu_m = -p.gamma - nu
+        denom = mu_p - mu_m
+        lam_p, lam_m = math.exp(mu_p * dt), math.exp(mu_m * dt)
+        za = (v - mu_m * q) / denom
+        zb = (mu_p * q - v) / denom
+        zi_a, zi_b = lam_p * za[:, None], lam_m * zb[:, None]
 
-    # overdamped: two real decaying modes
-    nu = math.sqrt(disc)
-    mu_p = -p.gamma + nu
-    mu_m = -p.gamma - nu
-    denom = mu_p - mu_m
-    alpha = _ar1(math.exp(mu_p * dt), (w - mu_m * u) / denom, (v0 - mu_m * q0) / denom).real
-    beta = _ar1(math.exp(mu_m * dt), (mu_p * u - w) / denom, (mu_p * q0 - v0) / denom).real
-    q_mat = alpha + beta
-    v_mat = mu_p * alpha + mu_m * beta
-    return q_mat, v_mat
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        first = s == 0
+        t0 = 0 if first else s + 1  # first sample this block yields
+        x0 = xi[:, s:e]
+        dxi = xi[:, s + 1 : e + 1] - x0
+        u = f0q * x0 + f1q * dxi  # coordinate drive per step
+        w = f0v * x0 + f1v * dxi  # velocity drive per step
+        if disc < 0:
+            alpha, zi_a = _ar1(lam, (w - np.conj(mu_p) * u) / denom, zi_a, za if first else None)
+            yield t0, 2.0 * alpha.real, 2.0 * (mu_p * alpha).real
+        elif disc > 0:
+            alpha, zi_a = _ar1(lam_p, (w - mu_m * u) / denom, zi_a, za if first else None)
+            beta, zi_b = _ar1(lam_m, (mu_p * u - w) / denom, zi_b, zb if first else None)
+            alpha, beta = alpha.real, beta.real
+            yield t0, alpha + beta, mu_p * alpha + mu_m * beta
+        else:  # critically damped: defective propagator, explicit loop
+            q_blk = np.empty((e - s + first, k))
+            v_blk = np.empty((e - s + first, k))
+            if first:
+                q_blk[0] = q
+                v_blk[0] = v
+            for i in range(e - s):
+                q, v = (
+                    e00 * q + e01 * v + u[:, i],
+                    e10 * q + e11 * v + w[:, i],
+                )
+                q_blk[i + first] = q
+                v_blk[i + first] = v
+            yield t0, q_blk, v_blk
 
 
 def integrate(p: AtomParams, noise: NoiseRealization, q0: float = 0.0, qdot0: float = 0.0) -> Trajectory:
@@ -304,11 +338,15 @@ def integrate(p: AtomParams, noise: NoiseRealization, q0: float = 0.0, qdot0: fl
     The homogeneous map is exact, so undriven motion reproduces the closed-form
     decaying oscillation to rounding accuracy at any step size.
     """
-    q_mat, v_mat = _advance(p, noise.dt, noise.samples[:, None], q0, qdot0)
+    q = np.empty(noise.n_steps + 1)
+    qdot = np.empty(noise.n_steps + 1)
+    for t0, q_blk, v_blk in _propagate(p, noise.dt, noise.samples[None, :], q0, qdot0, _BLOCK_STEPS):
+        q[t0 : t0 + len(q_blk)] = q_blk[:, 0]
+        qdot[t0 : t0 + len(v_blk)] = v_blk[:, 0]
     return Trajectory(
         dt=noise.dt,
-        q=q_mat[:, 0],
-        qdot=v_mat[:, 0],
+        q=q,
+        qdot=qdot,
         params=p,
         q0=float(q0),
         qdot0=float(qdot0),
@@ -383,21 +421,29 @@ class EnsembleResult:
 def _ensemble_chunk(args):
     (p, bath, cutoff, dt, n_steps, master_seed, start, stop, q0, qdot0, burn_index) = args
     k = stop - start
-    pre = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
-    xi = np.empty((n_steps + 1, k))
-    for j, idx in enumerate(range(start, stop)):
-        rng = _noise_generator(master_seed, (idx,))
-        xi[:, j] = _synthesize_samples(bath, p, cutoff, dt, n_steps + 1, rng, pre)
-    q_mat, v_mat = _advance(p, dt, xi, q0, qdot0)
-    sum_q2_t = np.einsum("ti,ti->t", q_mat, q_mat)
-    q_means = q_mat[burn_index:].mean(axis=0)
-    q2_means = np.einsum("ti,ti->i", q_mat[burn_index:], q_mat[burn_index:]) / (
-        n_steps + 1 - burn_index
+    xi = _synthesize_rows(
+        bath, p, cutoff, dt, n_steps + 1, master_seed, [(idx,) for idx in range(start, stop)]
     )
-    v2_means = np.einsum("ti,ti->i", v_mat[burn_index:], v_mat[burn_index:]) / (
-        n_steps + 1 - burn_index
-    )
-    return sum_q2_t, q_means, q2_means, v2_means
+    # numpy sums several columns row by row, in time order, so running sums
+    # carried from block to block reproduce a whole-record reduction; a lone
+    # column is summed pairwise instead, so it is reduced in one block
+    block = _BLOCK_STEPS if k > 1 else n_steps
+    sum_q2_t = np.empty(n_steps + 1)
+    sums = None  # post-burn column sums of q, q^2 and qdot^2
+    for t0, q, v in _propagate(p, dt, xi, q0, qdot0, block):
+        sum_q2_t[t0 : t0 + len(q)] = np.einsum("ti,ti->t", q, q)
+        q, v = q[max(burn_index - t0, 0) :], v[max(burn_index - t0, 0) :]
+        if not len(q):
+            continue
+        if sums is None:
+            sums = (q.sum(axis=0), np.einsum("ti,ti->i", q, q), np.einsum("ti,ti->i", v, v))
+        else:
+            sums = tuple(
+                np.concatenate([acc[None], rows]).sum(axis=0)
+                for acc, rows in zip(sums, (q, q * q, v * v))
+            )
+    n_post = n_steps + 1 - burn_index
+    return sum_q2_t, sums[0] / n_post, sums[1] / n_post, sums[2] / n_post
 
 
 def run_ensemble(
@@ -489,52 +535,3 @@ def fit_decay_rate(
         raise ValueError("fit window leaves too few usable points")
     slope, _ = np.polyfit(times[mask], np.log(smooth[mask]), 1)
     return -float(slope)
-
-
-def save_trajectory(path, traj: Trajectory):
-    """Write a trajectory as a small text header plus two float64 column blocks."""
-    p = traj.params
-    header = "\n".join(
-        [
-            _TRAJECTORY_MAGIC,
-            f"dt={traj.dt!r}",
-            f"n_steps={traj.n_steps}",
-            f"e={p.e!r}",
-            f"m={p.m!r}",
-            f"omega={p.omega!r}",
-            f"q0={traj.q0!r}",
-            f"qdot0={traj.qdot0!r}",
-            f"seed={traj.seed!r}",
-            "---",
-            "",
-        ]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(traj.q.astype("<f8").tobytes())
-        fh.write(traj.qdot.astype("<f8").tobytes())
-
-
-def load_trajectory(path) -> Trajectory:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.index(b"---\n")
-    lines = raw[:end].decode("ascii").strip().split("\n")
-    if lines[0] != _TRAJECTORY_MAGIC:
-        raise ValueError(f"not a trajectory file: {path}")
-    meta = dict(line.split("=", 1) for line in lines[1:])
-    n = int(meta["n_steps"]) + 1
-    body = raw[end + 4 :]
-    q = np.frombuffer(body[: 8 * n], dtype="<f8").copy()
-    qdot = np.frombuffer(body[8 * n : 16 * n], dtype="<f8").copy()
-    params = AtomParams(e=float(meta["e"]), m=float(meta["m"]), omega=float(meta["omega"]))
-    seed = None if meta["seed"] == "None" else int(meta["seed"])
-    return Trajectory(
-        dt=float(meta["dt"]),
-        q=q,
-        qdot=qdot,
-        params=params,
-        q0=float(meta["q0"]),
-        qdot0=float(meta["qdot0"]),
-        seed=seed,
-    )

@@ -139,6 +139,16 @@ RELAX_ARGS = [
 ]
 
 
+def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
+    # the default dt = 0.05 exceeds pi / cutoff at the default cutoff of 100
+    code = main(["relax", "--gamma", "0.1", "--beta", "1.0", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "config error: langevin.dt" in err
+    assert "pi/cutoff" in err
+    assert not (tmp_path / "relax_stats.json").exists()
+
+
 def test_cmd_relax_small_ensemble(tmp_path, capsys):
     code = main(RELAX_ARGS + ["--n-traj", "64", "--out", str(tmp_path)])
     assert code == EXIT_PASS

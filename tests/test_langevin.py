@@ -1,10 +1,12 @@
 """Stochastic oracle tests: synthesis, integration, statistics, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from atomflux import langevin
 from atomflux.greens import AtomParams, BathSpec, FrequencyGrid
 from atomflux.spectral import integrate_spectrum
 from atomflux.langevin import (
@@ -13,11 +15,9 @@ from atomflux.langevin import (
     equilibrium_stats,
     fit_decay_rate,
     integrate,
-    load_trajectory,
     noise_spectrum,
     predicted_variance,
     run_ensemble,
-    save_trajectory,
     synthesize_noise,
 )
 
@@ -250,23 +250,130 @@ def test_run_ensemble_worker_count_invariance():
     assert r1.stats == r4.stats
 
 
-def test_run_ensemble_matches_single_trajectory_path():
-    # the batched propagation is columnwise identical to the public
-    # single-trajectory route, so ensemble members are reproducible one by one
-    from atomflux.langevin import _advance
-
+def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
+    # a chunk's batched synthesis and propagation are rowwise identical to the
+    # public single-trajectory route, so ensemble members are reproducible one
+    # by one; small blocks make the propagation span several of them
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
     p, bath, kw = _small_ensemble_params()
-    columns = []
-    for i in range(6):
-        nz = synthesize_noise(bath, p, seed=5, spawn_key=(i,), **kw)
-        columns.append(nz.samples)
-    xi = np.stack(columns, axis=1)
-    q_batch, v_batch = _advance(p, kw["dt"], xi, 0.0, 0.0)
+    n = int(round(kw["t_total"] / kw["dt"]))
+    xi = langevin._synthesize_rows(bath, p, kw["cutoff"], kw["dt"], n + 1, 5, [(i,) for i in range(6)])
+    q_batch, v_batch = np.empty((n + 1, 6)), np.empty((n + 1, 6))
+    for t0, q, v in langevin._propagate(p, kw["dt"], xi, 0.0, 0.0, langevin._BLOCK_STEPS):
+        q_batch[t0 : t0 + len(q)] = q
+        v_batch[t0 : t0 + len(v)] = v
     for i in (0, 3, 5):
         nz = synthesize_noise(bath, p, seed=5, spawn_key=(i,), **kw)
+        assert np.array_equal(xi[i], nz.samples)
         traj = integrate(p, nz)
         assert np.array_equal(q_batch[:, i], traj.q)
         assert np.array_equal(v_batch[:, i], traj.qdot)
+
+
+def _reference_advance(p, dt, xi, q0, qdot0):
+    """The time-major propagator the block engine replaced: xi is (n + 1, k)."""
+    e00, e01, e10, e11, f0q, f0v, f1q, f1v = langevin._step_coefficients(p, dt)
+    n, k = xi.shape[0] - 1, xi.shape[1]
+    dxi = xi[1:] - xi[:-1]
+    u = f0q * xi[:-1] + f1q * dxi
+    w = f0v * xi[:-1] + f1v * dxi
+    q0 = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
+    v0 = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
+
+    def ar1(lam, drive, z0):
+        out = np.empty((n + 1, k), dtype=complex)
+        out[0] = z0
+        zi = lam * np.atleast_2d(z0)
+        out[1:], _ = langevin._lfilter(
+            np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=0, zi=zi
+        )
+        return out
+
+    disc = p.gamma**2 - p.omega**2
+    if disc == 0:
+        q_mat, v_mat = np.empty((n + 1, k)), np.empty((n + 1, k))
+        q_mat[0], v_mat[0] = q0, v0
+        q, v = q0.copy(), v0.copy()
+        for i in range(n):
+            q, v = e00 * q + e01 * v + u[i], e10 * q + e11 * v + w[i]
+            q_mat[i + 1], v_mat[i + 1] = q, v
+        return q_mat, v_mat
+    if disc < 0:
+        mu_p = complex(-p.gamma, math.sqrt(-disc))
+        denom = 2j * math.sqrt(-disc)
+        alpha = ar1(np.exp(mu_p * dt), (w - np.conj(mu_p) * u) / denom, (v0 - np.conj(mu_p) * q0) / denom)
+        return 2.0 * alpha.real, 2.0 * (mu_p * alpha).real
+    nu = math.sqrt(disc)
+    mu_p, mu_m = -p.gamma + nu, -p.gamma - nu
+    denom = mu_p - mu_m
+    alpha = ar1(math.exp(mu_p * dt), (w - mu_m * u) / denom, (v0 - mu_m * q0) / denom).real
+    beta = ar1(math.exp(mu_m * dt), (mu_p * u - w) / denom, (mu_p * q0 - v0) / denom).real
+    return alpha + beta, mu_p * alpha + mu_m * beta
+
+
+def _reference_chunk(args):
+    """The whole-record, time-major chunk the block engine replaced."""
+    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, q0, qdot0, burn_index) = args
+    n_fft, amp, amp_real = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    xi = np.empty((n_steps + 1, stop - start))
+    for j, idx in enumerate(range(start, stop)):
+        rng = langevin._noise_generator(master_seed, (idx,))
+        a = rng.standard_normal(n_fft // 2 + 1)
+        b = rng.standard_normal(n_fft // 2 + 1)
+        y = amp * (a + 1j * b)
+        y[0] = amp_real[0] * a[0]
+        if n_fft % 2 == 0:
+            y[-1] = amp_real[-1] * a[-1]
+        xi[:, j] = np.fft.irfft(y, n=n_fft)[: n_steps + 1]
+    q_mat, v_mat = _reference_advance(p, dt, xi, q0, qdot0)
+    n_post = n_steps + 1 - burn_index
+    return (
+        np.einsum("ti,ti->t", q_mat, q_mat),
+        q_mat[burn_index:].mean(axis=0),
+        np.einsum("ti,ti->i", q_mat[burn_index:], q_mat[burn_index:]) / n_post,
+        np.einsum("ti,ti->i", v_mat[burn_index:], v_mat[burn_index:]) / n_post,
+    )
+
+
+_REGIMES = {
+    "underdamped": AtomParams.from_damping(0.25, 1.0, 1.0),
+    "overdamped": AtomParams.from_damping(2.0, 1.0, 1.0),
+    "critical": AtomParams(e=1.0, m=1.0, omega=1.0 / (8.0 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@pytest.mark.parametrize("start, stop", [(0, 32), (64, 70), (96, 97)])
+def test_block_engine_matches_time_major_reference(monkeypatch, regime, start, stop):
+    # 1237 steps in blocks of 100: the record spans 13 blocks, the last one
+    # partial, and the burn-in ends inside the fifth; (96, 97) is a
+    # one-trajectory chunk, which is reduced whole
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
+    p = _REGIMES[regime]
+    if regime == "critical":
+        assert p.gamma == p.omega
+    job = (p, BathSpec(1.0), 10.0, 0.2, 1237, 11, start, stop, 0.4, -0.2, 437)
+    got = langevin._ensemble_chunk(job)
+    want = _reference_chunk(job)
+    assert len(got) == 4
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_ensemble_chunk_memory_bounded():
+    # synthesis holds the (k, n) record; propagation and reductions add only
+    # O(k * block), so the traced peak stays a small multiple of one record
+    p = AtomParams.from_damping(0.01, 1.0, 1.0)
+    k, n = 32, 100_000
+    job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, k, 0.0, 0.0, 40_000)
+    tracemalloc.start()
+    try:
+        langevin._ensemble_chunk(job)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * k * (n + 1) * 8
 
 
 def test_run_ensemble_insufficient_burn_raises():
@@ -284,21 +391,6 @@ def test_fit_decay_rate_on_synthetic_series():
     assert got == pytest.approx(rate, rel=0.03)
     with pytest.raises(ValueError):
         fit_decay_rate(t, series, var_eq, fit_window=(59.0, 60.0), smooth_time=math.pi)
-
-
-def test_trajectory_save_load_roundtrip(tmp_path):
-    nz = synthesize_noise(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=30.0, seed=8)
-    traj = integrate(P_STD, nz, q0=0.3, qdot0=-0.1)
-    path = tmp_path / "traj.bin"
-    save_trajectory(path, traj)
-    back = load_trajectory(path)
-    assert np.array_equal(back.q, traj.q)
-    assert np.array_equal(back.qdot, traj.qdot)
-    assert back.dt == traj.dt
-    assert back.params.e == traj.params.e
-    assert back.params.gamma == traj.params.gamma
-    assert back.q0 == 0.3 and back.qdot0 == -0.1
-    assert back.seed == traj.seed
 
 
 def test_noise_realization_validation():
