@@ -3,12 +3,16 @@
 Closed-form frequency-domain kernels, machine-precision fluctuation-dissipation
 checks, the four-way power balance of the emitted radiation, and a time-domain
 stochastic (Langevin) cross-check, all in natural units (hbar = c = k_B = 1).
+
+The Langevin names are resolved on first use, so ``import atomflux`` loads no
+scipy subpackage; the time-domain engine imports scipy.signal and scipy.fft.
 """
+
+import importlib
 
 from .greens import (
     AtomParams,
     BathSpec,
-    ComplexSpectrum,
     FrequencyGrid,
     atom_hadamard_ft,
     atom_retarded_ft,
@@ -29,23 +33,30 @@ from .flux import (
     interacting_hadamard_late,
     power_budget,
 )
-from .langevin import (
-    EquilibriumStats,
-    NoiseRealization,
-    Trajectory,
-    equilibrium_stats,
-    integrate,
-    predicted_variance,
-    run_ensemble,
-    synthesize_noise,
+
+_LANGEVIN_NAMES = (
+    "EquilibriumStats",
+    "NoiseRealization",
+    "Trajectory",
+    "equilibrium_stats",
+    "integrate",
+    "predicted_variance",
+    "run_ensemble",
+    "synthesize_noise",
 )
+
+
+def __getattr__(name):
+    if name in _LANGEVIN_NAMES:
+        return getattr(importlib.import_module(".langevin", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomParams",
     "BathSpec",
-    "ComplexSpectrum",
     "EquilibriumStats",
     "FrequencyGrid",
     "HadamardOracleResult",

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import fdr, flux, langevin
+from . import fdr, flux
 from .greens import AtomParams, BathSpec, FrequencyGrid
 
 EXIT_PASS = 0
@@ -311,6 +311,10 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
 
 
 def cmd_relax(cfg: RunConfig) -> int:
+    # imported here, before run_ensemble forks its pool: the other commands
+    # never load the time-domain engine or the scipy modules it needs
+    from . import langevin
+
     try:
         result = langevin.run_ensemble(
             cfg.atom,

@@ -76,21 +76,29 @@ class IdentityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _report(name, grid, lhs, rhs, rtol, atol) -> IdentityReport:
+def _compare(lhs, rhs):
+    """Absolute residual and comparison scale max(|lhs|, |rhs|) of two samplings."""
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    abs_res = np.abs(lhs - rhs)
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))
+
+
+def _report(name, grid, abs_res, scale, rtol, atol) -> IdentityReport:
+    """Reduce residuals to a report.
+
+    ``abs_res`` and ``scale`` hold one or more grid-length blocks laid end to
+    end; entry i belongs to kappa = grid.values[i % n_points].
+    """
     meaningful = scale > atol
     n_skipped = int(np.size(scale) - np.count_nonzero(meaningful))
     if np.any(meaningful):
         rel = abs_res[meaningful] / scale[meaningful]
         imax = int(np.argmax(rel))
         max_rel = float(rel[imax])
-        worst = float(grid.values[np.flatnonzero(meaningful)[imax]])
+        worst_index = int(np.flatnonzero(meaningful)[imax])
     else:
         max_rel = 0.0
-        worst = float(grid.values[int(np.argmax(abs_res))])
+        worst_index = int(np.argmax(abs_res))
     skipped_ok = not np.any(abs_res[~meaningful] > atol)
     passed = bool(max_rel <= rtol and skipped_ok)
     return IdentityReport(
@@ -98,7 +106,7 @@ def _report(name, grid, lhs, rhs, rtol, atol) -> IdentityReport:
         grid=grid,
         max_abs_residual=float(np.max(abs_res)),
         max_rel_residual=max_rel,
-        worst_kappa=worst,
+        worst_kappa=float(grid.values[worst_index % grid.n_points]),
         passed=passed,
         rtol=rtol,
         atol=atol,
@@ -117,7 +125,7 @@ def check_field_fdr(
     kap = grid.values
     lhs = field_hadamard_ft(r, kap, bath)
     rhs = thermal_factor(kap, bath) * field_retarded_im(r, kap)
-    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, lhs, rhs, rtol, atol)
+    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, *_compare(lhs, rhs), rtol, atol)
 
 
 def check_atom_fdr_reduction(
@@ -138,7 +146,7 @@ def check_atom_fdr_reduction(
     gr = atom_retarded_ft(kap, p)
     lhs = field_hadamard_ft(0.0, kap, bath) * np.abs(gr) ** 2
     rhs = (p.m / p.e**2) * thermal_factor(kap, bath) * np.imag(gr)
-    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, lhs, rhs, rtol, atol)
+    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, *_compare(lhs, rhs), rtol, atol)
 
 
 def check_parity(
@@ -178,30 +186,5 @@ def check_parity(
         residuals.append(np.abs(tf + tf[::-1]))
         scales.append(np.abs(tf))
 
-    abs_res = np.concatenate(residuals)
-    scale = np.concatenate(scales)
-    kap_rep = np.concatenate([kap] * len(residuals))
-
-    meaningful = scale > atol
-    n_skipped = int(np.size(scale) - np.count_nonzero(meaningful))
-    if np.any(meaningful):
-        rel = abs_res[meaningful] / scale[meaningful]
-        imax = int(np.argmax(rel))
-        max_rel = float(rel[imax])
-        worst = float(kap_rep[np.flatnonzero(meaningful)[imax]])
-    else:
-        max_rel = 0.0
-        worst = float(kap_rep[int(np.argmax(abs_res))])
-    skipped_ok = not np.any(abs_res[~meaningful] > atol)
     name = "parity" if bath is None else f"parity[{bath.describe()}]"
-    return IdentityReport(
-        name=name,
-        grid=grid,
-        max_abs_residual=float(np.max(abs_res)),
-        max_rel_residual=max_rel,
-        worst_kappa=worst,
-        passed=bool(max_rel <= rtol and skipped_ok),
-        rtol=rtol,
-        atol=atol,
-        n_rel_skipped=n_skipped,
-    )
+    return _report(name, grid, np.concatenate(residuals), np.concatenate(scales), rtol, atol)

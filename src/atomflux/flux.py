@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import czt as _czt
 
 from .greens import (
     FOUR_PI,
@@ -94,6 +93,31 @@ class ObservationFrame:
 # ---------------------------------------------------------------------------
 
 
+# The densities share their expressions through these helpers, which take
+# kernel samples already evaluated: the public densities pass freshly computed
+# kernels, while ``power_budget`` computes each kernel once per grid and feeds
+# every density from the same samples.
+
+
+def _radiated(p: AtomParams, kap2, atom_hadamard):
+    return (p.e**2 / p.m) * (kap2 / FOUR_PI) * atom_hadamard
+
+
+def _dissipated(p: AtomParams, kap, im_g, field_hadamard_origin):
+    return -(p.e**2 / p.m) * kap * im_g * field_hadamard_origin
+
+
+def _far_field_prefactor(p: AtomParams, kap2, th):
+    return (p.e**2 / p.m) * kap2 * th / TWO_PI
+
+
+def _far_field_terms(pref, u, g):
+    # yields the terms one at a time, so a caller summing them holds two at most
+    yield pref * np.real(1j * np.real(u) * np.conj(u) * np.conj(g))  # interference a
+    yield pref * np.real(-np.imag(u) * u * g)  # interference b
+    yield pref * np.real(1j * g * (u * np.conj(u)))  # radiation
+
+
 def radiated_power_density(kappa, p: AtomParams, bath: BathSpec):
     """Plain-dkappa density of the outward pure-radiation flow P_r.
 
@@ -103,7 +127,7 @@ def radiated_power_density(kappa, p: AtomParams, bath: BathSpec):
     transform so the kappa = 0 limit (zero) is usable by adaptive oracles.
     """
     kap = np.asarray(kappa, dtype=float)
-    return (p.e**2 / p.m) * (kap**2 / FOUR_PI) * atom_hadamard_ft(kap, p, bath)
+    return _radiated(p, kap**2, atom_hadamard_ft(kap, p, bath))
 
 
 def dissipated_power_density(kappa, p: AtomParams, bath: BathSpec):
@@ -115,12 +139,7 @@ def dissipated_power_density(kappa, p: AtomParams, bath: BathSpec):
     independent Hadamard route so the budget compares two computations.
     """
     kap = np.asarray(kappa, dtype=float)
-    return (
-        -(p.e**2 / p.m)
-        * kap
-        * np.imag(atom_retarded_ft(kap, p))
-        * field_hadamard_ft(0.0, kap, bath)
-    )
+    return _dissipated(p, kap, np.imag(atom_retarded_ft(kap, p)), field_hadamard_ft(0.0, kap, bath))
 
 
 def far_field_flux_terms(r: float, kappa, p: AtomParams, bath: BathSpec):
@@ -134,11 +153,8 @@ def far_field_flux_terms(r: float, kappa, p: AtomParams, bath: BathSpec):
     kap = np.asarray(kappa, dtype=float)
     u = field_retarded_ft(r, kap)
     g = atom_retarded_ft(kap, p)
-    pref = (p.e**2 / p.m) * kap**2 * thermal_factor(kap, bath) / TWO_PI
-    t_interf_a = pref * np.real(1j * np.real(u) * np.conj(u) * np.conj(g))
-    t_interf_b = pref * np.real(-np.imag(u) * u * g)
-    t_radiation = pref * np.real(1j * g * (u * np.conj(u)))
-    return t_interf_a, t_interf_b, t_radiation
+    pref = _far_field_prefactor(p, kap**2, thermal_factor(kap, bath))
+    return tuple(_far_field_terms(pref, u, g))
 
 
 def far_field_flux_integrand(r: float, kappa, p: AtomParams, bath: BathSpec):
@@ -252,28 +268,49 @@ def power_budget(
     ``r`` is the far-field evaluation radius for the cancelled integrand; the
     1/(4 pi r)^2 kernel factors cancel against the 4 pi r^2 shell area, so the
     result is r-independent.
+
+    One pass per grid: the kernels are sampled once and feed three rows (the
+    P_r density, the P_gamma density and the net far-field integrand), which a
+    single quadrature call reduces.  Each row holds the same floats as the
+    public density of that flow, so the flows equal separate integrations of
+    those densities bit for bit.
     """
     if r is None:
         r = 100.0 / p.omega
-    res_r = integrate_spectrum(lambda k: radiated_power_density(k, p, bath), grid)
-    res_cross = integrate_spectrum(lambda k: -radiated_power_density(k, p, bath), grid)
-    res_gamma = integrate_spectrum(lambda k: dissipated_power_density(k, p, bath), grid)
-    res_net = integrate_spectrum(lambda k: far_field_flux_integrand(r, k, p, bath), grid)
+
+    def integrand(kap):
+        kap2 = kap**2
+        th = thermal_factor(kap, bath)
+        g = atom_retarded_ft(kap, p)
+        im_g = np.imag(g)
+        rows = np.empty((3, kap.size))
+        # the grid never contains kappa = 0, so the Hadamard kernels reduce
+        # to thermal_factor times Im GR and times kappa/(4 pi)
+        rows[0] = _radiated(p, kap2, th * im_g)
+        rows[1] = _dissipated(p, kap, im_g, th * (kap / FOUR_PI))
+        pref = _far_field_prefactor(p, kap2, th)
+        del kap2, th, im_g  # released before the far-field terms, the pass's memory peak
+        terms = _far_field_terms(pref, field_retarded_ft(r, kap), g)
+        np.add(next(terms), next(terms), out=rows[2])
+        rows[2] += next(terms)
+        return rows
+
+    res = integrate_spectrum(integrand, grid)
+    p_r, p_gamma, net_integral = res.value
     # far_field_flux_integrand already carries the 1/(2 pi) measure, so undo the
     # integrator's copy; the net radiated power is minus the shell integral.
-    net = -FOUR_PI * r**2 * (TWO_PI * res_net.value)
-    p_gamma = res_gamma.value
+    net = -FOUR_PI * r**2 * (TWO_PI * net_integral)
     return PowerBudget(
         omega=p.omega,
         gamma=p.gamma,
         beta=bath.beta,
         cutoff=grid.cutoff,
-        p_r=res_r.value,
-        p_cross=res_cross.value,
+        p_r=p_r,
+        p_cross=-p_r,
         p_gamma=p_gamma,
         p_xi=-p_gamma,
         net_far_field=net,
-        est_error=res_r.est_error + res_gamma.est_error,
+        est_error=res.est_error[0] + res.est_error[1],
     )
 
 
@@ -394,11 +431,13 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     theta = h * taus
     alpha, beta, gamma = _filon_coefficients(theta)
 
+    from scipy.signal import czt  # imported here: only the oracle needs scipy.signal
+
     # node sums Sum_j S_j exp(i kappa_j tau_k) over even / odd j via chirp-z
     def _node_sum(vals, step):
         a = np.exp(-1j * step * tau0)
         w = np.exp(1j * step * dtau)
-        return _czt(vals, m=m, w=w, a=a)
+        return czt(vals, m=m, w=w, a=a)
 
     even_sum = _node_sum(svals[0::2], 2.0 * h)
     odd_sum = np.exp(1j * h * taus) * _node_sum(svals[1::2], 2.0 * h)

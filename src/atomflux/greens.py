@@ -45,14 +45,13 @@ class AtomParams:
     """Parameters of the harmonic atom (internal degree of freedom).
 
     ``gamma`` is always derived as ``e**2 / (8 pi m)``; it is not an
-    independent knob.  ``bare_omega`` is informational only: the physical
-    frequency ``omega`` already includes the renormalization shift.
+    independent knob.  ``omega`` is the physical frequency, which already
+    includes the renormalization shift.
     """
 
     e: float
     m: float
     omega: float
-    bare_omega: float | None = None
     gamma: float = field(init=False)
 
     def __post_init__(self):
@@ -65,7 +64,7 @@ class AtomParams:
         object.__setattr__(self, "gamma", self.e**2 / (8.0 * math.pi * self.m))
 
     @classmethod
-    def from_damping(cls, gamma: float, m: float, omega: float, bare_omega: float | None = None):
+    def from_damping(cls, gamma: float, m: float, omega: float):
         """Build from a target damping constant instead of the coupling.
 
         The stored ``gamma`` is re-derived from ``e = sqrt(8 pi m gamma)`` and
@@ -73,7 +72,7 @@ class AtomParams:
         """
         if not gamma > 0:
             raise ValueError(f"damping gamma must be positive, got {gamma}")
-        return cls(e=math.sqrt(8.0 * math.pi * m * gamma), m=m, omega=omega, bare_omega=bare_omega)
+        return cls(e=math.sqrt(8.0 * math.pi * m * gamma), m=m, omega=omega)
 
 
 @dataclass(frozen=True)
@@ -131,37 +130,6 @@ class FrequencyGrid:
         if self.n_points % 4 == 0 and self.n_points // 2 >= 16:
             return FrequencyGrid(self.cutoff, self.n_points // 2)
         return None
-
-
-@dataclass
-class ComplexSpectrum:
-    """A complex-valued function of frequency sampled on a FrequencyGrid."""
-
-    grid: FrequencyGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples)
-        if self.samples.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"samples must have shape ({self.grid.n_points},), got {self.samples.shape}"
-            )
-
-    @classmethod
-    def from_function(cls, f, grid: FrequencyGrid):
-        return cls(grid=grid, samples=np.asarray(f(grid.values)))
-
-    def retarded_symmetry_defect(self) -> float:
-        """Max |G(-kappa) - conj(G(kappa))|, zero for the transform of a real kernel."""
-        mirrored = self.samples[::-1]
-        return float(np.max(np.abs(mirrored - np.conj(self.samples))))
-
-    def require_retarded(self, tol: float = 0.0):
-        defect = self.retarded_symmetry_defect()
-        if defect > tol:
-            raise ValueError(
-                f"spectrum is not a retarded transform: conjugate-reflection defect {defect:.3e}"
-            )
 
 
 def thermal_factor(kappa, bath: BathSpec):

@@ -4,7 +4,10 @@
 half-step-offset mirror grid with a fourth-order end-corrected midpoint rule.
 Mirrored samples are paired before summation, so odd integrands vanish exactly,
 and the reduction uses exact (Shewchuk) compensated summation in a fixed order,
-making results run-to-run and worker-count deterministic.
+making results run-to-run and worker-count deterministic.  An integrand may
+return several rows at once; each row is reduced exactly as if it had been
+integrated on its own, so one pass over shared kernel samples feeds several
+integrals.
 
 A scipy-based adaptive integrator is provided purely as a cross-check oracle;
 it is never part of the deterministic main path.
@@ -16,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _scipy_integrate
 
 from .greens import FrequencyGrid
 
@@ -35,8 +37,14 @@ class IntegrandError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float | complex
-    est_error: float
+    """One integral, or per-row tuples of them for a vector-valued integrand.
+
+    ``n_evals`` counts kappa points evaluated (fine plus half grid), whatever
+    the number of rows each evaluation returned.
+    """
+
+    value: float | complex | tuple
+    est_error: float | tuple
     n_evals: int
     cutoff: float
 
@@ -51,19 +59,27 @@ def _pair_weights(half: int) -> np.ndarray:
 
 
 def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
+    """Samples of ``f`` on the grid: shape ``(n,)``, or ``(k, n)`` for k rows."""
     try:
         vals = np.asarray(f(grid.values))
     except (TypeError, ValueError):
         vals = None
-    if vals is None or vals.shape != grid.values.shape:
+    if vals is None or vals.ndim > 2 or vals.shape[-1:] != grid.values.shape:
         # Scalar-valued integrand: fall back to pointwise evaluation.
         vals = np.asarray([f(k) for k in grid.values])
     if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), grid.n_points)
+        where = f" in row {row}" if vals.ndim == 2 else ""
         raise IntegrandError(
-            f"integrand is non-finite at kappa={float(grid.values[bad])!r} (index {bad})"
+            f"integrand is non-finite{where} at kappa={float(grid.values[bad])!r} (index {bad})"
         )
     return vals
+
+
+def _fsum(terms: np.ndarray) -> float:
+    # memoryview hands fsum the same floats in the same order as tolist(),
+    # without building a list of Python floats first
+    return math.fsum(memoryview(np.ascontiguousarray(terms)))
 
 
 def _reduce(vals: np.ndarray, grid: FrequencyGrid):
@@ -76,11 +92,9 @@ def _reduce(vals: np.ndarray, grid: FrequencyGrid):
     terms = w * pairs
     h = grid.spacing
     if np.iscomplexobj(terms):
-        value = complex(
-            math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())
-        ) * h / TWO_PI
+        value = complex(_fsum(terms.real), _fsum(terms.imag)) * h / TWO_PI
     else:
-        value = math.fsum(terms.tolist()) * h / TWO_PI
+        value = _fsum(terms) * h / TWO_PI
     abs_scale = float(np.sum(np.abs(terms))) * h / TWO_PI
     return value, abs_scale
 
@@ -89,25 +103,35 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     """Integrate ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
 
     ``f`` should vectorize over an ndarray of kappa values (a scalar-only
-    callable is accepted and evaluated pointwise).  ``est_error`` comes from a
-    Richardson comparison against the half-resolution grid, floored at a few
-    ulps of the absolute term sum.
+    callable is accepted and evaluated pointwise).  An ``f`` that returns a
+    ``(k, n)`` array for n kappa values gets per-row tuples of ``value`` and
+    ``est_error``, each bitwise equal to integrating that row alone.
+    ``est_error`` comes from a Richardson comparison against the
+    half-resolution grid, floored at a few ulps of the absolute term sum.
     """
     vals = _evaluate(f, grid)
-    value, abs_scale = _reduce(vals, grid)
+    vector = vals.ndim == 2
+    fine = [_reduce(row, grid) for row in np.atleast_2d(vals)]
+    del vals  # the half-grid pass need not hold the full-grid samples
+    ulps = _ERROR_FLOOR_ULPS * float(np.finfo(float).eps)
+    values = [value for value, _ in fine]
+    est_errors = [ulps * abs_scale for _, abs_scale in fine]
     n_evals = grid.n_points
-    floor = _ERROR_FLOOR_ULPS * float(np.finfo(float).eps) * abs_scale
     coarse = grid.halved()
     if coarse is not None:
-        coarse_vals = _evaluate(f, coarse)
-        coarse_value, _ = _reduce(coarse_vals, coarse)
+        coarse_rows = np.atleast_2d(_evaluate(f, coarse))
+        if len(coarse_rows) != len(values):
+            raise IntegrandError(
+                f"integrand returned {len(coarse_rows)} rows on the half grid "
+                f"but {len(values)} on the full grid"
+            )
         n_evals += coarse.n_points
-        est_error = float(abs(value - coarse_value)) / 15.0 + floor
-    else:
-        est_error = floor
-    return QuadratureResult(
-        value=value, est_error=est_error, n_evals=n_evals, cutoff=float(grid.cutoff)
-    )
+        for i, row in enumerate(coarse_rows):
+            coarse_value, _ = _reduce(row, coarse)
+            est_errors[i] += float(abs(values[i] - coarse_value)) / 15.0
+    if vector:
+        return QuadratureResult(tuple(values), tuple(est_errors), n_evals, float(grid.cutoff))
+    return QuadratureResult(values[0], est_errors[0], n_evals, float(grid.cutoff))
 
 
 def cutoff_sweep(f, cutoffs, n_per_cutoff) -> list[QuadratureResult]:
@@ -135,7 +159,9 @@ def integrate_adaptive(f, cutoff: float, points=None, limit: int = 400) -> float
     Not deterministic-by-construction like ``integrate_spectrum``; use only to
     validate the fixed-grid path in tests and diagnostics.
     """
-    val, _ = _scipy_integrate.quad(f, -cutoff, cutoff, points=points, limit=limit)
+    from scipy import integrate  # imported here: the main path never needs scipy
+
+    val, _ = integrate.quad(f, -cutoff, cutoff, points=points, limit=limit)
     return val / TWO_PI
 
 

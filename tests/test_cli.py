@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,17 @@ def test_cmd_oracle_transient_regime_not_fatal(tmp_path, capsys):
     assert "transient regime" in out
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["late_time_margin_ok"] is False
+
+
+def test_import_cli_loads_no_heavy_scipy_modules():
+    # only relax, the oracle and the adaptive cross-check need these; the other
+    # commands should not pay their import time
+    code = (
+        "import sys, atomflux.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.fft') if m in sys.modules])"
+    )
+    import atomflux
+
+    env = dict(os.environ, PYTHONPATH=str(Path(atomflux.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

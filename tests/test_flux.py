@@ -1,12 +1,22 @@
 """Far-field flux integrands, power budget closure, and the late-time Hadamard form."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from atomflux.greens import AtomParams, BathSpec, FrequencyGrid
-from atomflux.spectral import integrate_adaptive
+from atomflux.greens import (
+    AtomParams,
+    BathSpec,
+    FrequencyGrid,
+    atom_hadamard_ft,
+    atom_retarded_ft,
+    field_hadamard_ft,
+    field_retarded_ft,
+    thermal_factor,
+)
+from atomflux.spectral import integrate_adaptive, integrate_spectrum
 from atomflux.flux import (
     LateTimeMarginError,
     ObservationFrame,
@@ -124,6 +134,76 @@ def test_power_budget_r_independence():
     assert b1.p_r == b2.p_r
     assert abs(b1.net_far_field) <= 1e-10 * b1.p_r
     assert abs(b2.net_far_field) <= 1e-10 * b2.p_r
+
+
+def _reference_power_budget(p, bath, grid, r=None):
+    """Four separate quadratures, each density written out from the greens kernels.
+
+    The fused single-pass ``power_budget`` must reproduce this bit for bit.
+    """
+    if r is None:
+        r = 100.0 / p.omega
+    c = p.e**2 / p.m
+
+    def radiated(k):
+        return c * (k**2 / FOUR_PI) * atom_hadamard_ft(k, p, bath)
+
+    def dissipated(k):
+        return -c * k * np.imag(atom_retarded_ft(k, p)) * field_hadamard_ft(0.0, k, bath)
+
+    def net(k):
+        u = field_retarded_ft(r, k)
+        g = atom_retarded_ft(k, p)
+        pref = c * k**2 * thermal_factor(k, bath) / TWO_PI
+        t_interf_a = pref * np.real(1j * np.real(u) * np.conj(u) * np.conj(g))
+        t_interf_b = pref * np.real(-np.imag(u) * u * g)
+        t_radiation = pref * np.real(1j * g * (u * np.conj(u)))
+        return t_interf_a + t_interf_b + t_radiation
+
+    res_r = integrate_spectrum(radiated, grid)
+    res_cross = integrate_spectrum(lambda k: -radiated(k), grid)
+    res_gamma = integrate_spectrum(dissipated, grid)
+    res_net = integrate_spectrum(net, grid)
+    return PowerBudget(
+        omega=p.omega,
+        gamma=p.gamma,
+        beta=bath.beta,
+        cutoff=grid.cutoff,
+        p_r=res_r.value,
+        p_cross=res_cross.value,
+        p_gamma=res_gamma.value,
+        p_xi=-res_gamma.value,
+        net_far_field=-FOUR_PI * r**2 * (TWO_PI * res_net.value),
+        est_error=res_r.est_error + res_gamma.est_error,
+    )
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
+def test_power_budget_matches_four_quadrature_reference(gamma, beta):
+    p = AtomParams.from_damping(gamma, 1.0, 1.0)
+    bath = BathSpec(beta)
+    for lam in (10.0, 100.0, 1000.0):
+        grid = FrequencyGrid(lam, 2**12)
+        assert power_budget(p, bath, grid).to_dict() == _reference_power_budget(p, bath, grid).to_dict()
+    # n = 30 has no half grid: est_error is the rounding floor alone
+    grid = FrequencyGrid(20.0, 30)
+    assert grid.halved() is None
+    assert power_budget(p, bath, grid, r=7.0).to_dict() == _reference_power_budget(p, bath, grid, r=7.0).to_dict()
+
+
+def test_power_budget_memory_bounded():
+    p = AtomParams.from_damping(0.01, 1.0, 1.0)
+    grid = FrequencyGrid(100.0, 2**18)
+    power_budget(p, BathSpec(1.0), grid)  # warm: first-call allocations stay out
+    tracemalloc.start()
+    try:
+        power_budget(p, BathSpec(1.0), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one-pass budget holds the three-row buffer plus the shared kernels
+    assert peak <= 13 * grid.n_points * 8
 
 
 def test_power_budget_serialization():

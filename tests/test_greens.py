@@ -9,7 +9,6 @@ from atomflux.greens import (
     FOUR_PI,
     AtomParams,
     BathSpec,
-    ComplexSpectrum,
     FrequencyGrid,
     OriginRealPartError,
     atom_hadamard_ft,
@@ -288,19 +287,6 @@ def test_frequency_grid_halved():
     assert h.n_points == 32 and h.cutoff == 5.0
     assert FrequencyGrid(5.0, 16).halved() is None
     assert FrequencyGrid(5.0, 34).halved() is None
-
-
-def test_complex_spectrum_retarded_symmetry():
-    p = AtomParams.from_damping(0.1, 1.0, 1.0)
-    g = FrequencyGrid(20.0, 128)
-    spec = ComplexSpectrum.from_function(lambda k: atom_retarded_ft(k, p), g)
-    assert spec.retarded_symmetry_defect() == 0.0
-    spec.require_retarded()
-    broken = ComplexSpectrum(g, spec.samples + 1j * np.abs(g.values) * 1e-3)
-    with pytest.raises(ValueError):
-        broken.require_retarded(tol=1e-12)
-    with pytest.raises(ValueError):
-        ComplexSpectrum(g, np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

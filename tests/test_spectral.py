@@ -89,6 +89,64 @@ def test_nonfinite_integrand_names_offender():
         integrate_spectrum(f, g)
 
 
+def test_vector_rows_match_separate_integrations_bitwise():
+    p = AtomParams.from_damping(0.1, 1.0, 1.0)
+    real_rows = (
+        lambda k: k**2 * np.imag(atom_retarded_ft(k, p)),
+        lambda k: 1.0 / (1.0 + k**2),
+        lambda k: k**3,
+    )
+    complex_rows = (
+        lambda k: np.exp(-(k**2)) * np.exp(1j * k),
+        lambda k: atom_retarded_ft(k, p),
+    )
+    for rows in (real_rows, complex_rows):
+        for g in (FrequencyGrid(25.0, 2048), FrequencyGrid(4.0, 30)):  # n=30 has no half grid
+            vec = integrate_spectrum(lambda k: np.stack([f(k) for f in rows]), g)
+            singles = [integrate_spectrum(f, g) for f in rows]
+            assert len(vec.value) == len(vec.est_error) == len(rows)
+            assert vec.n_evals == singles[0].n_evals
+            for i, single in enumerate(singles):
+                assert type(vec.value[i]) is type(single.value)
+                assert vec.value[i] == single.value
+                assert vec.est_error[i] == single.est_error
+
+
+def test_scalar_only_integrand_still_pointwise():
+    g = FrequencyGrid(10.0, 64)
+    res = integrate_spectrum(lambda k: math.exp(-k * k), g)
+    assert isinstance(res.value, float) and isinstance(res.est_error, float)
+    assert res.value == integrate_spectrum(lambda k: np.exp(-k * k), g).value
+    assert res.n_evals == 64 + 32
+
+
+def test_nonfinite_value_in_any_row_raises():
+    import re
+
+    g = FrequencyGrid(2.0, 32)
+    bad_kappa = float(g.values[5])
+    for bad_row in range(3):
+
+        def f(k, bad_row=bad_row):
+            out = np.stack([np.cos(k), np.sin(k), k**2])
+            out[bad_row, k == bad_kappa] = np.nan
+            return out
+
+        with pytest.raises(IntegrandError, match=f"row {bad_row} at kappa={re.escape(repr(bad_kappa))}"):
+            integrate_spectrum(f, g)
+
+
+def test_row_count_must_match_on_half_grid():
+    g = FrequencyGrid(2.0, 64)
+
+    def f(k):
+        rows = 3 if k.size == g.n_points else 2
+        return np.stack([np.cos(k)] * rows)
+
+    with pytest.raises(IntegrandError, match="2 rows on the half grid but 3"):
+        integrate_spectrum(f, g)
+
+
 def test_adaptive_oracle_agrees():
     res = integrate_spectrum(lambda k: 1.0 / (1.0 + k**2), FrequencyGrid(10.0, 512))
     adaptive = integrate_adaptive(lambda k: 1.0 / (1.0 + k**2), 10.0)
