@@ -119,6 +119,12 @@ def _parse_int(field: str, text: str) -> int:
         raise ConfigError(field, f"cannot parse {text!r} as an integer") from None
 
 
+def _positive(field: str, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(field, f"must be positive and finite, got {value!r}")
+    return value
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Resolve defaults, an optional INI file, and flag overrides into a RunConfig."""
     values = {(s, k): v for s, sect in _DEFAULTS.items() for k, v in sect.items()}
@@ -145,24 +151,24 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         if sect == "atom" and key not in known_atom:
             raise ConfigError(f"atom.{key}", "unknown atom parameter")
 
-    m = _parse_float("atom.m", values[("atom", "m")])
-    omega = _parse_float("atom.omega", values[("atom", "omega")])
+    def _atom(key):
+        return _positive(f"atom.{key}", _parse_float(f"atom.{key}", values[("atom", key)]))
+
+    m = _atom("m")
+    omega = _atom("omega")
     has_e = ("atom", "e") in values
     has_gamma = ("atom", "gamma") in values
     if has_e and has_gamma:
         raise ConfigError("atom", "give exactly one of e / gamma (the other is derived)")
-    try:
-        if has_e:
-            atom = AtomParams(e=_parse_float("atom.e", values[("atom", "e")]), m=m, omega=omega)
-        elif has_gamma:
-            atom = AtomParams.from_damping(
-                gamma=_parse_float("atom.gamma", values[("atom", "gamma")]), m=m, omega=omega
-            )
-        else:
-            atom = AtomParams.from_damping(gamma=0.01, m=m, omega=omega)
-            values[("atom", "gamma")] = "0.01"
-    except ValueError as exc:
-        raise ConfigError("atom", str(exc)) from None
+    if has_e:
+        atom = AtomParams(e=_atom("e"), m=m, omega=omega)
+    elif has_gamma:
+        atom = AtomParams.from_damping(gamma=_atom("gamma"), m=m, omega=omega)
+    else:
+        atom = AtomParams.from_damping(gamma=0.01, m=m, omega=omega)
+        values[("atom", "gamma")] = "0.01"
+    if not (math.isfinite(atom.e) and 0 < atom.gamma < math.inf):
+        raise ConfigError("atom", f"derived e={atom.e!r}, gamma={atom.gamma!r} must be positive and finite")
 
     beta_text = values[("bath", "beta")].strip().lower()
     if beta_text in ("vacuum", "inf", "infinity"):
@@ -174,7 +180,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError("bath.beta", str(exc)) from None
 
-    cutoff = _parse_float("grid.cutoff", values[("grid", "cutoff")])
+    cutoff = _positive("grid.cutoff", _parse_float("grid.cutoff", values[("grid", "cutoff")]))
     n_points = _parse_int("grid.n_points", values[("grid", "n_points")])
     try:
         FrequencyGrid(cutoff, n_points)
@@ -186,22 +192,36 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             return float(auto_value)
         return _parse_float(field, text)
 
-    lv_dt = _parse_float("langevin.dt", values[("langevin", "dt")])
-    t_total = _auto_float("langevin.t_total", values[("langevin", "t_total")], 200.0 / atom.gamma)
+    lv_dt = _positive("langevin.dt", _parse_float("langevin.dt", values[("langevin", "dt")]))
+    t_total = _positive(
+        "langevin.t_total",
+        _auto_float("langevin.t_total", values[("langevin", "t_total")], 200.0 / atom.gamma),
+    )
     n_traj = _parse_int("langevin.n_traj", values[("langevin", "n_traj")])
+    if n_traj < 1:
+        raise ConfigError("langevin.n_traj", f"must be >= 1, got {n_traj}")
     seed = _parse_int("langevin.seed", values[("langevin", "seed")])
     t_burn = _auto_float("langevin.t_burn", values[("langevin", "t_burn")], 20.0 / atom.gamma)
+    if not 0 <= t_burn < math.inf:
+        raise ConfigError("langevin.t_burn", f"must be >= 0 and finite, got {t_burn!r}")
 
-    oracle_r = _parse_float("oracle.r", values[("oracle", "r")])
+    oracle_r = _positive("oracle.r", _parse_float("oracle.r", values[("oracle", "r")]))
     oracle_t = _auto_float("oracle.t", values[("oracle", "t")], 40.0 / atom.gamma)
     oracle_dt_obs = _parse_float("oracle.dt_obs", values[("oracle", "dt_obs")])
-    oracle_time_step = _parse_float("oracle.time_step", values[("oracle", "time_step")])
+    oracle_time_step = _positive(
+        "oracle.time_step", _parse_float("oracle.time_step", values[("oracle", "time_step")])
+    )
     oracle_n_kappa = _parse_int("oracle.n_kappa", values[("oracle", "n_kappa")])
+    if oracle_n_kappa < 2 or oracle_n_kappa % 2:
+        raise ConfigError("oracle.n_kappa", f"must be an even integer >= 2, got {oracle_n_kappa}")
 
     tol = {
         k: _parse_float(f"tolerances.{k}", values[("tolerances", k)])
         for k in ("fdr_rtol", "fdr_atol", "budget_rtol", "oracle_rtol", "relax_rtol")
     }
+    for k, v in tol.items():
+        if not 0 <= v < math.inf:
+            raise ConfigError(f"tolerances.{k}", f"must be >= 0 and finite, got {v!r}")
 
     out_format = values[("output", "format")].strip().lower()
     if out_format not in ("json", "csv"):
@@ -329,6 +349,8 @@ def cmd_relax(cfg: RunConfig) -> int:
         )
     except langevin.NyquistError as exc:
         raise ConfigError("langevin.dt", str(exc)) from None
+    except langevin.BurnInError as exc:
+        raise ConfigError("langevin.t_burn", str(exc)) from None
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
     rel_dev = abs(stats.var_q - predicted) / predicted
@@ -347,7 +369,7 @@ def cmd_relax(cfg: RunConfig) -> int:
     with open(path, "w") as fh:
         fh.write(f"# config_sha256={cfg.config_hash()}\n")
         fh.write("t,var_q\n")
-        for t, v in zip(times, series):
+        for t, v in zip(times.tolist(), series.tolist()):
             fh.write(f"{t!r},{v!r}\n")
 
     payload = {

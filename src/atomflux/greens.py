@@ -111,8 +111,8 @@ class FrequencyGrid:
     values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.n_points < 16 or self.n_points % 2 != 0:
             raise ValueError(f"n_points must be an even integer >= 16, got {self.n_points}")
         h = 2.0 * self.cutoff / self.n_points
@@ -150,11 +150,13 @@ def thermal_factor(kappa, bath: BathSpec):
     else:
         x = bath.beta * kap
         out = np.empty_like(kap)
+        np.divide(1.0, np.tanh(0.5 * x, out=out), out=out)
+        # the few points near kappa = 0 are overwritten, not split off first:
+        # elementwise results are the same, without compacting the whole grid
         small = np.abs(x) < COTH_SERIES_CUTOFF
-        xs = x[small]
-        out[small] = 2.0 / xs + xs / 6.0 - xs**3 / 360.0
-        xl = x[~small]
-        out[~small] = 1.0 / np.tanh(0.5 * xl)
+        if small.any():
+            xs = x[small]
+            out[small] = 2.0 / xs + xs / 6.0 - xs**3 / 360.0
     return out[()] if scalar else out
 
 

@@ -15,11 +15,15 @@ Determinism contract: every trajectory is a pure function of
 and all reductions run in a fixed order, so ensembles are bit-identical for
 any worker count.
 
-Engine layout: a chunk of k trajectories is synthesized trajectory-major as one
-(k, n) record (O(k n) memory), then propagated in blocks of ``_BLOCK_STEPS``
-steps with the filter state carried from block to block.  Each block is
-reduced as soon as it is made, so propagation and reductions hold
-O(k * block) memory however long the record is.
+Engine layout: a chunk of k trajectories is split into row batches of about
+r = ``_ROW_SAMPLES`` // n trajectories (at least two, at most k).  Each batch is
+synthesized trajectory-major as one (r, n) record, then propagated in blocks of
+``_BLOCK_STEPS`` steps with the filter state carried from block to block, and
+each block is reduced as soon as it is made.  A worker therefore holds O(r n)
+memory, a batch of fewer than 2 * ``_ROW_SAMPLES`` samples while n is below
+``_ROW_SAMPLES`` / 2, however many trajectories a chunk has.  Every reduction
+runs in an order that does not depend on r: the per-trajectory sums in time
+order, the cross-trajectory series in trajectory order.
 """
 
 from __future__ import annotations
@@ -44,11 +48,16 @@ from .greens import (
 from .spectral import integrate_spectrum
 
 _CHUNK_SIZE = 32  # trajectories per worker chunk; fixed so reductions never move
-_BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(k * block)
+_BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(r * block)
+_ROW_SAMPLES = 1 << 21  # record samples per synthesis batch: r ~ _ROW_SAMPLES // n rows
 
 
 class NyquistError(ValueError):
     """Raised when the time step cannot represent the synthesis cutoff."""
+
+
+class BurnInError(ValueError):
+    """Raised when the record leaves too few samples after the burn-in."""
 
 
 @dataclass
@@ -164,14 +173,15 @@ def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
     return n_fft, amp, amp_real
 
 
-def _synthesize_rows(bath, p, cutoff, dt, n_samples, seed, spawn_keys) -> np.ndarray:
+def _synthesize_rows(amplitudes, n_samples, seed, spawn_keys) -> np.ndarray:
     """Forcing records of shape (len(spawn_keys), n_samples); row j is seeded by (seed, spawn_keys[j]).
 
+    ``amplitudes`` is the ``_synthesis_amplitudes`` triple for ``n_samples``.
     Each row draws all its ``a`` normals, then all its ``b`` normals, so a row
     does not depend on which other rows share the batch; one batched inverse
     FFT then shapes every row.
     """
-    n_fft, amp, amp_real = _synthesis_amplitudes(bath, p, cutoff, dt, n_samples)
+    n_fft, amp, amp_real = amplitudes
     a = np.empty((len(spawn_keys), n_fft // 2 + 1))
     b = np.empty_like(a)
     for j, key in enumerate(spawn_keys):
@@ -216,7 +226,8 @@ def synthesize_noise(
     n_steps = int(round(t_total / dt))
     if n_steps < 1:
         raise ValueError("t_total must cover at least one step")
-    samples = _synthesize_rows(bath, p, cutoff, dt, n_steps + 1, seed, [spawn_key])[0]
+    amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    samples = _synthesize_rows(amplitudes, n_steps + 1, seed, [spawn_key])[0]
     return NoiseRealization(
         dt=dt, n_steps=n_steps, samples=samples, seed=seed, cutoff=cutoff, spawn_key=spawn_key
     )
@@ -418,20 +429,35 @@ class EnsembleResult:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-def _ensemble_chunk(args):
-    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, q0, qdot0, burn_index) = args
+def _batch_edges(start: int, stop: int, n_samples: int) -> list[int]:
+    """Split trajectories start .. stop - 1 into near-equal row batches; returns the edges.
+
+    There are k // r batches, r = max(2, _ROW_SAMPLES // n_samples) capped at
+    the chunk size k, so each holds at least r rows and a chunk of two or more
+    trajectories never gets a lone-row batch.
+    """
     k = stop - start
-    xi = _synthesize_rows(
-        bath, p, cutoff, dt, n_steps + 1, master_seed, [(idx,) for idx in range(start, stop)]
-    )
+    n_batches = k // min(k, max(2, _ROW_SAMPLES // n_samples))
+    return [start + (b * k) // n_batches for b in range(n_batches + 1)]
+
+
+def _reduce_batch(p, dt, xi, q0, qdot0, burn_index, sum_q2_t):
+    """Propagate one batch of forcing records and reduce it block by block.
+
+    Adds each trajectory's q^2 into ``sum_q2_t`` in trajectory order, so the
+    series does not depend on how a chunk is batched, and returns the batch's
+    post-burn means of q, q^2 and qdot^2.
+    """
+    n_steps = xi.shape[1] - 1
     # numpy sums several columns row by row, in time order, so running sums
     # carried from block to block reproduce a whole-record reduction; a lone
     # column is summed pairwise instead, so it is reduced in one block
-    block = _BLOCK_STEPS if k > 1 else n_steps
-    sum_q2_t = np.empty(n_steps + 1)
+    block = _BLOCK_STEPS if len(xi) > 1 else n_steps
     sums = None  # post-burn column sums of q, q^2 and qdot^2
     for t0, q, v in _propagate(p, dt, xi, q0, qdot0, block):
-        sum_q2_t[t0 : t0 + len(q)] = np.einsum("ti,ti->t", q, q)
+        series = sum_q2_t[t0 : t0 + len(q)]
+        for j in range(q.shape[1]):
+            series += q[:, j] * q[:, j]
         q, v = q[max(burn_index - t0, 0) :], v[max(burn_index - t0, 0) :]
         if not len(q):
             continue
@@ -443,7 +469,20 @@ def _ensemble_chunk(args):
                 for acc, rows in zip(sums, (q, q * q, v * v))
             )
     n_post = n_steps + 1 - burn_index
-    return sum_q2_t, sums[0] / n_post, sums[1] / n_post, sums[2] / n_post
+    return tuple(s / n_post for s in sums)
+
+
+def _ensemble_chunk(args):
+    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, q0, qdot0, burn_index) = args
+    amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    edges = _batch_edges(start, stop, n_steps + 1)
+    sum_q2_t = np.zeros(n_steps + 1)
+    means = []
+    for lo, hi in zip(edges, edges[1:]):
+        xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, [(idx,) for idx in range(lo, hi)])
+        means.append(_reduce_batch(p, dt, xi, q0, qdot0, burn_index, sum_q2_t))
+        del xi  # free this batch's record before the next one is synthesized
+    return (sum_q2_t, *(np.concatenate(m) for m in zip(*means)))
 
 
 def run_ensemble(
@@ -465,6 +504,8 @@ def run_ensemble(
     reduction order are fixed, so the result is bit-identical for any
     ``workers`` count.  Default burn-in is 20 relaxation times.
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if dt > math.pi / cutoff * (1.0 + 1e-12):
         raise NyquistError(f"dt={dt:g} violates the Nyquist bound pi/cutoff={math.pi / cutoff:g}")
     if t_burn is None:
@@ -472,7 +513,10 @@ def run_ensemble(
     n_steps = int(round(t_total / dt))
     burn_index = int(math.ceil(t_burn / dt))
     if n_steps + 1 - burn_index < 16:
-        raise ValueError("insufficient post-burn-in samples: increase t_total or reduce t_burn")
+        raise BurnInError(
+            f"insufficient post-burn-in samples: t_total={t_total:g} must exceed "
+            f"t_burn={t_burn:g} by at least 16 steps of dt={dt:g}; increase t_total or reduce t_burn"
+        )
     bounds = [
         (s, min(s + _CHUNK_SIZE, n_traj)) for s in range(0, n_traj, _CHUNK_SIZE)
     ]

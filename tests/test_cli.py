@@ -153,6 +153,36 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "relax_stats.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["relax", "--n-traj", "0"], "langevin.n_traj"),
+        (["relax", "--gamma", "0.1", "--cutoff", "20", "--t-total", "100"], "langevin.t_burn"),
+        (["oracle", "--time-step", "-1"], "oracle.time_step"),
+        (["budget", "--gamma", "inf"], "atom.gamma"),
+        (["budget", "--cutoff", "inf"], "grid.cutoff"),
+        (["fdr-check", "--fdr-rtol", "nan"], "tolerances.fdr_rtol"),
+    ],
+    ids=[
+        "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
+        "infinite_cutoff", "nan_tolerance",
+    ],
+)
+def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
+    # each of these used to end in a traceback with exit 1, which means "physics failed"
+    code = main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_load_config_rejects_non_finite_atom_values():
+    for key in ("m", "omega", "gamma", "e"):
+        for bad in ("inf", "nan", "-1", "0"):
+            with pytest.raises(ConfigError, match=f"atom.{key}"):
+                load_config(None, {("atom", key): bad})
+
+
 def test_cmd_relax_small_ensemble(tmp_path, capsys):
     code = main(RELAX_ARGS + ["--n-traj", "64", "--out", str(tmp_path)])
     assert code == EXIT_PASS
@@ -161,6 +191,8 @@ def test_cmd_relax_small_ensemble(tmp_path, capsys):
     series = (tmp_path / "relax_series.csv").read_text().splitlines()
     assert series[1] == "t,var_q"
     assert len(series) > 10
+    rows = [tuple(float(x) for x in line.split(",")) for line in series[2:]]
+    assert rows[0] == (0.0, 0.0) and all(math.isfinite(v) for _, v in rows)
 
 
 def test_cmd_relax_low_power_warns_but_passes(tmp_path, capsys):

@@ -219,6 +219,33 @@ def test_thermal_factor_odd_bitwise():
         assert np.array_equal(thermal_factor(-kap, bath), -thermal_factor(kap, bath))
 
 
+def _masked_thermal_factor(kap, beta):
+    """The split-then-scatter evaluation: series below the cutoff, 1/tanh above."""
+    from atomflux.greens import COTH_SERIES_CUTOFF
+
+    x = beta * kap
+    out = np.empty_like(kap)
+    small = np.abs(x) < COTH_SERIES_CUTOFF
+    xs = x[small]
+    out[small] = 2.0 / xs + xs / 6.0 - xs**3 / 360.0
+    xl = x[~small]
+    out[~small] = 1.0 / np.tanh(0.5 * xl)
+    return out
+
+
+@pytest.mark.parametrize(
+    "cutoff, beta, straddles",
+    [(1.0, 1.0, True), (10.0, 0.01, True), (10.0, 0.5, True), (1000.0, 1.0, False), (1000.0, 30.0, False)],
+)
+def test_thermal_factor_bitwise_equal_to_masked_evaluation(cutoff, beta, straddles):
+    # the 2^16 grid's innermost points sit at beta * kappa = beta * cutoff / 2^16
+    kap = FrequencyGrid(cutoff, 2**16).values
+    assert (beta * np.abs(kap).min() < 1e-4) == straddles
+    got = thermal_factor(kap, BathSpec(beta))
+    assert np.array_equal(got, _masked_thermal_factor(kap, beta))
+    assert thermal_factor(kap[0], BathSpec(beta)) == got[0]
+
+
 def test_thermal_factor_errors_at_zero():
     with pytest.raises(ValueError):
         thermal_factor(0.0, VACUUM)
@@ -279,6 +306,9 @@ def test_frequency_grid_validation():
         FrequencyGrid(10.0, 14)
     with pytest.raises(ValueError):
         FrequencyGrid(-1.0, 32)
+    for cutoff in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            FrequencyGrid(cutoff, 32)
 
 
 def test_frequency_grid_halved():

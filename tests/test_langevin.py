@@ -257,7 +257,8 @@ def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
     p, bath, kw = _small_ensemble_params()
     n = int(round(kw["t_total"] / kw["dt"]))
-    xi = langevin._synthesize_rows(bath, p, kw["cutoff"], kw["dt"], n + 1, 5, [(i,) for i in range(6)])
+    amplitudes = langevin._synthesis_amplitudes(bath, p, kw["cutoff"], kw["dt"], n + 1)
+    xi = langevin._synthesize_rows(amplitudes, n + 1, 5, [(i,) for i in range(6)])
     q_batch, v_batch = np.empty((n + 1, 6)), np.empty((n + 1, 6))
     for t0, q, v in langevin._propagate(p, kw["dt"], xi, 0.0, 0.0, langevin._BLOCK_STEPS):
         q_batch[t0 : t0 + len(q)] = q
@@ -347,7 +348,10 @@ _REGIMES = {
 def test_block_engine_matches_time_major_reference(monkeypatch, regime, start, stop):
     # 1237 steps in blocks of 100: the record spans 13 blocks, the last one
     # partial, and the burn-in ends inside the fifth; (96, 97) is a
-    # one-trajectory chunk, which is reduced whole
+    # one-trajectory chunk, which is reduced whole.  The per-trajectory means
+    # keep the reference's time-ordered sums bit for bit; the series adds the
+    # trajectories one by one, where the reference lets einsum group them, so
+    # it may differ in its last digits
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
     p = _REGIMES[regime]
     if regime == "critical":
@@ -358,14 +362,54 @@ def test_block_engine_matches_time_major_reference(monkeypatch, regime, start, s
     assert len(got) == 4
     for g, w in zip(got, want):
         assert g.shape == w.shape
+    assert np.allclose(got[0], want[0], rtol=1e-14, atol=0.0)
+    for g, w in zip(got[1:], want[1:]):
         assert np.array_equal(g, w)
 
 
-def test_ensemble_chunk_memory_bounded():
-    # synthesis holds the (k, n) record; propagation and reductions add only
-    # O(k * block), so the traced peak stays a small multiple of one record
+def _row_samples_for(r, n_steps):
+    """A ``_ROW_SAMPLES`` value that makes the batch size r at n_steps steps."""
+    return r * (n_steps + 1)
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@pytest.mark.parametrize("start, stop", [(0, 32), (64, 71)])
+def test_ensemble_chunk_independent_of_batch_size(monkeypatch, regime, start, stop):
+    # r = 2 gives 16 batches of 2 rows (3 batches of 2, 2, 3 for the 7-row
+    # chunk), r = 5 gives 5, 5, 5, 5, 6, 6 (one batch of 7), r = k one batch;
+    # every output must be the same bits whatever the split
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
+    n_steps = 1237
+    job = (_REGIMES[regime], BathSpec(1.0), 10.0, 0.2, n_steps, 11, start, stop, 0.4, -0.2, 437)
+    outputs = {}
+    for r in (2, 5, stop - start):
+        monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n_steps))
+        edges = langevin._batch_edges(start, stop, n_steps + 1)
+        sizes = np.diff(edges)
+        assert edges[0] == start and edges[-1] == stop
+        assert sizes.min() >= min(r, stop - start) and sizes.max() - sizes.min() <= 1
+        outputs[r] = langevin._ensemble_chunk(job)
+    base = outputs.pop(stop - start)
+    for got in outputs.values():
+        for g, w in zip(got, base):
+            assert np.array_equal(g, w)
+
+
+def test_batch_edges_never_leave_a_lone_row(monkeypatch):
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", 1)  # r = 2, the floor
+    for k in range(1, 40):
+        sizes = np.diff(langevin._batch_edges(100, 100 + k, 1000))
+        assert sizes.sum() == k
+        assert sizes.min() >= min(k, 2)
+
+
+def test_ensemble_chunk_memory_bounded(monkeypatch):
+    # a chunk holds one batch of r records at a time: the (r, n) batch, its
+    # O(r * block) propagation working set and the O(n) series set the traced
+    # peak, a small multiple of r records however many trajectories the chunk has
     p = AtomParams.from_damping(0.01, 1.0, 1.0)
-    k, n = 32, 100_000
+    k, n, r = 32, 100_000, 4
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
     job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, k, 0.0, 0.0, 40_000)
     tracemalloc.start()
     try:
@@ -373,13 +417,15 @@ def test_ensemble_chunk_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * k * (n + 1) * 8
+    assert peak <= 5 * r * (n + 1) * 8
 
 
 def test_run_ensemble_insufficient_burn_raises():
     p, bath, kw = _small_ensemble_params()
-    with pytest.raises(ValueError):
+    with pytest.raises(langevin.BurnInError):
         run_ensemble(p, bath, n_traj=8, master_seed=1, t_burn=239.9, **kw)
+    with pytest.raises(ValueError, match="n_traj"):
+        run_ensemble(p, bath, n_traj=0, master_seed=1, t_burn=80.0, **kw)
 
 
 def test_fit_decay_rate_on_synthetic_series():
