@@ -1,11 +1,13 @@
 """Command-line front end: identity suites, power budgets, relaxation runs, oracle checks.
 
 Configuration is a flat INI-style file with sections (atom, bath, grid,
-langevin, oracle, tolerances, output); any value can be overridden by a
-command-line flag of the same name, and flags win.  Every command is
-deterministic given (config, seed): output files carry a hash of the resolved
-physics configuration (worker count and output paths are excluded from the
-hash so byte-identical outputs are reproducible at any parallelism).
+langevin, oracle, tolerances, output); many values can also be set by a
+command-line flag, and flags win.  Every key is declared once, in ``_SCHEMA``:
+its default text, type, range rule, optional ``auto`` rule and flag.  Every
+command is deterministic given (config, seed): output files carry a hash of
+the resolved physics configuration (worker count and output paths are
+excluded from the hash so byte-identical outputs are reproducible at any
+parallelism).
 
 Exit codes: 0 pass, 1 physics-invariant failure, 2 usage/config error.
 """
@@ -20,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import fdr, flux
 from .greens import AtomParams, BathSpec, FrequencyGrid
@@ -39,33 +42,79 @@ class ConfigError(Exception):
         self.field = field
 
 
-_DEFAULTS = {
-    "atom": {"m": "1.0", "omega": "1.0"},  # exactly one of e / gamma may join these
-    "bath": {"beta": "vacuum"},
-    "grid": {"cutoff": "100.0", "n_points": "65536"},
-    "langevin": {
-        "dt": "0.05",
-        "t_total": "auto",  # 200 / gamma
-        "n_traj": "400",
-        "seed": "12345",
-        "t_burn": "auto",  # 20 / gamma
-    },
-    "oracle": {
-        "r": "30.0",
-        "t": "auto",  # 40 / gamma
-        "dt_obs": "0.0",
-        "time_step": "0.02",
-        "n_kappa": "8192",
-    },
-    "tolerances": {
-        "fdr_rtol": "1e-12",
-        "fdr_atol": "1e-15",
-        "budget_rtol": "1e-10",
-        "oracle_rtol": "0.01",
-        "relax_rtol": "0.05",
-    },
-    "output": {"format": "json", "directory": "out"},
+class _Rule(NamedTuple):
+    test: Callable[[object], bool]
+    text: str  # completes "must be ..."
+    choices: tuple | None = None  # the accepted values of a one-of-a-set rule
+
+
+_POSITIVE = _Rule(lambda v: 0 < v < math.inf, "positive and finite")
+_NON_NEGATIVE = _Rule(lambda v: 0 <= v < math.inf, ">= 0 and finite")
+_AT_LEAST_ONE = _Rule(lambda v: v >= 1, ">= 1")
+_EVEN = _Rule(lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
+_FINITE = _Rule(math.isfinite, "finite")
+_FORMATS = _Rule(("json", "csv").__contains__, "json or csv", ("json", "csv"))
+
+_COMMANDS = {
+    "fdr-check": "run the identity suites",
+    "budget": "compute the power budget",
+    "relax": "run the Langevin ensemble and compare variances",
+    "oracle": "compare late-time vs brute-force Hadamard values",
 }
+
+
+def _word(text: str) -> str:
+    return text.strip().lower()
+
+
+class _Key(NamedTuple):
+    """One config key: its default text, parser, range rule, RunConfig attribute and flag."""
+
+    section: str
+    key: str
+    default: str | None  # the text a config file would hold; None: absent unless given
+    type: Callable[[str], object]
+    rule: _Rule | None
+    attr: str | None  # None: a hand-written rule in load_config consumes the value
+    flag: str | None = None
+    commands: tuple = tuple(_COMMANDS)  # the commands that take the flag
+    auto: float | None = None  # the text "auto" resolves to auto / gamma
+
+
+_SCHEMA = (
+    _Key("atom", "m", "1.0", float, _POSITIVE, None),
+    _Key("atom", "omega", "1.0", float, _POSITIVE, None, "--omega"),
+    # exactly one of e / gamma may be given; the other is derived
+    _Key("atom", "e", None, float, _POSITIVE, None),
+    _Key("atom", "gamma", "0.01", float, _POSITIVE, None, "--gamma"),
+    _Key("bath", "beta", "vacuum", str, None, None, "--beta"),  # or --vacuum
+    _Key("grid", "cutoff", "100.0", float, _POSITIVE, "cutoff", "--cutoff"),
+    _Key("grid", "n_points", "65536", int, None, "n_points", "--grid-points"),
+    _Key("langevin", "dt", "0.05", float, _POSITIVE, "langevin_dt", "--dt", ("relax",)),
+    _Key("langevin", "t_total", "auto", float, _POSITIVE, "t_total", "--t-total", ("relax",),
+         auto=200.0),
+    _Key("langevin", "n_traj", "400", int, _AT_LEAST_ONE, "n_traj", "--n-traj", ("relax",)),
+    _Key("langevin", "seed", "12345", int, None, "seed", "--seed"),
+    _Key("langevin", "t_burn", "auto", float, _NON_NEGATIVE, "t_burn", auto=20.0),
+    _Key("oracle", "r", "30.0", float, _POSITIVE, "oracle_r", "--r", ("oracle",)),
+    _Key("oracle", "t", "auto", float, _POSITIVE, "oracle_t", "--t", ("oracle",), auto=40.0),
+    _Key("oracle", "dt_obs", "0.0", float, _FINITE, "oracle_dt_obs", "--dt-obs", ("oracle",)),
+    _Key("oracle", "time_step", "0.02", float, _POSITIVE, "oracle_time_step", "--time-step",
+         ("oracle",)),
+    _Key("oracle", "n_kappa", "8192", int, _EVEN, "oracle_n_kappa"),
+    _Key("tolerances", "fdr_rtol", "1e-12", float, _NON_NEGATIVE, "fdr_rtol", "--fdr-rtol",
+         ("fdr-check",)),
+    _Key("tolerances", "fdr_atol", "1e-15", float, _NON_NEGATIVE, "fdr_atol"),
+    _Key("tolerances", "budget_rtol", "1e-10", float, _NON_NEGATIVE, "budget_rtol"),
+    _Key("tolerances", "oracle_rtol", "0.01", float, _NON_NEGATIVE, "oracle_rtol"),
+    _Key("tolerances", "relax_rtol", "0.05", float, _NON_NEGATIVE, "relax_rtol"),
+    _Key("output", "format", "json", _word, _FORMATS, "out_format", "--format"),
+    _Key("output", "directory", "out", str, None, "out_dir", "--out"),
+    _Key("run", "workers", "1", int, _AT_LEAST_ONE, "workers", "--workers"),
+)
+_ROWS = {(row.section, row.key): row for row in _SCHEMA}
+# the worker count is an execution detail: --workers sets it, a config file cannot
+_FILE_SECTIONS = {row.section for row in _SCHEMA} - {"run"}
 
 
 @dataclass
@@ -105,29 +154,24 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _parse_float(field: str, text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(field, f"cannot parse {text!r} as a number") from None
-
-
-def _parse_int(field: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(field, f"cannot parse {text!r} as an integer") from None
-
-
-def _positive(field: str, value: float) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(field, f"must be positive and finite, got {value!r}")
+def _value(row: _Key, text: str, gamma: float):
+    """Parse one key's text and apply its range rule; ``auto`` resolves to row.auto / gamma."""
+    field = f"{row.section}.{row.key}"
+    if row.auto is not None and _word(text) == "auto":
+        value = row.auto / gamma
+    else:
+        try:
+            value = row.type(text)
+        except ValueError:
+            raise ConfigError(field, f"cannot parse {text!r} as {row.type.__name__}") from None
+    if row.rule is not None and not row.rule.test(value):
+        raise ConfigError(field, f"must be {row.rule.text}, got {value!r}")
     return value
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Resolve defaults, an optional INI file, and flag overrides into a RunConfig."""
-    values = {(s, k): v for s, sect in _DEFAULTS.items() for k, v in sect.items()}
+    given = {}
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
@@ -138,132 +182,62 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         except configparser.Error as exc:
             raise ConfigError("config", f"parse error: {exc}") from None
         for sect in parser.sections():
-            if sect not in _DEFAULTS and sect != "atom":
+            if sect not in _FILE_SECTIONS:
                 raise ConfigError(sect, "unknown config section")
-            for key, val in parser.items(sect):
-                values[(sect, key)] = val
-    for (sect, key), val in (overrides or {}).items():
-        if val is not None:
-            values[(sect, key)] = str(val)
+            given.update(((sect, key), val) for key, val in parser.items(sect))
+    given.update((key, str(val)) for key, val in (overrides or {}).items() if val is not None)
+    for sect, key in given:
+        if (sect, key) not in _ROWS:
+            raise ConfigError(f"{sect}.{key}", "unknown config key")
 
-    known_atom = {"e", "gamma", "m", "omega"}
-    for sect, key in values:
-        if sect == "atom" and key not in known_atom:
-            raise ConfigError(f"atom.{key}", "unknown atom parameter")
+    values = {key: row.default for key, row in _ROWS.items() if row.default is not None}
+    values.update(given)
+    if ("atom", "e") in given:  # e replaces the default gamma
+        if ("atom", "gamma") in given:
+            raise ConfigError("atom", "give exactly one of e / gamma (the other is derived)")
+        del values["atom", "gamma"]
 
-    def _atom(key):
-        return _positive(f"atom.{key}", _parse_float(f"atom.{key}", values[("atom", key)]))
+    def field(sect, key, gamma=math.nan):
+        return _value(_ROWS[sect, key], values[sect, key], gamma)
 
-    m = _atom("m")
-    omega = _atom("omega")
-    has_e = ("atom", "e") in values
-    has_gamma = ("atom", "gamma") in values
-    if has_e and has_gamma:
-        raise ConfigError("atom", "give exactly one of e / gamma (the other is derived)")
-    if has_e:
-        atom = AtomParams(e=_atom("e"), m=m, omega=omega)
-    elif has_gamma:
-        atom = AtomParams.from_damping(gamma=_atom("gamma"), m=m, omega=omega)
+    m, omega = field("atom", "m"), field("atom", "omega")
+    if ("atom", "e") in values:
+        atom = AtomParams(e=field("atom", "e"), m=m, omega=omega)
     else:
-        atom = AtomParams.from_damping(gamma=0.01, m=m, omega=omega)
-        values[("atom", "gamma")] = "0.01"
+        atom = AtomParams.from_damping(gamma=field("atom", "gamma"), m=m, omega=omega)
     if not (math.isfinite(atom.e) and 0 < atom.gamma < math.inf):
         raise ConfigError("atom", f"derived e={atom.e!r}, gamma={atom.gamma!r} must be positive and finite")
 
-    beta_text = values[("bath", "beta")].strip().lower()
-    if beta_text in ("vacuum", "inf", "infinity"):
+    beta_text = values["bath", "beta"]
+    if _word(beta_text) in ("vacuum", "inf", "infinity"):
         bath = BathSpec.vacuum()
     else:
-        beta = _parse_float("bath.beta", values[("bath", "beta")])
         try:
-            bath = BathSpec(beta)
-        except ValueError as exc:
-            raise ConfigError("bath.beta", str(exc)) from None
+            bath = BathSpec(float(beta_text))
+        except ValueError:
+            message = f"must be vacuum or a positive number, got {beta_text!r}"
+            raise ConfigError("bath.beta", message) from None
 
-    cutoff = _positive("grid.cutoff", _parse_float("grid.cutoff", values[("grid", "cutoff")]))
-    n_points = _parse_int("grid.n_points", values[("grid", "n_points")])
+    fields = {row.attr: field(row.section, row.key, atom.gamma) for row in _SCHEMA if row.attr}
     try:
-        FrequencyGrid(cutoff, n_points)
+        FrequencyGrid(fields["cutoff"], fields["n_points"])
     except ValueError as exc:
         raise ConfigError("grid", str(exc)) from None
-
-    def _auto_float(field, text, auto_value):
-        if text.strip().lower() == "auto":
-            return float(auto_value)
-        return _parse_float(field, text)
-
-    lv_dt = _positive("langevin.dt", _parse_float("langevin.dt", values[("langevin", "dt")]))
-    t_total = _positive(
-        "langevin.t_total",
-        _auto_float("langevin.t_total", values[("langevin", "t_total")], 200.0 / atom.gamma),
-    )
-    n_traj = _parse_int("langevin.n_traj", values[("langevin", "n_traj")])
-    if n_traj < 1:
-        raise ConfigError("langevin.n_traj", f"must be >= 1, got {n_traj}")
-    seed = _parse_int("langevin.seed", values[("langevin", "seed")])
-    t_burn = _auto_float("langevin.t_burn", values[("langevin", "t_burn")], 20.0 / atom.gamma)
-    if not 0 <= t_burn < math.inf:
-        raise ConfigError("langevin.t_burn", f"must be >= 0 and finite, got {t_burn!r}")
-
-    oracle_r = _positive("oracle.r", _parse_float("oracle.r", values[("oracle", "r")]))
-    oracle_t = _auto_float("oracle.t", values[("oracle", "t")], 40.0 / atom.gamma)
-    oracle_dt_obs = _parse_float("oracle.dt_obs", values[("oracle", "dt_obs")])
-    oracle_time_step = _positive(
-        "oracle.time_step", _parse_float("oracle.time_step", values[("oracle", "time_step")])
-    )
-    oracle_n_kappa = _parse_int("oracle.n_kappa", values[("oracle", "n_kappa")])
-    if oracle_n_kappa < 2 or oracle_n_kappa % 2:
-        raise ConfigError("oracle.n_kappa", f"must be an even integer >= 2, got {oracle_n_kappa}")
-
-    tol = {
-        k: _parse_float(f"tolerances.{k}", values[("tolerances", k)])
-        for k in ("fdr_rtol", "fdr_atol", "budget_rtol", "oracle_rtol", "relax_rtol")
-    }
-    for k, v in tol.items():
-        if not 0 <= v < math.inf:
-            raise ConfigError(f"tolerances.{k}", f"must be >= 0 and finite, got {v!r}")
-
-    out_format = values[("output", "format")].strip().lower()
-    if out_format not in ("json", "csv"):
-        raise ConfigError("output.format", f"must be json or csv, got {out_format!r}")
-    out_dir = values[("output", "directory")]
-    workers = _parse_int("run.workers", values.get(("run", "workers"), "1"))
-    if workers < 1:
-        raise ConfigError("run.workers", "must be >= 1")
+    if not fields["oracle_t"] - fields["oracle_dt_obs"] > 0:
+        raise ConfigError(
+            "oracle.dt_obs",
+            f"the second time t - dt_obs must be positive, got t={fields['oracle_t']!r}, "
+            f"dt_obs={fields['oracle_dt_obs']!r}",
+        )
 
     # freeze the resolved textual config for hashing
     resolved = dict(values)
-    resolved[("atom", "gamma_derived")] = repr(atom.gamma)
-    resolved[("atom", "e_derived")] = repr(atom.e)
-    resolved[("langevin", "t_total")] = repr(t_total)
-    resolved[("langevin", "t_burn")] = repr(t_burn)
-    resolved[("oracle", "t")] = repr(oracle_t)
-
-    return RunConfig(
-        atom=atom,
-        bath=bath,
-        cutoff=cutoff,
-        n_points=n_points,
-        langevin_dt=lv_dt,
-        t_total=t_total,
-        n_traj=n_traj,
-        seed=seed,
-        t_burn=t_burn,
-        oracle_r=oracle_r,
-        oracle_t=oracle_t,
-        oracle_dt_obs=oracle_dt_obs,
-        oracle_time_step=oracle_time_step,
-        oracle_n_kappa=oracle_n_kappa,
-        fdr_rtol=tol["fdr_rtol"],
-        fdr_atol=tol["fdr_atol"],
-        budget_rtol=tol["budget_rtol"],
-        oracle_rtol=tol["oracle_rtol"],
-        relax_rtol=tol["relax_rtol"],
-        out_format=out_format,
-        out_dir=out_dir,
-        workers=workers,
-        resolved=resolved,
-    )
+    resolved["atom", "gamma_derived"] = repr(atom.gamma)
+    resolved["atom", "e_derived"] = repr(atom.e)
+    for row in _SCHEMA:
+        if row.auto is not None:
+            resolved[row.section, row.key] = repr(fields[row.attr])
+    return RunConfig(atom=atom, bath=bath, resolved=resolved, **fields)
 
 
 def _out_path(cfg: RunConfig, name: str) -> Path:
@@ -351,6 +325,8 @@ def cmd_relax(cfg: RunConfig) -> int:
         raise ConfigError("langevin.dt", str(exc)) from None
     except langevin.BurnInError as exc:
         raise ConfigError("langevin.t_burn", str(exc)) from None
+    except MemoryError as exc:
+        raise ConfigError("langevin.t_total", f"the record is too long to hold: {exc}") from None
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
     rel_dev = abs(stats.var_q - predicted) / predicted
@@ -428,80 +404,42 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_PASS if passed else EXIT_PHYSICS_FAIL
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--config", metavar="PATH", default=None)
-    sub.add_argument("--omega", type=float, default=None)
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--beta", default=None)
-    sub.add_argument("--vacuum", action="store_true")
-    sub.add_argument("--cutoff", type=float, default=None)
-    sub.add_argument("--grid-points", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--out", metavar="DIR", default=None)
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-
-
-def _overrides_from_args(args) -> dict:
-    over = {
-        ("atom", "omega"): args.omega,
-        ("atom", "gamma"): args.gamma,
-        ("bath", "beta"): "vacuum" if args.vacuum else args.beta,
-        ("grid", "cutoff"): args.cutoff,
-        ("grid", "n_points"): args.grid_points,
-        ("langevin", "seed"): args.seed,
-        ("run", "workers"): args.workers,
-        ("output", "directory"): args.out,
-        ("output", "format"): args.format,
-    }
-    for name, target in (
-        ("n_traj", ("langevin", "n_traj")),
-        ("dt", ("langevin", "dt")),
-        ("t_total", ("langevin", "t_total")),
-        ("fdr_rtol", ("tolerances", "fdr_rtol")),
-        ("oracle_r", ("oracle", "r")),
-        ("oracle_t", ("oracle", "t")),
-        ("dt_obs", ("oracle", "dt_obs")),
-        ("time_step", ("oracle", "time_step")),
-    ):
-        if hasattr(args, name):
-            over[target] = getattr(args, name)
-    return over
-
-
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomflux",
         description="Energy-budget and fluctuation-dissipation toolkit for a static "
         "harmonic atom in a massless scalar field",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    for command, help_text in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", metavar="PATH", default=None)
+        for row in _SCHEMA:
+            if row.flag is None or command not in row.commands:
+                continue
+            dest = f"{row.section}.{row.key}"
+            group = sub
+            if dest == "bath.beta":  # --beta X | --vacuum: two spellings of one key
+                group = sub.add_mutually_exclusive_group()
+                group.add_argument("--vacuum", dest=dest, action="store_const", const="vacuum")
+            group.add_argument(
+                row.flag,
+                dest=dest,
+                # text keys reach load_config as typed; a choice is checked here
+                type=row.type if row.type in (float, int) else None,
+                choices=row.rule.choices if row.rule else None,
+            )
+        if command == "budget":
+            sub.add_argument("--sweep", default=None, metavar="L1,L2,...",
+                             help="comma-separated cutoff sweep")
+    return parser
 
-    sub = subs.add_parser("fdr-check", help="run the identity suites")
-    _add_common_flags(sub)
-    sub.add_argument("--fdr-rtol", dest="fdr_rtol", type=float, default=None)
 
-    sub = subs.add_parser("budget", help="compute the power budget")
-    _add_common_flags(sub)
-    sub.add_argument("--sweep", default=None, metavar="L1,L2,...",
-                     help="comma-separated cutoff sweep")
-
-    sub = subs.add_parser("relax", help="run the Langevin ensemble and compare variances")
-    _add_common_flags(sub)
-    sub.add_argument("--n-traj", dest="n_traj", type=int, default=None)
-    sub.add_argument("--dt", dest="dt", type=float, default=None)
-    sub.add_argument("--t-total", dest="t_total", type=float, default=None)
-
-    sub = subs.add_parser("oracle", help="compare late-time vs brute-force Hadamard values")
-    _add_common_flags(sub)
-    sub.add_argument("--r", dest="oracle_r", type=float, default=None)
-    sub.add_argument("--t", dest="oracle_t", type=float, default=None)
-    sub.add_argument("--dt-obs", dest="dt_obs", type=float, default=None)
-    sub.add_argument("--time-step", dest="time_step", type=float, default=None)
-
-    args = parser.parse_args(argv)
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    overrides = {tuple(dest.split(".")): val for dest, val in vars(args).items() if "." in dest}
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
+        cfg = load_config(args.config, overrides)
         if args.command == "fdr-check":
             return cmd_fdr_check(cfg)
         if args.command == "budget":
@@ -511,6 +449,9 @@ def main(argv=None) -> int:
                     sweep = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
                 except ValueError:
                     raise ConfigError("budget.sweep", f"cannot parse {args.sweep!r}") from None
+                if not all(map(_POSITIVE.test, sweep)):
+                    message = f"every cutoff must be {_POSITIVE.text}, got {args.sweep!r}"
+                    raise ConfigError("budget.sweep", message)
             return cmd_budget(cfg, sweep)
         if args.command == "relax":
             return cmd_relax(cfg)

@@ -17,7 +17,6 @@ tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +70,6 @@ class IdentityReport:
             "atol": self.atol,
             "n_rel_skipped": self.n_rel_skipped,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _compare(lhs, rhs):

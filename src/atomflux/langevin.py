@@ -118,17 +118,6 @@ class EquilibriumStats:
     n_traj: int
     t_burn: float
 
-    CSV_COLUMNS = (
-        "mean_q",
-        "se_mean_q",
-        "var_q",
-        "se_var_q",
-        "var_qdot",
-        "se_var_qdot",
-        "n_traj",
-        "t_burn",
-    )
-
     def to_dict(self) -> dict:
         return {
             "mean_q": self.mean_q,
@@ -140,10 +129,6 @@ class EquilibriumStats:
             "n_traj": self.n_traj,
             "t_burn": self.t_burn,
         }
-
-    def csv_row(self) -> str:
-        d = self.to_dict()
-        return ",".join(repr(d[c]) for c in self.CSV_COLUMNS)
 
 
 def noise_spectrum(kappa, p: AtomParams, bath: BathSpec):

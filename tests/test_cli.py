@@ -14,9 +14,12 @@ from atomflux.cli import (
     EXIT_PASS,
     EXIT_PHYSICS_FAIL,
     ConfigError,
+    _parser,
     load_config,
     main,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_load_config_defaults():
@@ -28,6 +31,16 @@ def test_load_config_defaults():
     assert cfg.workers == 1
     assert cfg.t_burn == pytest.approx(20.0 / cfg.atom.gamma, rel=1e-12)
     assert cfg.t_total == pytest.approx(200.0 / cfg.atom.gamma, rel=1e-12)
+    # pinned: every output file carries this hash, so a moved default shows here
+    assert cfg.config_hash() == "5eaa4aa2302bf6557234345e254430a8449df86f18930a9d2cc6e793231d6195"
+
+
+def test_readme_config_example_is_the_default_config(tmp_path):
+    text = README.read_text()
+    ini = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(ini)
+    assert load_config(str(path), {}).config_hash() == load_config(None, {}).config_hash()
 
 
 def test_load_config_file_and_override(tmp_path):
@@ -68,6 +81,43 @@ def test_load_config_rejects_unknown_atom_key(tmp_path):
     path.write_text("[atom]\ncharge = 1.0\n")
     with pytest.raises(ConfigError, match="atom.charge"):
         load_config(str(path), {})
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[grid]\ncutof = 50\n", "grid.cutof"),
+    ("[output]\nfromat = csv\n", "output.fromat"),
+    ("[run]\nworkers = 2\n", "run"),
+])
+def test_unknown_key_in_a_config_file_exits_2(tmp_path, capsys, text, field):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    code = main(["fdr-check", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG_ERROR
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_beta_and_vacuum_are_mutually_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fdr-check", "--beta", "2.0", "--vacuum", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_CONFIG_ERROR
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_flags_per_command():
+    subs = next(a for a in _parser()._actions if a.choices)
+    common = {"--config", "--omega", "--gamma", "--beta", "--vacuum", "--cutoff", "--grid-points",
+              "--seed", "--workers", "--out", "--format"}
+    expected = {
+        "fdr-check": common | {"--fdr-rtol"},
+        "budget": common | {"--sweep"},
+        "relax": common | {"--n-traj", "--dt", "--t-total"},
+        "oracle": common | {"--r", "--t", "--dt-obs", "--time-step"},
+    }
+    for command, sub in subs.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == expected.pop(command)
+    assert not expected
 
 
 def test_config_hash_excludes_workers_and_outdir():
@@ -162,10 +212,16 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         (["budget", "--gamma", "inf"], "atom.gamma"),
         (["budget", "--cutoff", "inf"], "grid.cutoff"),
         (["fdr-check", "--fdr-rtol", "nan"], "tolerances.fdr_rtol"),
+        (["oracle", "--t", "-5", "--cutoff", "20", "--grid-points", "4096"], "oracle.t"),
+        (["oracle", "--dt-obs", "1e300"], "oracle.dt_obs"),
+        (["oracle", "--dt-obs", "nan"], "oracle.dt_obs"),
+        (["budget", "--sweep", "100,-5"], "budget.sweep"),
+        (["budget", "--sweep", "100,inf"], "budget.sweep"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
-        "infinite_cutoff", "nan_tolerance",
+        "infinite_cutoff", "nan_tolerance", "negative_oracle_t", "dt_obs_past_switch_on",
+        "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
@@ -173,6 +229,21 @@ def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
     code = main(argv + ["--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, monkeypatch):
+    # a real oversized allocation can succeed under memory overcommit and then
+    # exhaust the machine, so the engine's MemoryError is simulated
+    from atomflux import langevin
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 73.0 TiB")
+
+    monkeypatch.setattr(langevin, "run_ensemble", no_memory)
+    code = main(RELAX_ARGS + ["--n-traj", "2", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "config error: langevin.t_total:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -220,6 +291,7 @@ def test_cmd_oracle_late_time(tmp_path, capsys):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["late_time_margin_ok"] is True
     assert payload["rel_deviation"] <= 0.01
+    assert payload["config_sha256"] == "98179031e5012c6edf2d83193fc8b7b5bc87c2049b8118923b94b7e0834ba494"
 
 
 def test_cmd_oracle_transient_regime_not_fatal(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """Fluctuation-dissipation identity suites at machine precision."""
 
-import json
 import math
 
 import numpy as np
@@ -108,8 +107,6 @@ def test_report_serialization():
     rep = check_parity(FrequencyGrid(10.0, 64), p)
     d = rep.to_dict()
     assert d["passed"] and d["n_points"] == 64
-    parsed = json.loads(rep.to_json())
-    assert parsed == d
     line = rep.format_line()
     assert line.startswith("PASS parity") and "max_rel" in line
 
