@@ -5,9 +5,9 @@ langevin, oracle, tolerances, output); many values can also be set by a
 command-line flag, and flags win.  Every key is declared once, in ``_SCHEMA``:
 its default text, type, range rule, optional ``auto`` rule and flag.  Every
 command is deterministic given (config, seed): output files carry a hash of
-the resolved physics configuration (worker count and output paths are
-excluded from the hash so byte-identical outputs are reproducible at any
-parallelism).
+the resolved physics configuration (worker count, output format and output
+paths are excluded from the hash so byte-identical outputs are reproducible at
+any parallelism and whatever is printed).
 
 Exit codes: 0 pass, 1 physics-invariant failure, 2 usage/config error.
 """
@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import fdr, flux
 from .greens import AtomParams, BathSpec, FrequencyGrid
 
@@ -32,6 +34,7 @@ EXIT_PHYSICS_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 
 _MIN_TRAJ_FOR_POWER = 50  # below this, relax reports WARN instead of judging
+_MAX_SAMPLES = np.iinfo(np.intp).max  # the longest record or history numpy can index
 
 
 class ConfigError(Exception):
@@ -144,11 +147,13 @@ class RunConfig:
     resolved: dict
 
     def config_hash(self) -> str:
-        # workers and output directory are execution details, not physics
+        # workers, the printed format and the output directory are execution
+        # details, not physics
+        excluded = (("run", "workers"), ("output", "format"), ("output", "directory"))
         items = sorted(
             (f"{sect}.{key}", val)
             for (sect, key), val in self.resolved.items()
-            if (sect, key) not in (("run", "workers"), ("output", "directory"))
+            if (sect, key) not in excluded
         )
         blob = "\n".join(f"{k}={v}" for k, v in items)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -240,6 +245,18 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(atom=atom, bath=bath, resolved=resolved, **fields)
 
 
+def _check_length(key: str, n_samples: float):
+    """Reject a record or history too long to index, naming the key that sets its length.
+
+    Checked by the command that builds it, not in load_config: the ``auto``
+    lengths scale as 1/gamma, and fdr-check and budget, which build neither,
+    must keep working at a tiny gamma.
+    """
+    if not n_samples < _MAX_SAMPLES:
+        message = f"{n_samples:.3g} samples exceed the largest array index {_MAX_SAMPLES}"
+        raise ConfigError(key, message)
+
+
 def _out_path(cfg: RunConfig, name: str) -> Path:
     directory = Path(cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
@@ -309,6 +326,7 @@ def cmd_relax(cfg: RunConfig) -> int:
     # never load the time-domain engine or the scipy modules it needs
     from . import langevin
 
+    _check_length("langevin.t_total", cfg.t_total / cfg.langevin_dt)
     try:
         result = langevin.run_ensemble(
             cfg.atom,
@@ -371,17 +389,23 @@ def cmd_oracle(cfg: RunConfig) -> int:
     frame = flux.ObservationFrame(
         r=cfg.oracle_r, t=cfg.oracle_t, t_prime=cfg.oracle_t - cfg.oracle_dt_obs
     )
+    # the emission history spans max(t, t') = max(t, t - dt_obs)
+    length_key = "oracle.dt_obs" if cfg.oracle_dt_obs < 0 else "oracle.t"
+    _check_length(length_key, max(frame.t, frame.t_prime) / cfg.oracle_time_step)
     margin_ok = frame.late_time_ok(cfg.atom.gamma)
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
     late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid, enforce_margin=False)
-    direct = flux.interacting_hadamard_direct(
-        frame,
-        cfg.atom,
-        cfg.bath,
-        time_step=cfg.oracle_time_step,
-        cutoff=cfg.cutoff,
-        n_kappa=cfg.oracle_n_kappa,
-    )
+    try:
+        direct = flux.interacting_hadamard_direct(
+            frame,
+            cfg.atom,
+            cfg.bath,
+            time_step=cfg.oracle_time_step,
+            cutoff=cfg.cutoff,
+            n_kappa=cfg.oracle_n_kappa,
+        )
+    except MemoryError as exc:
+        raise ConfigError(length_key, f"the emission history is too long to hold: {exc}") from None
     rel_dev = abs(late - direct.total) / max(abs(direct.total), 1e-300)
     passed = (rel_dev <= cfg.oracle_rtol) if margin_ok else True
     payload = {

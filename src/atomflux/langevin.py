@@ -61,51 +61,6 @@ class BurnInError(ValueError):
 
 
 @dataclass
-class NoiseRealization:
-    """One synthesized realization of the forcing (e/m) * field at the atom."""
-
-    dt: float
-    n_steps: int
-    samples: np.ndarray
-    seed: int
-    cutoff: float
-    spawn_key: tuple = ()
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.shape != (self.n_steps + 1,):
-            raise ValueError(
-                f"samples must have shape ({self.n_steps + 1},), got {self.samples.shape}"
-            )
-
-
-@dataclass
-class Trajectory:
-    """Discretized path of the oscillator coordinate and velocity."""
-
-    dt: float
-    q: np.ndarray
-    qdot: np.ndarray
-    params: AtomParams
-    q0: float
-    qdot0: float
-    seed: int | None = None
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float)
-        self.qdot = np.asarray(self.qdot, dtype=float)
-        if self.q.shape != self.qdot.shape:
-            raise ValueError("q and qdot must have equal length")
-
-    @property
-    def n_steps(self) -> int:
-        return self.q.size - 1
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.q.size)
-
-
-@dataclass
 class EquilibriumStats:
     """Post-burn-in time-and-ensemble averages with inter-trajectory standard errors."""
 
@@ -182,40 +137,6 @@ def _synthesize_rows(amplitudes, n_samples, seed, spawn_keys) -> np.ndarray:
         y[:, -1] = amp_real[-1] * a[:, -1]  # Nyquist mode is real
     del a, b
     return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
-
-
-def synthesize_noise(
-    bath: BathSpec,
-    p: AtomParams,
-    cutoff: float,
-    dt: float,
-    t_total: float,
-    seed: int,
-    spawn_key: tuple = (),
-) -> NoiseRealization:
-    """Synthesize a stationary Gaussian forcing record by frequency-domain shaping.
-
-    Independent complex Gaussian amplitudes with Hermitian symmetry are drawn
-    with per-mode variance proportional to ``noise_spectrum`` truncated at
-    ``cutoff`` and transformed to the time domain; the discrete spectrum spacing
-    is 2 pi / t_total.  Deterministic given (seed, spawn_key, dt, cutoff,
-    t_total, beta): identical inputs give bit-identical samples.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if dt > math.pi / cutoff * (1.0 + 1e-12):
-        raise NyquistError(
-            f"dt={dt:g} cannot represent the synthesis cutoff {cutoff:g} "
-            f"(need dt <= pi/cutoff = {math.pi / cutoff:g})"
-        )
-    n_steps = int(round(t_total / dt))
-    if n_steps < 1:
-        raise ValueError("t_total must cover at least one step")
-    amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
-    samples = _synthesize_rows(amplitudes, n_steps + 1, seed, [spawn_key])[0]
-    return NoiseRealization(
-        dt=dt, n_steps=n_steps, samples=samples, seed=seed, cutoff=cutoff, spawn_key=spawn_key
-    )
 
 
 def _step_coefficients(p: AtomParams, dt: float):
@@ -328,28 +249,6 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
             yield t0, q_blk, v_blk
 
 
-def integrate(p: AtomParams, noise: NoiseRealization, q0: float = 0.0, qdot0: float = 0.0) -> Trajectory:
-    """Advance the driven oscillator through one noise record.
-
-    The homogeneous map is exact, so undriven motion reproduces the closed-form
-    decaying oscillation to rounding accuracy at any step size.
-    """
-    q = np.empty(noise.n_steps + 1)
-    qdot = np.empty(noise.n_steps + 1)
-    for t0, q_blk, v_blk in _propagate(p, noise.dt, noise.samples[None, :], q0, qdot0, _BLOCK_STEPS):
-        q[t0 : t0 + len(q_blk)] = q_blk[:, 0]
-        qdot[t0 : t0 + len(v_blk)] = v_blk[:, 0]
-    return Trajectory(
-        dt=noise.dt,
-        q=q,
-        qdot=qdot,
-        params=p,
-        q0=float(q0),
-        qdot0=float(qdot0),
-        seed=noise.seed,
-    )
-
-
 def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: int = 32768) -> float:
     """Frequency-domain equilibrium coordinate variance at the same cutoff.
 
@@ -359,44 +258,6 @@ def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: i
     grid = FrequencyGrid(cutoff, n_points)
     res = integrate_spectrum(lambda k: atom_hadamard_ft(k, p, bath), grid)
     return res.value / p.m
-
-
-def equilibrium_stats(trajs: list[Trajectory], t_burn: float) -> EquilibriumStats:
-    """Time-and-ensemble averages of Q, Q^2, Qdot^2 after discarding the burn-in.
-
-    The forcing has zero mean, so the second moments are reported directly as
-    variances; standard errors come from the scatter of per-trajectory time
-    averages.
-    """
-    if not trajs:
-        raise ValueError("need at least one trajectory")
-    dt = trajs[0].dt
-    ib = int(math.ceil(t_burn / dt))
-    if any(t.n_steps + 1 - ib < 16 for t in trajs):
-        raise ValueError("insufficient post-burn-in samples (trajectory shorter than t_burn + window)")
-    q_means = np.array([t.q[ib:].mean() for t in trajs])
-    q2_means = np.array([(t.q[ib:] ** 2).mean() for t in trajs])
-    v2_means = np.array([(t.qdot[ib:] ** 2).mean() for t in trajs])
-    return _stats_from_traj_means(q_means, q2_means, v2_means, t_burn)
-
-
-def _stats_from_traj_means(q_means, q2_means, v2_means, t_burn) -> EquilibriumStats:
-    n = q_means.size
-    root_n = math.sqrt(n)
-
-    def se(arr):
-        return float(arr.std(ddof=1) / root_n) if n > 1 else float("inf")
-
-    return EquilibriumStats(
-        mean_q=float(q_means.mean()),
-        se_mean_q=se(q_means),
-        var_q=float(q2_means.mean()),
-        se_var_q=se(q2_means),
-        var_qdot=float(v2_means.mean()),
-        se_var_qdot=se(v2_means),
-        n_traj=int(n),
-        t_burn=float(t_burn),
-    )
 
 
 @dataclass
@@ -485,9 +346,9 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Simulate an ensemble of independent trajectories and reduce it deterministically.
 
-    Trajectory ``i`` is seeded by (master_seed, spawn_key=(i,)); chunking and the
-    reduction order are fixed, so the result is bit-identical for any
-    ``workers`` count.  Default burn-in is 20 relaxation times.
+    The trajectory with index ``i`` is seeded by (master_seed, spawn_key=(i,));
+    chunking and the reduction order are fixed, so the result is bit-identical
+    for any ``workers`` count.  Default burn-in is 20 relaxation times.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -516,14 +377,25 @@ def run_ensemble(
         results = [_ensemble_chunk(job) for job in jobs]
 
     sum_q2 = np.zeros(n_steps + 1)
-    q_means, q2_means, v2_means = [], [], []
-    for chunk_sum, qm, q2m, v2m in results:  # fixed chunk order
-        sum_q2 += chunk_sum
-        q_means.append(qm)
-        q2_means.append(q2m)
-        v2_means.append(v2m)
-    stats = _stats_from_traj_means(
-        np.concatenate(q_means), np.concatenate(q2_means), np.concatenate(v2_means), t_burn
+    for chunk in results:  # fixed chunk order
+        sum_q2 += chunk[0]
+    # per-trajectory post-burn means; the forcing has zero mean, so the second
+    # moments are the variances, and the standard errors come from the scatter
+    q_means, q2_means, v2_means = (np.concatenate(col) for col in list(zip(*results))[1:])
+    root_n = math.sqrt(n_traj)
+
+    def se(arr):
+        return float(arr.std(ddof=1) / root_n) if n_traj > 1 else float("inf")
+
+    stats = EquilibriumStats(
+        mean_q=float(q_means.mean()),
+        se_mean_q=se(q_means),
+        var_q=float(q2_means.mean()),
+        se_var_q=se(q2_means),
+        var_qdot=float(v2_means.mean()),
+        se_var_qdot=se(v2_means),
+        n_traj=n_traj,
+        t_burn=float(t_burn),
     )
     return EnsembleResult(
         dt=dt,

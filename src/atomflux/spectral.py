@@ -7,10 +7,8 @@ and the reduction uses exact (Shewchuk) compensated summation in a fixed order,
 making results run-to-run and worker-count deterministic.  An integrand may
 return several rows at once; each row is reduced exactly as if it had been
 integrated on its own, so one pass over shared kernel samples feeds several
-integrals.
-
-A scipy-based adaptive integrator is provided purely as a cross-check oracle;
-it is never part of the deterministic main path.
+integrals.  ``fit_log_slope`` is the log-divergence diagnostic for integrals
+taken over a sequence of cutoffs.
 """
 
 from __future__ import annotations
@@ -132,37 +130,6 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     if vector:
         return QuadratureResult(tuple(values), tuple(est_errors), n_evals, float(grid.cutoff))
     return QuadratureResult(values[0], est_errors[0], n_evals, float(grid.cutoff))
-
-
-def cutoff_sweep(f, cutoffs, n_per_cutoff) -> list[QuadratureResult]:
-    """Integrate the same density at a sequence of ascending cutoffs.
-
-    ``n_per_cutoff`` is a single grid size or one per cutoff.  Used to verify
-    that balance identities are cutoff-independent while individual flows grow
-    with the (logarithmically divergent) tail.
-    """
-    cutoffs = list(cutoffs)
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("cutoffs must be strictly ascending")
-    if np.ndim(n_per_cutoff) == 0:
-        ns = [int(n_per_cutoff)] * len(cutoffs)
-    else:
-        ns = [int(n) for n in n_per_cutoff]
-        if len(ns) != len(cutoffs):
-            raise ValueError("n_per_cutoff must match the number of cutoffs")
-    return [integrate_spectrum(f, FrequencyGrid(lam, n)) for lam, n in zip(cutoffs, ns)]
-
-
-def integrate_adaptive(f, cutoff: float, points=None, limit: int = 400) -> float:
-    """Adaptive cross-check oracle: scipy quad of f over (-cutoff, cutoff), / 2 pi.
-
-    Not deterministic-by-construction like ``integrate_spectrum``; use only to
-    validate the fixed-grid path in tests and diagnostics.
-    """
-    from scipy import integrate  # imported here: the main path never needs scipy
-
-    val, _ = integrate.quad(f, -cutoff, cutoff, points=points, limit=limit)
-    return val / TWO_PI
 
 
 def fit_log_slope(cutoffs, values):

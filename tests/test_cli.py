@@ -32,7 +32,7 @@ def test_load_config_defaults():
     assert cfg.t_burn == pytest.approx(20.0 / cfg.atom.gamma, rel=1e-12)
     assert cfg.t_total == pytest.approx(200.0 / cfg.atom.gamma, rel=1e-12)
     # pinned: every output file carries this hash, so a moved default shows here
-    assert cfg.config_hash() == "5eaa4aa2302bf6557234345e254430a8449df86f18930a9d2cc6e793231d6195"
+    assert cfg.config_hash() == "6293fbaf7f1287c686208ff35261dfc53c1ad97e028d701b517e9c5c5d71d87d"
 
 
 def test_readme_config_example_is_the_default_config(tmp_path):
@@ -144,6 +144,18 @@ def test_cmd_fdr_check_passes(tmp_path, capsys):
     assert "config_sha256" in report
 
 
+def test_fdr_report_bytes_do_not_depend_on_the_output_format(tmp_path):
+    # the format changes only what budget prints, so it stays out of config_sha256
+    reports = []
+    for fmt in ("json", "csv"):
+        out = tmp_path / fmt
+        code = main(["fdr-check", "--vacuum", "--gamma", "0.05", "--grid-points", "4096",
+                     "--format", fmt, "--out", str(out)])
+        assert code == EXIT_PASS
+        reports.append((out / "fdr_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_cmd_fdr_check_impossible_tolerance_fails(tmp_path):
     code = main(["fdr-check", "--gamma", "0.05", "--grid-points", "4096",
                  "--fdr-rtol", "1e-20", "--out", str(tmp_path)])
@@ -217,11 +229,15 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         (["oracle", "--dt-obs", "nan"], "oracle.dt_obs"),
         (["budget", "--sweep", "100,-5"], "budget.sweep"),
         (["budget", "--sweep", "100,inf"], "budget.sweep"),
+        (["oracle", "--dt-obs=-1e300"], "oracle.dt_obs"),
+        (["oracle", "--t", "1e300"], "oracle.t"),
+        (["relax", "--t-total", "1e300"], "langevin.t_total"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
         "infinite_cutoff", "nan_tolerance", "negative_oracle_t", "dt_obs_past_switch_on",
         "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
+        "history_past_intp", "oracle_t_past_intp", "record_past_intp",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
@@ -230,6 +246,13 @@ def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
     assert code == EXIT_CONFIG_ERROR
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_fdr_check_at_tiny_gamma_is_not_bound_by_record_lengths(tmp_path):
+    # the auto t_total and oracle t scale as 1/gamma, so at gamma = 1e-16 relax
+    # and the oracle could not index their records; fdr-check builds neither
+    code = main(["fdr-check", "--gamma", "1e-16", "--grid-points", "4096", "--out", str(tmp_path)])
+    assert code == EXIT_PASS
 
 
 def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, monkeypatch):
@@ -244,6 +267,26 @@ def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, mon
     code = main(RELAX_ARGS + ["--n-traj", "2", "--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     assert "config error: langevin.t_total:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["--dt-obs=-1e9"], "oracle.dt_obs"), (["--t", "1e9"], "oracle.t")],
+    ids=["dt_obs_sets_the_length", "t_sets_the_length"],
+)
+def test_cmd_oracle_history_too_long_to_hold_is_config_error(tmp_path, capsys, monkeypatch, argv, field):
+    # as for relax, the engine's MemoryError is simulated: at dt_obs = -1e9 the
+    # history would need 373 GiB
+    from atomflux import flux
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 373. GiB")
+
+    monkeypatch.setattr(flux, "interacting_hadamard_direct", no_memory)
+    code = main(["oracle", "--cutoff", "20", "--grid-points", "4096", *argv, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert f"config error: {field}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -291,7 +334,7 @@ def test_cmd_oracle_late_time(tmp_path, capsys):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["late_time_margin_ok"] is True
     assert payload["rel_deviation"] <= 0.01
-    assert payload["config_sha256"] == "98179031e5012c6edf2d83193fc8b7b5bc87c2049b8118923b94b7e0834ba494"
+    assert payload["config_sha256"] == "8abedca6069eba9ee2e2d0dd2c7bb9b759c1ee0874789ec8928987de7bf8fd94"
 
 
 def test_cmd_oracle_transient_regime_not_fatal(tmp_path, capsys):
@@ -306,10 +349,12 @@ def test_cmd_oracle_transient_regime_not_fatal(tmp_path, capsys):
 
 
 def test_import_cli_loads_no_heavy_scipy_modules():
-    # only relax, the oracle and the adaptive cross-check need these; the other
-    # commands should not pay their import time
+    # only relax and the oracle need these; the other commands should not pay
+    # their import time.  Every exported name must resolve, and resolving them
+    # must not load the time-domain engine either
     code = (
-        "import sys, atomflux.cli; "
+        "import sys, atomflux, atomflux.cli; "
+        "[getattr(atomflux, name) for name in atomflux.__all__]; "
         "print([m for m in ('scipy.signal', 'scipy.integrate', 'scipy.fft') if m in sys.modules])"
     )
     import atomflux

@@ -10,23 +10,31 @@ from atomflux import langevin
 from atomflux.greens import AtomParams, BathSpec, FrequencyGrid
 from atomflux.spectral import integrate_spectrum
 from atomflux.langevin import (
-    NoiseRealization,
     NyquistError,
-    equilibrium_stats,
     fit_decay_rate,
-    integrate,
     noise_spectrum,
     predicted_variance,
     run_ensemble,
-    synthesize_noise,
 )
 
 VACUUM = BathSpec.vacuum()
 P_STD = AtomParams.from_damping(0.05, 1.0, 1.0)
 
 
-def _zero_noise(dt, n_steps):
-    return NoiseRealization(dt=dt, n_steps=n_steps, samples=np.zeros(n_steps + 1), seed=0, cutoff=10.0)
+def _noise_rows(bath, p, cutoff, dt, t_total, seed, spawn_keys):
+    """Forcing records of n + 1 samples, n = t_total / dt, one per spawn key."""
+    n_samples = int(round(t_total / dt)) + 1
+    amplitudes = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_samples)
+    return langevin._synthesize_rows(amplitudes, n_samples, seed, spawn_keys)
+
+
+def _propagate_one(p, dt, xi, q0=0.0, qdot0=0.0):
+    """Coordinate and velocity of one trajectory driven by the record ``xi``."""
+    q, qdot = np.empty(xi.size), np.empty(xi.size)
+    for t0, q_blk, v_blk in langevin._propagate(p, dt, xi[None, :], q0, qdot0, langevin._BLOCK_STEPS):
+        q[t0 : t0 + len(q_blk)] = q_blk[:, 0]
+        qdot[t0 : t0 + len(v_blk)] = v_blk[:, 0]
+    return q, qdot
 
 
 # ---------------------------------------------------------------------------
@@ -35,18 +43,19 @@ def _zero_noise(dt, n_steps):
 
 
 def test_noise_same_seed_bit_identical():
-    a = synthesize_noise(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42)
-    b = synthesize_noise(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42)
-    assert np.array_equal(a.samples, b.samples)
-    c = synthesize_noise(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=43)
-    assert not np.array_equal(a.samples, c.samples)
+    a = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42, spawn_keys=[()])
+    b = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42, spawn_keys=[()])
+    assert np.array_equal(a, b)
+    c = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=43, spawn_keys=[()])
+    assert not np.array_equal(a, c)
 
 
 def test_noise_nyquist_guard():
+    kw = dict(dt=0.1, t_total=10.0, n_traj=1, master_seed=0, t_burn=0.0)
     with pytest.raises(NyquistError):
-        synthesize_noise(VACUUM, P_STD, cutoff=50.0, dt=0.1, t_total=10.0, seed=0)
+        run_ensemble(P_STD, VACUUM, cutoff=50.0, **kw)
     # dt == pi/cutoff is allowed
-    synthesize_noise(VACUUM, P_STD, cutoff=math.pi / 0.1, dt=0.1, t_total=10.0, seed=0)
+    run_ensemble(P_STD, VACUUM, cutoff=math.pi / 0.1, **kw)
 
 
 def test_noise_spectrum_vacuum_vs_cold_thermal():
@@ -68,11 +77,9 @@ def test_noise_lag_zero_autocovariance_matches_spectral_integral():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     bath = BathSpec(1.0)
     pred = integrate_spectrum(lambda k: noise_spectrum(k, p, bath), FrequencyGrid(20.0, 2**14)).value
-    vals = []
-    for i in range(200):
-        nz = synthesize_noise(bath, p, cutoff=20.0, dt=0.1, t_total=500.0, seed=777, spawn_key=(i,))
-        vals.append(float(np.mean(nz.samples**2)))
-    vals = np.asarray(vals)
+    rows = _noise_rows(bath, p, cutoff=20.0, dt=0.1, t_total=500.0, seed=777,
+                       spawn_keys=[(i,) for i in range(200)])
+    vals = np.asarray([float(np.mean(row**2)) for row in rows])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - pred) <= 3.0 * se
 
@@ -84,29 +91,29 @@ def test_noise_lag_zero_autocovariance_matches_spectral_integral():
 
 def test_integrate_homogeneous_closed_form():
     dt, n = 1e-3, 20000
-    traj = integrate(P_STD, _zero_noise(dt, n), q0=1.0, qdot0=0.0)
-    t = traj.times()
+    q, _ = _propagate_one(P_STD, dt, np.zeros(n + 1), q0=1.0, qdot0=0.0)
+    t = dt * np.arange(n + 1)
     om = math.sqrt(P_STD.omega**2 - P_STD.gamma**2)
     exact = np.exp(-P_STD.gamma * t) * (np.cos(om * t) + (P_STD.gamma / om) * np.sin(om * t))
-    assert np.max(np.abs(traj.q - exact)) <= 1e-10
+    assert np.max(np.abs(q - exact)) <= 1e-10
 
 
 def test_integrate_overdamped_closed_form():
     p = AtomParams.from_damping(2.0, 1.0, 1.0)
     nu = math.sqrt(p.gamma**2 - p.omega**2)
-    traj = integrate(p, _zero_noise(1e-3, 5000), q0=1.0, qdot0=0.0)
-    t = traj.times()
+    q, _ = _propagate_one(p, 1e-3, np.zeros(5001), q0=1.0, qdot0=0.0)
+    t = 1e-3 * np.arange(5001)
     exact = np.exp(-p.gamma * t) * (np.cosh(nu * t) + (p.gamma / nu) * np.sinh(nu * t))
-    assert np.max(np.abs(traj.q - exact)) <= 1e-11
+    assert np.max(np.abs(q - exact)) <= 1e-11
 
 
 def test_integrate_critical_exact_branch():
     p = AtomParams(e=1.0, m=1.0, omega=1.0 / (8.0 * math.pi))
     assert p.gamma == p.omega
-    traj = integrate(p, _zero_noise(0.05, 200), q0=1.0, qdot0=0.0)
-    t = traj.times()
+    q, _ = _propagate_one(p, 0.05, np.zeros(201), q0=1.0, qdot0=0.0)
+    t = 0.05 * np.arange(201)
     exact = np.exp(-p.gamma * t) * (1.0 + p.gamma * t)
-    assert np.max(np.abs(traj.q - exact)) <= 1e-12
+    assert np.max(np.abs(q - exact)) <= 1e-12
 
 
 def test_integrate_driven_steady_state_amplitude():
@@ -115,19 +122,18 @@ def test_integrate_driven_steady_state_amplitude():
     k0, dt, t_total = 0.7, 0.01, 400.0
     n = int(t_total / dt)
     tt = dt * np.arange(n + 1)
-    noise = NoiseRealization(dt=dt, n_steps=n, samples=np.cos(k0 * tt), seed=0, cutoff=300.0)
-    traj = integrate(P_STD, noise)
+    q, _ = _propagate_one(P_STD, dt, np.cos(k0 * tt))
     period = 2.0 * math.pi / k0
-    tail = traj.q[-int(10 * period / dt):]
+    tail = q[-int(10 * period / dt):]
     amp = math.sqrt(2.0 * float(np.mean(tail**2)))
     assert amp == pytest.approx(abs(atom_retarded_ft(k0, P_STD)), rel=1e-3)
 
 
 def test_integrate_energy_decay_rate():
     dt, n = 1e-3, 20000
-    traj = integrate(P_STD, _zero_noise(dt, n), q0=1.0, qdot0=0.0)
-    t = traj.times()
-    energy = 0.5 * (traj.qdot**2 + P_STD.omega**2 * traj.q**2)
+    q, qdot = _propagate_one(P_STD, dt, np.zeros(n + 1), q0=1.0, qdot0=0.0)
+    t = dt * np.arange(n + 1)
+    energy = 0.5 * (qdot**2 + P_STD.omega**2 * q**2)
     om = math.sqrt(P_STD.omega**2 - P_STD.gamma**2)
     stride = int(round(2.0 * math.pi / om / dt))
     idx = np.arange(0, n, stride)[:15]
@@ -136,16 +142,13 @@ def test_integrate_energy_decay_rate():
 
 
 def test_integrate_linearity_exact():
-    nz = synthesize_noise(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=100.0, seed=42)
-    base = integrate(P_STD, nz)
-    doubled_noise = NoiseRealization(
-        dt=nz.dt, n_steps=nz.n_steps, samples=2.0 * nz.samples, seed=nz.seed, cutoff=nz.cutoff
-    )
-    doubled = integrate(P_STD, doubled_noise)
-    assert np.array_equal(doubled.q, 2.0 * base.q)
-    assert np.array_equal(doubled.qdot, 2.0 * base.qdot)
+    xi = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=100.0, seed=42, spawn_keys=[()])[0]
+    base_q, base_qdot = _propagate_one(P_STD, 0.1, xi)
+    doubled_q, doubled_qdot = _propagate_one(P_STD, 0.1, 2.0 * xi)
+    assert np.array_equal(doubled_q, 2.0 * base_q)
+    assert np.array_equal(doubled_qdot, 2.0 * base_qdot)
     # per-realization variance quadruples exactly
-    assert np.mean(doubled.q**2) == pytest.approx(4.0 * np.mean(base.q**2), rel=1e-14)
+    assert np.mean(doubled_q**2) == pytest.approx(4.0 * np.mean(base_q**2), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +200,12 @@ def _small_ensemble_params():
 
 
 def test_equilibrium_stats_from_trajectories():
+    # the too-short and empty ensembles are test_run_ensemble_insufficient_burn_raises
     p, bath, kw = _small_ensemble_params()
-    trajs = []
-    for i in range(40):
-        nz = synthesize_noise(bath, p, seed=9, spawn_key=(i,), **kw)
-        trajs.append(integrate(p, nz))
-    stats = equilibrium_stats(trajs, t_burn=80.0)
+    stats = run_ensemble(p, bath, n_traj=40, master_seed=9, t_burn=80.0, **kw).stats
     assert stats.n_traj == 40
     assert abs(stats.mean_q) <= 3.0 * stats.se_mean_q
     assert stats.var_q > 0 and stats.var_qdot > 0
-    with pytest.raises(ValueError):
-        equilibrium_stats(trajs, t_burn=239.0)
-    with pytest.raises(ValueError):
-        equilibrium_stats([], t_burn=1.0)
 
 
 def test_variance_independent_of_initial_conditions():
@@ -248,9 +244,9 @@ def test_run_ensemble_worker_count_invariance():
 
 
 def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
-    # a chunk's batched synthesis and propagation are rowwise identical to the
-    # public single-trajectory route, so ensemble members are reproducible one
-    # by one; small blocks make the propagation span several of them
+    # a chunk's batched synthesis and propagation are rowwise identical to each
+    # row synthesized and propagated alone, so ensemble members are reproducible
+    # one by one; small blocks make the propagation span several of them
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
     p, bath, kw = _small_ensemble_params()
     n = int(round(kw["t_total"] / kw["dt"]))
@@ -260,12 +256,12 @@ def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
     for t0, q, v in langevin._propagate(p, kw["dt"], xi, 0.0, 0.0, langevin._BLOCK_STEPS):
         q_batch[t0 : t0 + len(q)] = q
         v_batch[t0 : t0 + len(v)] = v
-    for i in (0, 3, 5):
-        nz = synthesize_noise(bath, p, seed=5, spawn_key=(i,), **kw)
-        assert np.array_equal(xi[i], nz.samples)
-        traj = integrate(p, nz)
-        assert np.array_equal(q_batch[:, i], traj.q)
-        assert np.array_equal(v_batch[:, i], traj.qdot)
+    for i in range(6):
+        xi_alone = langevin._synthesize_rows(amplitudes, n + 1, 5, [(i,)])[0]
+        assert np.array_equal(xi[i], xi_alone)
+        q, qdot = _propagate_one(p, kw["dt"], xi_alone)
+        assert np.array_equal(q_batch[:, i], q)
+        assert np.array_equal(v_batch[:, i], qdot)
 
 
 def _reference_advance(p, dt, xi, q0, qdot0):
@@ -435,7 +431,3 @@ def test_fit_decay_rate_on_synthetic_series():
     with pytest.raises(ValueError):
         fit_decay_rate(t, series, var_eq, fit_window=(59.0, 60.0), smooth_time=math.pi)
 
-
-def test_noise_realization_validation():
-    with pytest.raises(ValueError):
-        NoiseRealization(dt=0.1, n_steps=10, samples=np.zeros(5), seed=0, cutoff=10.0)
