@@ -245,8 +245,20 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return RunConfig(atom=atom, bath=bath, resolved=resolved, **fields)
 
 
+def _length_key(duration_key: str, duration: float, step_key: str, step: float) -> str:
+    """The key to blame for a record of ``duration / step`` samples that is too long.
+
+    The step, when it is below its default and the duration would fit at that
+    default; otherwise the duration.
+    """
+    default = float(_ROWS[tuple(step_key.split("."))].default)
+    if step < default and duration / default < _MAX_SAMPLES:
+        return step_key
+    return duration_key
+
+
 def _check_length(key: str, n_samples: float):
-    """Reject a record or history too long to index, naming the key that sets its length.
+    """Reject a record or history too long to index, naming ``key`` (see ``_length_key``).
 
     Checked by the command that builds it, not in load_config: the ``auto``
     lengths scale as 1/gamma, and fdr-check and budget, which build neither,
@@ -326,7 +338,8 @@ def cmd_relax(cfg: RunConfig) -> int:
     # never load the time-domain engine or the scipy modules it needs
     from . import langevin
 
-    _check_length("langevin.t_total", cfg.t_total / cfg.langevin_dt)
+    length_key = _length_key("langevin.t_total", cfg.t_total, "langevin.dt", cfg.langevin_dt)
+    _check_length(length_key, cfg.t_total / cfg.langevin_dt)
     try:
         result = langevin.run_ensemble(
             cfg.atom,
@@ -344,7 +357,7 @@ def cmd_relax(cfg: RunConfig) -> int:
     except langevin.BurnInError as exc:
         raise ConfigError("langevin.t_burn", str(exc)) from None
     except MemoryError as exc:
-        raise ConfigError("langevin.t_total", f"the record is too long to hold: {exc}") from None
+        raise ConfigError(length_key, f"the record is too long to hold: {exc}") from None
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
     rel_dev = abs(stats.var_q - predicted) / predicted
@@ -390,8 +403,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
         r=cfg.oracle_r, t=cfg.oracle_t, t_prime=cfg.oracle_t - cfg.oracle_dt_obs
     )
     # the emission history spans max(t, t') = max(t, t - dt_obs)
-    length_key = "oracle.dt_obs" if cfg.oracle_dt_obs < 0 else "oracle.t"
-    _check_length(length_key, max(frame.t, frame.t_prime) / cfg.oracle_time_step)
+    history = max(frame.t, frame.t_prime)
+    duration_key = "oracle.dt_obs" if cfg.oracle_dt_obs < 0 else "oracle.t"
+    length_key = _length_key(duration_key, history, "oracle.time_step", cfg.oracle_time_step)
+    _check_length(length_key, history / cfg.oracle_time_step)
     margin_ok = frame.late_time_ok(cfg.atom.gamma)
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
     late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid, enforce_margin=False)

@@ -18,6 +18,11 @@ integrand.  The net flux integrand cancels identically point by point, so the
 budget's net flow is assembled from that cancelled integrand rather than as a
 difference of two cutoff-dependent numbers.
 
+The budget's three integrands (the P_r and P_gamma densities and the cancelled
+net integrand) are even in kappa, so ``power_budget`` evaluates them on the
+kappa > 0 half of each grid only, in blocks of 2^14 points, and mirrors them
+onto kappa < 0 (its docstring says why the blocks are not smaller).
+
 Sign convention for the recorded flows (the magnitude balances are the
 physical statements): P_r >= 0 is the outward pure-radiation flow, P_cross =
 -P_r the interference backflow, P_gamma <= 0 the oscillator's dissipation
@@ -47,6 +52,8 @@ from .greens import (
 from .spectral import integrate_spectrum
 
 TWO_PI = 2.0 * math.pi
+
+_BUDGET_BLOCK = 1 << 14  # kappa points per power_budget evaluation block (no fewer: see there)
 
 
 class LateTimeMarginError(RuntimeError):
@@ -260,6 +267,21 @@ class PowerBudget:
         return out
 
 
+def _budget_rows(p: AtomParams, bath: BathSpec, r: float, kap, out):
+    """Write the P_r density, the P_gamma density and the net integrand at ``kap`` into ``out``."""
+    kap2 = kap**2
+    th = thermal_factor(kap, bath)
+    g = atom_retarded_ft(kap, p)
+    im_g = np.imag(g)
+    # the grid never contains kappa = 0, so the Hadamard kernels reduce to
+    # thermal_factor times Im GR and times kappa/(4 pi)
+    out[0] = _radiated(p, kap2, th * im_g)
+    out[1] = _dissipated(p, kap, im_g, th * (kap / FOUR_PI))
+    terms = _far_field_terms(_far_field_prefactor(p, kap2, th), field_retarded_ft(r, kap), g)
+    np.add(next(terms), next(terms), out=out[2])
+    out[2] += next(terms)
+
+
 def power_budget(
     p: AtomParams, bath: BathSpec, grid: FrequencyGrid, r: float | None = None
 ) -> PowerBudget:
@@ -274,25 +296,30 @@ def power_budget(
     single quadrature call reduces.  Each row holds the same floats as the
     public density of that flow, so the flows equal separate integrations of
     those densities bit for bit.
+
+    All three rows are bitwise even in kappa, so they are evaluated on the
+    kappa > 0 half of the mirror grid only, in blocks of ``_BUDGET_BLOCK`` =
+    2^14 points (the remainder joins the last block), and copied mirrored onto
+    the negative half.  The blocks are not made smaller: numpy reuses a
+    temporary of 256 KiB or more in place, swapping the operands of the net
+    row's ``u * np.conj(u)``, and a swapped complex product rounds differently;
+    2^14 complex points are the shortest block that keeps the rounding of a
+    whole-grid evaluation.  Only on grids of 16384 to 32766 points is the
+    whole grid long enough for that reuse and its positive half not, so there
+    the net row (never P_r, P_gamma or est_error) can move by a rounding
+    residue.
     """
     if r is None:
         r = 100.0 / p.omega
 
     def integrand(kap):
-        kap2 = kap**2
-        th = thermal_factor(kap, bath)
-        g = atom_retarded_ft(kap, p)
-        im_g = np.imag(g)
+        # kap is a FrequencyGrid's values: kap[i] == -kap[n - 1 - i] exactly
+        half = kap.size // 2
         rows = np.empty((3, kap.size))
-        # the grid never contains kappa = 0, so the Hadamard kernels reduce
-        # to thermal_factor times Im GR and times kappa/(4 pi)
-        rows[0] = _radiated(p, kap2, th * im_g)
-        rows[1] = _dissipated(p, kap, im_g, th * (kap / FOUR_PI))
-        pref = _far_field_prefactor(p, kap2, th)
-        del kap2, th, im_g  # released before the far-field terms, the pass's memory peak
-        terms = _far_field_terms(pref, field_retarded_ft(r, kap), g)
-        np.add(next(terms), next(terms), out=rows[2])
-        rows[2] += next(terms)
+        edges = [b * _BUDGET_BLOCK for b in range(max(1, half // _BUDGET_BLOCK))] + [half]
+        for lo, hi in zip(edges, edges[1:]):
+            _budget_rows(p, bath, r, kap[half + lo : half + hi], rows[:, half + lo : half + hi])
+        rows[:, :half] = rows[:, half:][:, ::-1]
         return rows
 
     res = integrate_spectrum(integrand, grid)

@@ -37,8 +37,9 @@ class IntegrandError(ValueError):
 class QuadratureResult:
     """One integral, or per-row tuples of them for a vector-valued integrand.
 
-    ``n_evals`` counts kappa points evaluated (fine plus half grid), whatever
-    the number of rows each evaluation returned.
+    ``n_evals`` counts the grid points handed to the integrand (fine plus half
+    grid), whatever the number of rows it returned for them and however many
+    of them it evaluated (an even integrand may evaluate half and mirror).
     """
 
     value: float | complex | tuple

@@ -232,12 +232,15 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         (["oracle", "--dt-obs=-1e300"], "oracle.dt_obs"),
         (["oracle", "--t", "1e300"], "oracle.t"),
         (["relax", "--t-total", "1e300"], "langevin.t_total"),
+        (["relax", "--dt", "1e-300", "--cutoff", "20"], "langevin.dt"),
+        (["oracle", "--time-step", "1e-300"], "oracle.time_step"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
         "infinite_cutoff", "nan_tolerance", "negative_oracle_t", "dt_obs_past_switch_on",
         "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
+        "relax_step_past_intp", "oracle_step_past_intp",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
@@ -272,8 +275,12 @@ def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, mon
 
 @pytest.mark.parametrize(
     "argv, field",
-    [(["--dt-obs=-1e9"], "oracle.dt_obs"), (["--t", "1e9"], "oracle.t")],
-    ids=["dt_obs_sets_the_length", "t_sets_the_length"],
+    [
+        (["--dt-obs=-1e9"], "oracle.dt_obs"),
+        (["--t", "1e9"], "oracle.t"),
+        (["--time-step", "1e-12"], "oracle.time_step"),
+    ],
+    ids=["dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length"],
 )
 def test_cmd_oracle_history_too_long_to_hold_is_config_error(tmp_path, capsys, monkeypatch, argv, field):
     # as for relax, the engine's MemoryError is simulated: at dt_obs = -1e9 the

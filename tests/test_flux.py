@@ -182,12 +182,40 @@ def _reference_power_budget(p, bath, grid, r=None):
 
 @pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
+def test_budget_densities_bitwise_even_on_mirror_grid(gamma, beta):
+    # power_budget evaluates its rows on kappa > 0 only and mirrors them, which
+    # is exact only because every density is bitwise even on the mirror grid
+    p = AtomParams.from_damping(gamma, 1.0, 1.0)
+    bath = BathSpec(beta)
+    r = 100.0 / p.omega
+    for lam, n in ((10.0, 2**12), (1000.0, 2**15)):
+        kap = FrequencyGrid(lam, n).values
+        for vals in (
+            radiated_power_density(kap, p, bath),
+            dissipated_power_density(kap, p, bath),
+            far_field_flux_integrand(r, kap, p, bath),
+        ):
+            assert np.array_equal(vals, vals[::-1])
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
 def test_power_budget_matches_four_quadrature_reference(gamma, beta):
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
     bath = BathSpec(beta)
-    for lam in (10.0, 100.0, 1000.0):
-        grid = FrequencyGrid(lam, 2**12)
+    # 2^16 spans whole evaluation blocks; 65540 ends in a block with a
+    # remainder on the full grid and is one block on its half grid
+    for lam, n in ((10.0, 2**12), (100.0, 2**12), (1000.0, 2**12), (100.0, 2**16), (1000.0, 65540)):
+        grid = FrequencyGrid(lam, n)
         assert power_budget(p, bath, grid).to_dict() == _reference_power_budget(p, bath, grid).to_dict()
+    # at 16384 <= n <= 32766 the whole grid is long enough for numpy to elide
+    # the net row's complex temporaries but its positive half is not, so only
+    # the net row's rounding residue may move
+    grid = FrequencyGrid(100.0, 2**14)
+    fused = power_budget(p, bath, grid)
+    ref = _reference_power_budget(p, bath, grid)
+    assert (fused.p_r, fused.p_gamma, fused.est_error) == (ref.p_r, ref.p_gamma, ref.est_error)
+    assert abs(fused.net_far_field) <= 1e-10 * abs(fused.p_r)
     # n = 30 has no half grid: est_error is the rounding floor alone
     grid = FrequencyGrid(20.0, 30)
     assert grid.halved() is None
@@ -204,8 +232,8 @@ def test_power_budget_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one-pass budget holds the three-row buffer plus the shared kernels
-    assert peak <= 13 * grid.n_points * 8
+    # the three-row buffer plus one row's reduction; kernels live per block
+    assert peak <= 6 * grid.n_points * 8
 
 
 def test_power_budget_serialization():
