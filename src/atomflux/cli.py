@@ -97,7 +97,7 @@ _SCHEMA = (
     _Key("langevin", "t_total", "auto", float, _POSITIVE, "t_total", "--t-total", ("relax",),
          auto=200.0),
     _Key("langevin", "n_traj", "400", int, _AT_LEAST_ONE, "n_traj", "--n-traj", ("relax",)),
-    _Key("langevin", "seed", "12345", int, None, "seed", "--seed"),
+    _Key("langevin", "seed", "12345", int, _NON_NEGATIVE, "seed", "--seed"),
     _Key("langevin", "t_burn", "auto", float, _NON_NEGATIVE, "t_burn", auto=20.0),
     _Key("oracle", "r", "30.0", float, _POSITIVE, "oracle_r", "--r", ("oracle",)),
     _Key("oracle", "t", "auto", float, _POSITIVE, "oracle_t", "--t", ("oracle",), auto=40.0),
@@ -226,8 +226,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     fields = {row.attr: field(row.section, row.key, atom.gamma) for row in _SCHEMA if row.attr}
     try:
         FrequencyGrid(fields["cutoff"], fields["n_points"])
-    except ValueError as exc:
-        raise ConfigError("grid", str(exc)) from None
+    except ValueError as exc:  # grid.cutoff has passed its rule, so n_points is at fault
+        raise ConfigError("grid.n_points", str(exc)) from None
     if not fields["oracle_t"] - fields["oracle_dt_obs"] > 0:
         raise ConfigError(
             "oracle.dt_obs",
@@ -483,13 +483,13 @@ def main(argv=None) -> int:
             return cmd_fdr_check(cfg)
         if args.command == "budget":
             sweep = None
-            if args.sweep:
+            if args.sweep is not None:
                 try:
                     sweep = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
                 except ValueError:
                     raise ConfigError("budget.sweep", f"cannot parse {args.sweep!r}") from None
-                if not all(map(_POSITIVE.test, sweep)):
-                    message = f"every cutoff must be {_POSITIVE.text}, got {args.sweep!r}"
+                if not sweep or not all(map(_POSITIVE.test, sweep)):
+                    message = f"must list one or more cutoffs, each {_POSITIVE.text}, got {args.sweep!r}"
                     raise ConfigError("budget.sweep", message)
             return cmd_budget(cfg, sweep)
         if args.command == "relax":

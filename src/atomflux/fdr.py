@@ -17,7 +17,7 @@ tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,36 +40,26 @@ class IdentityReport:
     """Outcome of one identity check on one grid."""
 
     name: str
-    grid: FrequencyGrid
+    cutoff: float
+    n_points: int
     max_abs_residual: float
     max_rel_residual: float
     worst_kappa: float
     passed: bool
-    rtol: float = DEFAULT_RTOL
-    atol: float = DEFAULT_ATOL
-    n_rel_skipped: int = 0
+    rtol: float
+    atol: float
+    n_rel_skipped: int
 
     def format_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (
             f"{status} {self.name}: max_rel={self.max_rel_residual:.3e} "
             f"max_abs={self.max_abs_residual:.3e} worst_kappa={self.worst_kappa:+.6g} "
-            f"(n={self.grid.n_points}, cutoff={self.grid.cutoff:g})"
+            f"(n={self.n_points}, cutoff={self.cutoff:g})"
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cutoff": self.grid.cutoff,
-            "n_points": self.grid.n_points,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "worst_kappa": self.worst_kappa,
-            "passed": self.passed,
-            "rtol": self.rtol,
-            "atol": self.atol,
-            "n_rel_skipped": self.n_rel_skipped,
-        }
+        return asdict(self)
 
 
 def _compare(lhs, rhs):
@@ -99,7 +89,8 @@ def _report(name, grid, abs_res, scale, rtol, atol) -> IdentityReport:
     passed = bool(max_rel <= rtol and skipped_ok)
     return IdentityReport(
         name=name,
-        grid=grid,
+        cutoff=grid.cutoff,
+        n_points=grid.n_points,
         max_abs_residual=float(np.max(abs_res)),
         max_rel_residual=max_rel,
         worst_kappa=float(grid.values[worst_index % grid.n_points]),
@@ -148,39 +139,30 @@ def check_atom_fdr_reduction(
 def check_parity(
     grid: FrequencyGrid,
     p: AtomParams,
-    bath: BathSpec | None = None,
-    r: float = 1.0,
+    bath: BathSpec,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> IdentityReport:
     """Parity and conjugate-reflection residuals on the mirror grid.
 
     Checks Im GR odd / Re GR even / GR(-kappa) = conj GR(kappa) for the atom,
-    the same reflection for the field kernel at separation ``r``, and (when a
-    bath is supplied) oddness of the thermal factor.  All residuals are exact
-    zeros in floating point because mirrored points run through sign-symmetric
-    operations.
+    oddness of the field kernel's imaginary part at unit separation, and
+    oddness of the thermal factor.  All residuals are exact zeros in floating
+    point because mirrored points run through sign-symmetric operations.
     """
     kap = grid.values
     gr = atom_retarded_ft(kap, p)
     gr_mirror = gr[::-1]
+    im_u = field_retarded_im(1.0, kap)
+    tf = thermal_factor(kap, bath)
 
     residuals = [
         np.abs(np.imag(gr) + np.imag(gr_mirror)),      # Im odd
         np.abs(np.real(gr) - np.real(gr_mirror)),      # Re even
         np.abs(gr_mirror - np.conj(gr)),               # conjugate reflection
-        np.abs(field_retarded_im(r, kap) + field_retarded_im(r, kap[::-1])),
+        np.abs(im_u + field_retarded_im(1.0, kap[::-1])),
+        np.abs(tf + tf[::-1]),
     ]
-    scales = [
-        np.abs(np.imag(gr)),
-        np.abs(np.real(gr)),
-        np.abs(gr),
-        np.abs(field_retarded_im(r, kap)),
-    ]
-    if bath is not None:
-        tf = thermal_factor(kap, bath)
-        residuals.append(np.abs(tf + tf[::-1]))
-        scales.append(np.abs(tf))
-
-    name = "parity" if bath is None else f"parity[{bath.describe()}]"
+    scales = [np.abs(np.imag(gr)), np.abs(np.real(gr)), np.abs(gr), np.abs(im_u), np.abs(tf)]
+    name = f"parity[{bath.describe()}]"
     return _report(name, grid, np.concatenate(residuals), np.concatenate(scales), rtol, atol)

@@ -32,7 +32,7 @@ flow, and P_xi = -P_gamma the local fluctuation input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .spectral import integrate_spectrum
 TWO_PI = 2.0 * math.pi
 
 _BUDGET_BLOCK = 1 << 14  # kappa points per power_budget evaluation block (no fewer: see there)
+_LATE_TIME_MARGIN = 20.0  # relaxation and light-crossing times before the late-time formulas hold
 
 
 class LateTimeMarginError(RuntimeError):
@@ -64,14 +65,13 @@ class LateTimeMarginError(RuntimeError):
 class ObservationFrame:
     """Observation geometry: one field point at distance r, two times t, t'.
 
-    The late-time formulas require both times to exceed ``margin`` relaxation
-    times 1/gamma and ``margin`` light-crossing times r.
+    The late-time formulas require both times to exceed 20 relaxation times
+    1/gamma and 20 light-crossing times r.
     """
 
     r: float
     t: float
     t_prime: float
-    margin: float = 20.0
 
     def __post_init__(self):
         if not self.r > 0:
@@ -82,15 +82,15 @@ class ObservationFrame:
         return self.t - self.t_prime
 
     def late_time_ok(self, gamma: float) -> bool:
-        t_min = self.margin * max(1.0 / gamma, self.r)
+        t_min = _LATE_TIME_MARGIN * max(1.0 / gamma, self.r)
         return self.t >= t_min and self.t_prime >= t_min
 
     def require_late_time(self, gamma: float):
         if not self.late_time_ok(gamma):
             raise LateTimeMarginError(
                 f"frame (r={self.r:g}, t={self.t:g}, t'={self.t_prime:g}) is inside the "
-                f"transient window (need t, t' >= {self.margin:g} * max(1/gamma, r) = "
-                f"{self.margin * max(1.0 / gamma, self.r):g}); "
+                f"transient window (need t, t' >= {_LATE_TIME_MARGIN:g} * max(1/gamma, r) = "
+                f"{_LATE_TIME_MARGIN * max(1.0 / gamma, self.r):g}); "
                 "use interacting_hadamard_direct for early times"
             )
 
@@ -192,7 +192,11 @@ def near_field_flux_integrand(r: float, kappa, p: AtomParams, bath: BathSpec):
 
 @dataclass
 class PowerBudget:
-    """The four power flows, the pointwise-cancelled net flux, and their context."""
+    """The four power flows, the pointwise-cancelled net flux, and their context.
+
+    The fields are in the order of ``CSV_COLUMNS``, which names them in
+    ``budget.csv`` and in ``to_dict``.
+    """
 
     omega: float
     gamma: float
@@ -219,33 +223,10 @@ class PowerBudget:
     )
 
     def csv_row(self) -> str:
-        vals = (
-            self.omega,
-            self.gamma,
-            self.beta,
-            self.cutoff,
-            self.p_r,
-            self.p_cross,
-            self.p_gamma,
-            self.p_xi,
-            self.net_far_field,
-            self.est_error,
-        )
-        return ",".join(repr(v) for v in vals)
+        return ",".join(repr(v) for v in astuple(self))
 
     def to_dict(self) -> dict:
-        return {
-            "omega": self.omega,
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "Lambda": self.cutoff,
-            "P_r": self.p_r,
-            "P_cross": self.p_cross,
-            "P_gamma": self.p_gamma,
-            "P_xi": self.p_xi,
-            "net": self.net_far_field,
-            "est_error": self.est_error,
-        }
+        return dict(zip(self.CSV_COLUMNS, astuple(self)))
 
     def closure_violations(self, rtol: float = 1e-10) -> list[str]:
         """Empty list when all balance identities hold at the given tolerance."""
@@ -399,22 +380,19 @@ def interacting_hadamard_late(
 def atom_response_kernel(tau, p: AtomParams):
     """Retarded response of the oscillator coordinate: theta(tau) e^{-gamma tau} sin(Omega tau)/Omega."""
     t = np.asarray(tau, dtype=float)
-    out = np.where(t >= 0.0, damped_sinc(np.maximum(t, 0.0), p), 0.0)
-    return out if np.ndim(tau) else out[()]
+    return np.where(t >= 0.0, damped_sinc(np.maximum(t, 0.0), p), 0.0)
 
 
-def transient_correlator(s, s_prime, p: AtomParams, q_var=None, qdot_var=None):
+def transient_correlator(s, s_prime, p: AtomParams):
     """Symmetric autocorrelation of the freely decaying oscillator coordinate.
 
-    For an initial state with second moments ``q_var`` = <Q^2>, ``qdot_var`` =
-    <Qdot^2> and no cross correlation (ground-state moments 1/(2 m omega) and
-    omega/(2 m) by default), returns <{Q_h(s), Q_h(s')}>/2.  In the weak
-    coupling limit this reduces to cos(omega (s - s')) / (2 m omega).
+    The oscillator starts in its ground state: second moments <Q^2> =
+    1/(2 m omega) and <Qdot^2> = omega/(2 m), no cross correlation.  Returns
+    <{Q_h(s), Q_h(s')}>/2, which in the weak coupling limit reduces to
+    cos(omega (s - s')) / (2 m omega).
     """
-    if q_var is None:
-        q_var = 1.0 / (2.0 * p.m * p.omega)
-    if qdot_var is None:
-        qdot_var = p.omega / (2.0 * p.m)
+    q_var = 1.0 / (2.0 * p.m * p.omega)
+    qdot_var = p.omega / (2.0 * p.m)
     f_s = damped_cos(s, p) + p.gamma * damped_sinc(s, p)
     f_sp = damped_cos(s_prime, p) + p.gamma * damped_sinc(s_prime, p)
     g_s = damped_sinc(s, p)
@@ -472,9 +450,10 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     lam = (n_nodes - 1) * h
     s_first = svals[0]
     s_last = svals[-1]
-    c_even = even_sum.real - 0.5 * (s_first * np.cos(0.0 * taus) + s_last * np.cos(lam * taus))
+    # the kappa = 0 end contributes s_first * cos(0) = s_first and s_first * sin(0) = 0
+    c_even = even_sum.real - 0.5 * (s_first + s_last * np.cos(lam * taus))
     c_odd = odd_sum.real
-    endpoint = s_last * np.sin(lam * taus) - s_first * np.sin(0.0 * taus)
+    endpoint = s_last * np.sin(lam * taus)
     return h * (alpha * endpoint + beta * c_even + gamma * c_odd)
 
 
@@ -530,16 +509,7 @@ class HadamardOracleResult:
         return self.interference_a + self.interference_b + self.radiation + self.transient
 
     def to_dict(self) -> dict:
-        return {
-            "interference_a": self.interference_a,
-            "interference_b": self.interference_b,
-            "radiation": self.radiation,
-            "transient": self.transient,
-            "total": self.total,
-            "t_eff": self.t_eff,
-            "t_prime_eff": self.t_prime_eff,
-            "time_step": self.time_step,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 def interacting_hadamard_direct(
@@ -549,8 +519,6 @@ def interacting_hadamard_direct(
     time_step: float,
     cutoff: float,
     n_kappa: int = 8192,
-    q_var: float | None = None,
-    qdot_var: float | None = None,
 ) -> HadamardOracleResult:
     """Brute-force GH - G0H from the switch-on at time zero, by time quadrature.
 
@@ -594,28 +562,33 @@ def interacting_hadamard_direct(
     t_eff = frame.t if m_u is None else r + u_eff
     tp_eff = frame.t_prime if m_up is None else r + up_eff
 
-    def _history_integral(m_hist, history_end, other_obs_time):
-        # Simpson over the emission history v in [0, u]:
-        #   GR(v) * G0H(r; (obs_time - history_end) + v)
-        if m_hist is None or m_hist == 0:
+    def _history(m_hist):
+        # Simpson weights and GR samples over the emission history v in [0, u]
+        if not m_hist:  # outside the light cone, or an empty history
+            return None
+        return _simpson_weights(m_hist, step), atom_response_kernel(step * np.arange(m_hist + 1), p)
+
+    hist_u = _history(m_u)
+    hist_up = hist_u if m_up == m_u else _history(m_up)  # one history when t = t'
+
+    def _history_integral(hist, history_end, other_obs_time):
+        # Simpson over the history: GR(v) * G0H(r; (other_obs_time - history_end) + v)
+        if hist is None:
             return 0.0
-        grg = atom_response_kernel(step * np.arange(m_hist + 1), p)
+        w, grg = hist
         tau0 = other_obs_time - history_end
-        kern = free_hadamard_kernel_lags(r, bath, cutoff, tau0, step, m_hist + 1, n_kappa)
-        w = _simpson_weights(m_hist, step)
+        kern = free_hadamard_kernel_lags(r, bath, cutoff, tau0, step, grg.size, n_kappa)
         return float(np.dot(w, grg * kern))
 
-    term_a = pref_single * _history_integral(m_up, up_eff, t_eff)
-    term_b = pref_single * _history_integral(m_u, u_eff, tp_eff)
+    term_a = pref_single * _history_integral(hist_up, up_eff, t_eff)
+    # with one history the two interference terms are the same integral
+    term_b = term_a if hist_up is hist_u else pref_single * _history_integral(hist_u, u_eff, tp_eff)
 
-    if m_u is None or m_up is None or m_u == 0 or m_up == 0:
+    if hist_u is None or hist_up is None:
         term_c = 0.0
     else:
+        (w_u, grg_u), (w_up, grg_up) = hist_u, hist_up
         ell0 = m_u - m_up  # (u_eff - up_eff)/step, exact integer
-        grg_u = atom_response_kernel(step * np.arange(m_u + 1), p)
-        grg_up = atom_response_kernel(step * np.arange(m_up + 1), p)
-        w_u = _simpson_weights(m_u, step)
-        w_up = _simpson_weights(m_up, step)
         n_lags = m_u + m_up + 1
         kvec = free_hadamard_kernel_lags(
             0.0, bath, cutoff, (ell0 - m_u) * step, step, n_lags, n_kappa
@@ -627,9 +600,7 @@ def interacting_hadamard_direct(
     if m_u is None or m_up is None:
         term_d = 0.0
     else:
-        term_d = pref_transient * float(
-            transient_correlator(u_eff, up_eff, p, q_var=q_var, qdot_var=qdot_var)
-        )
+        term_d = pref_transient * float(transient_correlator(u_eff, up_eff, p))
 
     return HadamardOracleResult(
         interference_a=term_a,

@@ -219,29 +219,34 @@ def field_retarded_origin(kappa):
     return out[()] if scalar else out
 
 
-def field_hadamard_ft(r: float, kappa, bath: BathSpec):
-    """Hadamard (symmetric) kernel of the free field at separation r.
+def _fdr_product(kappa, bath: BathSpec, im_retarded, zero_limit: float):
+    """FDR product thermal_factor(kappa) * im_retarded(kappa), and ``zero_limit`` at kappa = 0.
 
-    ``thermal_factor(kappa) * sin(kappa r)/(4 pi r)``, with the r -> 0 limit
-    ``thermal_factor(kappa) * kappa/(4 pi)``.  Real and even in kappa.  The
-    kappa = 0 value is the finite limit: 1/(2 pi beta) at finite temperature
-    (Rayleigh-Jeans plateau, independent of r), 0 in the vacuum.
+    ``im_retarded`` is the imaginary part of a retarded kernel, odd in kappa, so
+    the product is even.  At kappa = 0 the thermal factor is undefined, and the
+    product's limit is (2/beta) times the slope of ``im_retarded`` at 0 (zero in
+    the vacuum).  Each caller writes that limit in its kernel's own arithmetic,
+    so the kappa = 0 value keeps its bits.
     """
-    if r < 0:
-        raise ValueError(f"distance r must be nonnegative, got {r}")
     kap, scalar = _as_float_array(kappa)
     out = np.empty_like(kap)
     zero = kap == 0.0
     nonzero = ~zero
     knz = kap[nonzero]
-    if r == 0:
-        kern = knz / FOUR_PI
-    else:
-        kern = np.sin(knz * r) / (FOUR_PI * r)
-    out[nonzero] = thermal_factor(knz, bath) * kern
-    if np.any(zero):
-        out[zero] = 0.0 if bath.is_vacuum else 1.0 / (2.0 * math.pi * bath.beta)
+    out[nonzero] = thermal_factor(knz, bath) * im_retarded(knz)
+    out[zero] = zero_limit
     return out[()] if scalar else out
+
+
+def field_hadamard_ft(r: float, kappa, bath: BathSpec):
+    """Hadamard (symmetric) kernel of the free field at separation r.
+
+    ``thermal_factor(kappa) * field_retarded_im(r, kappa)``.  Real and even in
+    kappa.  The kappa = 0 value is the finite limit: 1/(2 pi beta) at finite
+    temperature (Rayleigh-Jeans plateau, independent of r), 0 in the vacuum.
+    """
+    limit = 1.0 / (2.0 * math.pi * bath.beta)
+    return _fdr_product(kappa, bath, lambda k: field_retarded_im(r, k), limit)
 
 
 def atom_hadamard_ft(kappa, p: AtomParams, bath: BathSpec):
@@ -250,18 +255,8 @@ def atom_hadamard_ft(kappa, p: AtomParams, bath: BathSpec):
     Even in kappa and nonnegative.  The kappa = 0 value is the finite limit
     ``(2/beta) * (2 gamma / omega**4)`` (zero in the vacuum).
     """
-    kap, scalar = _as_float_array(kappa)
-    out = np.empty_like(kap)
-    zero = kap == 0.0
-    nonzero = ~zero
-    knz = kap[nonzero]
-    out[nonzero] = thermal_factor(knz, bath) * np.imag(atom_retarded_ft(knz, p))
-    if np.any(zero):
-        if bath.is_vacuum:
-            out[zero] = 0.0
-        else:
-            out[zero] = (2.0 / bath.beta) * (2.0 * p.gamma / p.omega**4)
-    return out[()] if scalar else out
+    limit = (2.0 / bath.beta) * (2.0 * p.gamma / p.omega**4)
+    return _fdr_product(kappa, bath, lambda k: np.imag(atom_retarded_ft(k, p)), limit)
 
 
 def damped_cos(tau, p: AtomParams):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len as _next_fast_len
@@ -74,16 +74,7 @@ class EquilibriumStats:
     t_burn: float
 
     def to_dict(self) -> dict:
-        return {
-            "mean_q": self.mean_q,
-            "se_mean_q": self.se_mean_q,
-            "var_q": self.var_q,
-            "se_var_q": self.se_var_q,
-            "var_qdot": self.var_qdot,
-            "se_var_qdot": self.se_var_qdot,
-            "n_traj": self.n_traj,
-            "t_burn": self.t_burn,
-        }
+        return asdict(self)
 
 
 def noise_spectrum(kappa, p: AtomParams, bath: BathSpec):
@@ -268,8 +259,6 @@ class EnsembleResult:
     n_steps: int
     var_q_series: np.ndarray
     stats: EquilibriumStats
-    n_traj: int
-    master_seed: int
 
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
@@ -397,14 +386,7 @@ def run_ensemble(
         n_traj=n_traj,
         t_burn=float(t_burn),
     )
-    return EnsembleResult(
-        dt=dt,
-        n_steps=n_steps,
-        var_q_series=sum_q2 / n_traj,
-        stats=stats,
-        n_traj=n_traj,
-        master_seed=master_seed,
-    )
+    return EnsembleResult(dt=dt, n_steps=n_steps, var_q_series=sum_q2 / n_traj, stats=stats)
 
 
 def fit_decay_rate(

@@ -7,8 +7,9 @@ and the reduction uses exact (Shewchuk) compensated summation in a fixed order,
 making results run-to-run and worker-count deterministic.  An integrand may
 return several rows at once; each row is reduced exactly as if it had been
 integrated on its own, so one pass over shared kernel samples feeds several
-integrals.  ``fit_log_slope`` is the log-divergence diagnostic for integrals
-taken over a sequence of cutoffs.
+integrals.  Integrands must vectorize: each is called once per grid with the
+whole array of kappa values.  ``fit_log_slope`` is the log-divergence
+diagnostic for integrals taken over a sequence of cutoffs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _ERROR_FLOOR_ULPS = 16.0
 
 
 class IntegrandError(ValueError):
-    """Raised when an integrand returns a non-finite value on the grid."""
+    """Raised when an integrand returns a non-finite value or an array of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class QuadratureResult:
     value: float | complex | tuple
     est_error: float | tuple
     n_evals: int
-    cutoff: float
 
 
 def _pair_weights(half: int) -> np.ndarray:
@@ -59,13 +59,12 @@ def _pair_weights(half: int) -> np.ndarray:
 
 def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
     """Samples of ``f`` on the grid: shape ``(n,)``, or ``(k, n)`` for k rows."""
-    try:
-        vals = np.asarray(f(grid.values))
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.ndim > 2 or vals.shape[-1:] != grid.values.shape:
-        # Scalar-valued integrand: fall back to pointwise evaluation.
-        vals = np.asarray([f(k) for k in grid.values])
+    vals = np.asarray(f(grid.values))
+    if vals.ndim not in (1, 2) or vals.shape[-1] != grid.n_points:
+        raise IntegrandError(
+            f"integrand returned shape {vals.shape} for {grid.n_points} kappa values; "
+            f"expected ({grid.n_points},) or (rows, {grid.n_points})"
+        )
     if not np.all(np.isfinite(vals)):
         row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), grid.n_points)
         where = f" in row {row}" if vals.ndim == 2 else ""
@@ -101,10 +100,11 @@ def _reduce(vals: np.ndarray, grid: FrequencyGrid):
 def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     """Integrate ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
 
-    ``f`` should vectorize over an ndarray of kappa values (a scalar-only
-    callable is accepted and evaluated pointwise).  An ``f`` that returns a
-    ``(k, n)`` array for n kappa values gets per-row tuples of ``value`` and
-    ``est_error``, each bitwise equal to integrating that row alone.
+    ``f`` must vectorize: it is called with the ndarray of the n grid values
+    and returns an ``(n,)`` array, or a ``(k, n)`` array for k rows, which gets
+    per-row tuples of ``value`` and ``est_error``, each bitwise equal to
+    integrating that row alone.  Any other shape raises ``IntegrandError``, and
+    an exception raised by ``f`` propagates.
     ``est_error`` comes from a Richardson comparison against the
     half-resolution grid, floored at a few ulps of the absolute term sum.
     """
@@ -129,8 +129,8 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
             coarse_value, _ = _reduce(row, coarse)
             est_errors[i] += float(abs(values[i] - coarse_value)) / 15.0
     if vector:
-        return QuadratureResult(tuple(values), tuple(est_errors), n_evals, float(grid.cutoff))
-    return QuadratureResult(values[0], est_errors[0], n_evals, float(grid.cutoff))
+        return QuadratureResult(tuple(values), tuple(est_errors), n_evals)
+    return QuadratureResult(values[0], est_errors[0], n_evals)
 
 
 def fit_log_slope(cutoffs, values):

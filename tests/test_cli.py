@@ -234,13 +234,18 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         (["relax", "--t-total", "1e300"], "langevin.t_total"),
         (["relax", "--dt", "1e-300", "--cutoff", "20"], "langevin.dt"),
         (["oracle", "--time-step", "1e-300"], "oracle.time_step"),
+        (["relax", "--seed", "-1", "--gamma", "0.1", "--cutoff", "20", "--n-traj", "2", "--t-total", "300"],
+         "langevin.seed"),
+        (["budget", "--grid-points", "15"], "grid.n_points"),
+        (["budget", "--sweep", ","], "budget.sweep"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
         "infinite_cutoff", "nan_tolerance", "negative_oracle_t", "dt_obs_past_switch_on",
         "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
-        "relax_step_past_intp", "oracle_step_past_intp",
+        "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
+        "empty_sweep",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):

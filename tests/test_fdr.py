@@ -83,7 +83,7 @@ def test_atom_fdr_reduction_spot_value_at_resonance():
 
 def test_parity_residuals_exact():
     p = AtomParams.from_damping(0.2, 1.0, 1.0)
-    rep = check_parity(FrequencyGrid(30.0, 4096), p)
+    rep = check_parity(FrequencyGrid(30.0, 4096), p, VACUUM)
     assert rep.passed
     assert rep.max_abs_residual == 0.0
 
@@ -104,11 +104,15 @@ def test_forced_failure_with_impossible_tolerance():
 
 def test_report_serialization():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
-    rep = check_parity(FrequencyGrid(10.0, 64), p)
+    rep = check_parity(FrequencyGrid(10.0, 64), p, VACUUM)
     d = rep.to_dict()
-    assert d["passed"] and d["n_points"] == 64
+    assert d["passed"] and d["n_points"] == 64 and d["cutoff"] == 10.0
+    assert set(d) == {
+        "name", "cutoff", "n_points", "max_abs_residual", "max_rel_residual", "worst_kappa",
+        "passed", "rtol", "atol", "n_rel_skipped",
+    }
     line = rep.format_line()
-    assert line.startswith("PASS parity") and "max_rel" in line
+    assert line.startswith("PASS parity[vacuum]") and "(n=64, cutoff=10)" in line
 
 
 def test_identity_matrix_spot_cells():

@@ -21,6 +21,7 @@ from atomflux.flux import (
     LateTimeMarginError,
     ObservationFrame,
     PowerBudget,
+    _budget_rows,
     corrected_hadamard_spectrum,
     dissipated_power_density,
     far_field_flux_integrand,
@@ -184,16 +185,20 @@ def _reference_power_budget(p, bath, grid, r=None):
 @pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
 def test_budget_densities_bitwise_even_on_mirror_grid(gamma, beta):
     # power_budget evaluates its rows on kappa > 0 only and mirrors them, which
-    # is exact only because every density is bitwise even on the mirror grid
+    # is exact only because every density, and every row _budget_rows writes,
+    # is bitwise even on the mirror grid
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
     bath = BathSpec(beta)
     r = 100.0 / p.omega
     for lam, n in ((10.0, 2**12), (1000.0, 2**15)):
         kap = FrequencyGrid(lam, n).values
+        rows = np.empty((3, n))
+        _budget_rows(p, bath, r, kap, rows)
         for vals in (
             radiated_power_density(kap, p, bath),
             dissipated_power_density(kap, p, bath),
             far_field_flux_integrand(r, kap, p, bath),
+            *rows,
         ):
             assert np.array_equal(vals, vals[::-1])
 

@@ -108,8 +108,6 @@ def test_transient_correlator_custom_moments():
     p = AtomParams.from_damping(0.05, 1.0, 1.0)
     base = transient_correlator(0.0, 0.0, p)
     assert base == pytest.approx(1.0 / (2.0 * p.m * p.omega), rel=1e-14)
-    doubled = transient_correlator(0.0, 0.0, p, q_var=1.0 / (p.m * p.omega))
-    assert doubled == pytest.approx(2.0 * base, rel=1e-14)
 
 
 def test_direct_oracle_outside_light_cone_vanishes():

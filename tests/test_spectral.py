@@ -106,14 +106,6 @@ def test_vector_rows_match_separate_integrations_bitwise():
                 assert vec.est_error[i] == single.est_error
 
 
-def test_scalar_only_integrand_still_pointwise():
-    g = FrequencyGrid(10.0, 64)
-    res = integrate_spectrum(lambda k: math.exp(-k * k), g)
-    assert isinstance(res.value, float) and isinstance(res.est_error, float)
-    assert res.value == integrate_spectrum(lambda k: np.exp(-k * k), g).value
-    assert res.n_evals == 64 + 32
-
-
 def test_nonfinite_value_in_any_row_raises():
     import re
 
@@ -149,9 +141,33 @@ def test_adaptive_oracle_agrees():
     assert res.value == pytest.approx(adaptive / TWO_PI, rel=1e-10)
 
 
-def test_scalar_integrand_fallback():
-    res = integrate_spectrum(lambda k: float(np.exp(-k * k)), FrequencyGrid(10.0, 64))
-    assert res.value == pytest.approx(math.sqrt(math.pi) / TWO_PI, rel=1e-8)
+def test_integrand_error_propagates():
+    # a vectorized integrand that raises is not re-run one point at a time
+    calls = []
+
+    def f(k):
+        calls.append(np.size(k))
+        raise ValueError("integrand failed")
+
+    with pytest.raises(ValueError, match="integrand failed"):
+        integrate_spectrum(f, FrequencyGrid(10.0, 64))
+    assert calls == [64]
+
+
+@pytest.mark.parametrize(
+    "f, shape",
+    [
+        (lambda k: float(np.exp(-k[0] ** 2)), "()"),
+        (lambda k: np.exp(-k[:-1] ** 2), "(63,)"),
+        (lambda k: np.ones((2, 2, k.size)), "(2, 2, 64)"),
+    ],
+    ids=["scalar", "short", "three_dimensional"],
+)
+def test_wrong_shaped_integrand_raises_naming_the_shape(f, shape):
+    import re
+
+    with pytest.raises(IntegrandError, match=re.escape(f"shape {shape} for 64 kappa values")):
+        integrate_spectrum(f, FrequencyGrid(10.0, 64))
 
 
 def test_complex_integrand():
