@@ -226,7 +226,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     fields = {row.attr: field(row.section, row.key, atom.gamma) for row in _SCHEMA if row.attr}
     try:
         FrequencyGrid(fields["cutoff"], fields["n_points"])
-    except ValueError as exc:  # grid.cutoff has passed its rule, so n_points is at fault
+    except (ValueError, MemoryError) as exc:  # grid.cutoff passed its rule: n_points is at fault
         raise ConfigError("grid.n_points", str(exc)) from None
     if not fields["oracle_t"] - fields["oracle_dt_obs"] > 0:
         raise ConfigError(
@@ -258,7 +258,7 @@ def _length_key(duration_key: str, duration: float, step_key: str, step: float) 
 
 
 def _check_length(key: str, n_samples: float):
-    """Reject a record or history too long to index, naming ``key`` (see ``_length_key``).
+    """Reject a record, history or node array too long to index, naming ``key``.
 
     Checked by the command that builds it, not in load_config: the ``auto``
     lengths scale as 1/gamma, and fdr-check and budget, which build neither,
@@ -406,10 +406,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
     history = max(frame.t, frame.t_prime)
     duration_key = "oracle.dt_obs" if cfg.oracle_dt_obs < 0 else "oracle.t"
     length_key = _length_key(duration_key, history, "oracle.time_step", cfg.oracle_time_step)
-    _check_length(length_key, history / cfg.oracle_time_step)
+    n_samples = history / cfg.oracle_time_step
+    _check_length(length_key, n_samples)
+    n_nodes = cfg.oracle_n_kappa + 1  # Filon nodes of each lag kernel
+    _check_length("oracle.n_kappa", n_nodes)
     margin_ok = frame.late_time_ok(cfg.atom.gamma)
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
-    late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid, enforce_margin=False)
+    late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid)
     try:
         direct = flux.interacting_hadamard_direct(
             frame,
@@ -420,6 +423,9 @@ def cmd_oracle(cfg: RunConfig) -> int:
             n_kappa=cfg.oracle_n_kappa,
         )
     except MemoryError as exc:
+        if n_nodes > n_samples:  # the lag kernels' nodes, not the history, asked for the memory
+            message = f"{n_nodes} Filon nodes are too many to hold: {exc}"
+            raise ConfigError("oracle.n_kappa", message) from None
         raise ConfigError(length_key, f"the emission history is too long to hold: {exc}") from None
     rel_dev = abs(late - direct.total) / max(abs(direct.total), 1e-300)
     passed = (rel_dev <= cfg.oracle_rtol) if margin_ok else True

@@ -31,10 +31,6 @@ from .greens import (
     thermal_factor,
 )
 
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-15
-
-
 @dataclass
 class IdentityReport:
     """Outcome of one identity check on one grid."""
@@ -105,8 +101,8 @@ def check_field_fdr(
     grid: FrequencyGrid,
     r: float,
     bath: BathSpec,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    rtol: float,
+    atol: float,
 ) -> IdentityReport:
     """Field FDR residual G0H(r;kappa) - thermal_factor(kappa) * Im G0R(r;kappa)."""
     kap = grid.values
@@ -119,8 +115,8 @@ def check_atom_fdr_reduction(
     grid: FrequencyGrid,
     p: AtomParams,
     bath: BathSpec,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    rtol: float,
+    atol: float,
 ) -> IdentityReport:
     """Residual of the radiation-collapsing identity.
 
@@ -140,8 +136,8 @@ def check_parity(
     grid: FrequencyGrid,
     p: AtomParams,
     bath: BathSpec,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
+    rtol: float,
+    atol: float,
 ) -> IdentityReport:
     """Parity and conjugate-reflection residuals on the mirror grid.
 

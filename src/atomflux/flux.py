@@ -57,10 +57,6 @@ _BUDGET_BLOCK = 1 << 14  # kappa points per power_budget evaluation block (no fe
 _LATE_TIME_MARGIN = 20.0  # relaxation and light-crossing times before the late-time formulas hold
 
 
-class LateTimeMarginError(RuntimeError):
-    """Raised when a frame is too early for the equilibrium (late-time) formulas."""
-
-
 @dataclass(frozen=True)
 class ObservationFrame:
     """Observation geometry: one field point at distance r, two times t, t'.
@@ -84,15 +80,6 @@ class ObservationFrame:
     def late_time_ok(self, gamma: float) -> bool:
         t_min = _LATE_TIME_MARGIN * max(1.0 / gamma, self.r)
         return self.t >= t_min and self.t_prime >= t_min
-
-    def require_late_time(self, gamma: float):
-        if not self.late_time_ok(gamma):
-            raise LateTimeMarginError(
-                f"frame (r={self.r:g}, t={self.t:g}, t'={self.t_prime:g}) is inside the "
-                f"transient window (need t, t' >= {_LATE_TIME_MARGIN:g} * max(1/gamma, r) = "
-                f"{_LATE_TIME_MARGIN * max(1.0 / gamma, self.r):g}); "
-                "use interacting_hadamard_direct for early times"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +215,7 @@ class PowerBudget:
     def to_dict(self) -> dict:
         return dict(zip(self.CSV_COLUMNS, astuple(self)))
 
-    def closure_violations(self, rtol: float = 1e-10) -> list[str]:
+    def closure_violations(self, rtol: float) -> list[str]:
         """Empty list when all balance identities hold at the given tolerance."""
         out = []
         scale_r = abs(self.p_r)
@@ -347,16 +334,14 @@ def interacting_hadamard_late(
     p: AtomParams,
     bath: BathSpec,
     grid: FrequencyGrid,
-    enforce_margin: bool = True,
 ) -> float:
     """GH - G0H at late times from the frequency-domain correction terms.
 
     Stationary in the two times separately; only t - t' enters.  The result is
     real (the imaginary part cancels pairwise on the mirror grid and is checked
-    against a 1e-10 relative residue).
+    against a 1e-10 relative residue).  It is evaluated for any frame;
+    ``frame.late_time_ok`` says whether the frame is late enough for it to hold.
     """
-    if enforce_margin:
-        frame.require_late_time(p.gamma)
     dt_obs = frame.dt_obs
 
     def integrand(kap):
@@ -464,7 +449,7 @@ def free_hadamard_kernel_lags(
     tau0: float,
     dtau: float,
     m: int,
-    n_kappa: int = 8192,
+    n_kappa: int,
 ) -> np.ndarray:
     """Time-domain free Hadamard kernel G0H(r; tau) regulated at ``cutoff``.
 
@@ -518,7 +503,7 @@ def interacting_hadamard_direct(
     bath: BathSpec,
     time_step: float,
     cutoff: float,
-    n_kappa: int = 8192,
+    n_kappa: int,
 ) -> HadamardOracleResult:
     """Brute-force GH - G0H from the switch-on at time zero, by time quadrature.
 

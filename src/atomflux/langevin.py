@@ -82,7 +82,7 @@ def noise_spectrum(kappa, p: AtomParams, bath: BathSpec):
     return (p.e / p.m) ** 2 * field_hadamard_ft(0.0, kappa, bath)
 
 
-def _noise_generator(seed, spawn_key=()):
+def _noise_generator(seed, spawn_key):
     seq = np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -151,11 +151,11 @@ def _step_coefficients(p: AtomParams, dt: float):
     return e00, e01, e10, e11, f0q, f0v, f1q, f1v
 
 
-def _ar1(lam: complex, drive: np.ndarray, zi: np.ndarray, z0=None):
+def _ar1(lam: complex, drive: np.ndarray, zi: np.ndarray, z0):
     """Run z_{n+1} = lam * z_n + drive_n along the rows of ``drive`` from filter state ``zi``.
 
     Returns the outputs time-major, shape (L, k) (preceded by the row ``z0``
-    when given), and the final filter state for the next block.
+    unless it is None), and the final filter state for the next block.
     """
     y, zf = _lfilter(np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=-1, zi=zi)
     first = z0 is not None
@@ -240,7 +240,7 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
             yield t0, q_blk, v_blk
 
 
-def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: int = 32768) -> float:
+def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: int) -> float:
     """Frequency-domain equilibrium coordinate variance at the same cutoff.
 
     (1/m) \\int dkappa/2pi coth(beta kappa/2) Im GR(kappa) over (-cutoff, cutoff);
@@ -276,8 +276,8 @@ def _batch_edges(start: int, stop: int, n_samples: int) -> list[int]:
     return [start + (b * k) // n_batches for b in range(n_batches + 1)]
 
 
-def _reduce_batch(p, dt, xi, q0, qdot0, burn_index, sum_q2_t):
-    """Propagate one batch of forcing records and reduce it block by block.
+def _reduce_batch(p, dt, xi, burn_index, sum_q2_t):
+    """Propagate one batch of forcing records from rest and reduce it block by block.
 
     Adds each trajectory's q^2 into ``sum_q2_t`` in trajectory order, so the
     series does not depend on how a chunk is batched, and returns the batch's
@@ -289,7 +289,7 @@ def _reduce_batch(p, dt, xi, q0, qdot0, burn_index, sum_q2_t):
     # column is summed pairwise instead, so it is reduced in one block
     block = _BLOCK_STEPS if len(xi) > 1 else n_steps
     sums = None  # post-burn column sums of q, q^2 and qdot^2
-    for t0, q, v in _propagate(p, dt, xi, q0, qdot0, block):
+    for t0, q, v in _propagate(p, dt, xi, 0.0, 0.0, block):
         series = sum_q2_t[t0 : t0 + len(q)]
         for j in range(q.shape[1]):
             series += q[:, j] * q[:, j]
@@ -308,14 +308,14 @@ def _reduce_batch(p, dt, xi, q0, qdot0, burn_index, sum_q2_t):
 
 
 def _ensemble_chunk(args):
-    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, q0, qdot0, burn_index) = args
+    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = args
     amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
     edges = _batch_edges(start, stop, n_steps + 1)
     sum_q2_t = np.zeros(n_steps + 1)
     means = []
     for lo, hi in zip(edges, edges[1:]):
         xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, [(idx,) for idx in range(lo, hi)])
-        means.append(_reduce_batch(p, dt, xi, q0, qdot0, burn_index, sum_q2_t))
+        means.append(_reduce_batch(p, dt, xi, burn_index, sum_q2_t))
         del xi  # free this batch's record before the next one is synthesized
     return (sum_q2_t, *(np.concatenate(m) for m in zip(*means)))
 
@@ -328,23 +328,20 @@ def run_ensemble(
     t_total: float,
     n_traj: int,
     master_seed: int,
-    q0: float = 0.0,
-    qdot0: float = 0.0,
-    t_burn: float | None = None,
+    t_burn: float,
     workers: int = 1,
 ) -> EnsembleResult:
     """Simulate an ensemble of independent trajectories and reduce it deterministically.
 
-    The trajectory with index ``i`` is seeded by (master_seed, spawn_key=(i,));
-    chunking and the reduction order are fixed, so the result is bit-identical
-    for any ``workers`` count.  Default burn-in is 20 relaxation times.
+    Every trajectory starts at rest, q = qdot = 0, and the statistics are taken
+    after ``t_burn``.  The trajectory with index ``i`` is seeded by
+    (master_seed, spawn_key=(i,)); chunking and the reduction order are fixed,
+    so the result is bit-identical for any ``workers`` count.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     if dt > math.pi / cutoff * (1.0 + 1e-12):
         raise NyquistError(f"dt={dt:g} violates the Nyquist bound pi/cutoff={math.pi / cutoff:g}")
-    if t_burn is None:
-        t_burn = 20.0 / p.gamma
     n_steps = int(round(t_total / dt))
     burn_index = int(math.ceil(t_burn / dt))
     if n_steps + 1 - burn_index < 16:
@@ -356,7 +353,7 @@ def run_ensemble(
         (s, min(s + _CHUNK_SIZE, n_traj)) for s in range(0, n_traj, _CHUNK_SIZE)
     ]
     jobs = [
-        (p, bath, cutoff, dt, n_steps, master_seed, s, e, q0, qdot0, burn_index)
+        (p, bath, cutoff, dt, n_steps, master_seed, s, e, burn_index)
         for s, e in bounds
     ]
     if workers > 1 and len(jobs) > 1:

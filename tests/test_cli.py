@@ -199,6 +199,16 @@ def test_cmd_budget_bad_sweep(tmp_path, capsys):
     assert code == EXIT_CONFIG_ERROR
 
 
+def _config_file(argv, tmp_path_factory):
+    """``argv`` with the config text after ``--config`` written to a file and replaced by its path."""
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config") + 1
+    path = tmp_path_factory.mktemp("config") / "run.ini"
+    path.write_text(argv[i])
+    return [*argv[:i], str(path), *argv[i + 1 :]]
+
+
 RELAX_ARGS = [
     "relax", "--gamma", "0.25", "--beta", "1.0", "--cutoff", "10.0",
     "--grid-points", "4096", "--dt", "0.2", "--t-total", "240",
@@ -238,6 +248,7 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
          "langevin.seed"),
         (["budget", "--grid-points", "15"], "grid.n_points"),
         (["budget", "--sweep", ","], "budget.sweep"),
+        (["oracle", "--config", "[oracle]\nn_kappa = 100000000000000000000\n"], "oracle.n_kappa"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -245,14 +256,28 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
         "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
-        "empty_sweep",
+        "empty_sweep", "n_kappa_past_intp",
     ],
 )
-def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, field):
+def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):
     # each of these used to end in a traceback with exit 1, which means "physics failed"
-    code = main(argv + ["--out", str(tmp_path)])
+    code = main(_config_file(argv, tmp_path_factory) + ["--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, monkeypatch):
+    # the grid's MemoryError is simulated, as for the records below
+    from atomflux import cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "FrequencyGrid", no_memory)
+    code = main(["fdr-check", "--grid-points", "1000000000000", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG_ERROR
+    assert "config error: grid.n_points:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -284,19 +309,26 @@ def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, mon
         (["--dt-obs=-1e9"], "oracle.dt_obs"),
         (["--t", "1e9"], "oracle.t"),
         (["--time-step", "1e-12"], "oracle.time_step"),
+        (["--config", "[oracle]\nn_kappa = 1000000000000\n"], "oracle.n_kappa"),
     ],
-    ids=["dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length"],
+    ids=[
+        "dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length",
+        "n_kappa_sets_the_size",
+    ],
 )
-def test_cmd_oracle_history_too_long_to_hold_is_config_error(tmp_path, capsys, monkeypatch, argv, field):
+def test_cmd_oracle_history_too_long_to_hold_is_config_error(
+    tmp_path, tmp_path_factory, capsys, monkeypatch, argv, field
+):
     # as for relax, the engine's MemoryError is simulated: at dt_obs = -1e9 the
-    # history would need 373 GiB
+    # history would need 373 GiB, at n_kappa = 1e12 the Filon nodes 7.3 TiB
     from atomflux import flux
 
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 373. GiB")
 
     monkeypatch.setattr(flux, "interacting_hadamard_direct", no_memory)
-    code = main(["oracle", "--cutoff", "20", "--grid-points", "4096", *argv, "--out", str(tmp_path)])
+    argv = _config_file(["oracle", "--cutoff", "20", "--grid-points", "4096", *argv], tmp_path_factory)
+    code = main(argv + ["--out", str(tmp_path)])
     assert code == EXIT_CONFIG_ERROR
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

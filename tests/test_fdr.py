@@ -16,16 +16,17 @@ from atomflux.greens import (
 from atomflux.fdr import check_atom_fdr_reduction, check_field_fdr, check_parity
 
 VACUUM = BathSpec.vacuum()
+TOL = dict(rtol=1e-12, atol=1e-15)  # the tolerances.fdr_rtol and fdr_atol defaults
 
 
 def test_field_fdr_generic():
-    rep = check_field_fdr(FrequencyGrid(40.0, 4096), 1.0, BathSpec(3.0))
+    rep = check_field_fdr(FrequencyGrid(40.0, 4096), 1.0, BathSpec(3.0), **TOL)
     assert rep.passed
     assert rep.max_rel_residual <= 1e-13
 
 
 def test_field_fdr_origin_vacuum_exact_zero():
-    rep = check_field_fdr(FrequencyGrid(100.0, 2048), 0.0, VACUUM)
+    rep = check_field_fdr(FrequencyGrid(100.0, 2048), 0.0, VACUUM, **TOL)
     assert rep.max_abs_residual == 0.0
     assert rep.max_rel_residual == 0.0
     assert rep.passed
@@ -61,7 +62,7 @@ def test_field_fdr_mollified_kernel_cross_check():
 )
 def test_atom_fdr_reduction(gamma, omega, bath, cutoff):
     p = AtomParams.from_damping(gamma, 1.0, omega)
-    rep = check_atom_fdr_reduction(FrequencyGrid(cutoff, 8192), p, bath)
+    rep = check_atom_fdr_reduction(FrequencyGrid(cutoff, 8192), p, bath, **TOL)
     assert rep.passed
     assert rep.max_rel_residual <= 1e-12
 
@@ -83,14 +84,14 @@ def test_atom_fdr_reduction_spot_value_at_resonance():
 
 def test_parity_residuals_exact():
     p = AtomParams.from_damping(0.2, 1.0, 1.0)
-    rep = check_parity(FrequencyGrid(30.0, 4096), p, VACUUM)
+    rep = check_parity(FrequencyGrid(30.0, 4096), p, VACUUM, **TOL)
     assert rep.passed
     assert rep.max_abs_residual == 0.0
 
 
 def test_parity_with_thermal_factor():
     p = AtomParams.from_damping(0.2, 1.0, 1.0)
-    rep = check_parity(FrequencyGrid(30.0, 4096), p, BathSpec(4.0))
+    rep = check_parity(FrequencyGrid(30.0, 4096), p, BathSpec(4.0), **TOL)
     assert rep.passed
     assert rep.max_abs_residual == 0.0
     assert "beta=4.0" in rep.name
@@ -104,7 +105,7 @@ def test_forced_failure_with_impossible_tolerance():
 
 def test_report_serialization():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
-    rep = check_parity(FrequencyGrid(10.0, 64), p, VACUUM)
+    rep = check_parity(FrequencyGrid(10.0, 64), p, VACUUM, **TOL)
     d = rep.to_dict()
     assert d["passed"] and d["n_points"] == 64 and d["cutoff"] == 10.0
     assert set(d) == {
@@ -121,9 +122,9 @@ def test_identity_matrix_spot_cells():
         p = AtomParams.from_damping(gamma_ratio, 1.0, 1.0)
         for bath in (VACUUM, BathSpec(0.1), BathSpec(100.0)):
             grid = FrequencyGrid(80.0, 4096)
-            assert check_field_fdr(grid, 0.5, bath).max_rel_residual <= 1e-12
-            assert check_atom_fdr_reduction(grid, p, bath).max_rel_residual <= 1e-12
-            assert check_parity(grid, p, bath).max_rel_residual <= 1e-12
+            assert check_field_fdr(grid, 0.5, bath, **TOL).max_rel_residual <= 1e-12
+            assert check_atom_fdr_reduction(grid, p, bath, **TOL).max_rel_residual <= 1e-12
+            assert check_parity(grid, p, bath, **TOL).max_rel_residual <= 1e-12
 
 
 def test_identity_envelope_extremes():
@@ -131,5 +132,5 @@ def test_identity_envelope_extremes():
     p = AtomParams.from_damping(1e-3, 1.0, 1.0)
     grid = FrequencyGrid(1e4, 2**20)
     for bath in (BathSpec(1e-2), BathSpec(1e3), VACUUM):
-        assert check_field_fdr(grid, 2.0, bath).max_rel_residual <= 1e-12
-        assert check_atom_fdr_reduction(grid, p, bath).max_rel_residual <= 1e-12
+        assert check_field_fdr(grid, 2.0, bath, **TOL).max_rel_residual <= 1e-12
+        assert check_atom_fdr_reduction(grid, p, bath, **TOL).max_rel_residual <= 1e-12

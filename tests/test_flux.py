@@ -18,7 +18,6 @@ from atomflux.greens import (
 )
 from atomflux.spectral import integrate_spectrum
 from atomflux.flux import (
-    LateTimeMarginError,
     ObservationFrame,
     PowerBudget,
     _budget_rows,
@@ -287,11 +286,11 @@ def test_late_hadamard_margin_enforced():
     p = AtomParams.from_damping(0.05, 1.0, 1.0)
     g = FrequencyGrid(20.0, 1024)
     early = ObservationFrame(r=10.0, t=50.0, t_prime=50.0)  # t < 20/gamma
-    with pytest.raises(LateTimeMarginError, match="interacting_hadamard_direct"):
-        interacting_hadamard_late(early, p, VACUUM, g)
-    # diagnostic escape hatch
-    val = interacting_hadamard_late(early, p, VACUUM, g, enforce_margin=False)
-    assert math.isfinite(val)
+    late = ObservationFrame(r=10.0, t=400.0, t_prime=400.0)  # t = 20/gamma = 20 r
+    assert not early.late_time_ok(p.gamma)
+    assert late.late_time_ok(p.gamma)
+    # the late-time form is still evaluated; the oracle reports the margin beside it
+    assert math.isfinite(interacting_hadamard_late(early, p, VACUUM, g))
 
 
 def test_corrected_spectrum_real_even():

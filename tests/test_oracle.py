@@ -18,6 +18,7 @@ from atomflux.flux import (
 )
 
 VACUUM = BathSpec.vacuum()
+N_KAPPA = 8192  # the oracle.n_kappa default
 
 
 def test_filon_transform_against_direct_sum():
@@ -113,7 +114,7 @@ def test_transient_correlator_custom_moments():
 def test_direct_oracle_outside_light_cone_vanishes():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=30.0, t=20.0, t_prime=25.0)  # both t < r
-    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.05, cutoff=10.0)
+    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.05, cutoff=10.0, n_kappa=N_KAPPA)
     assert res.total == 0.0
     assert (res.interference_a, res.interference_b, res.radiation, res.transient) == (0, 0, 0, 0)
 
@@ -121,7 +122,7 @@ def test_direct_oracle_outside_light_cone_vanishes():
 def test_direct_oracle_step_halving_converges():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=15.0, t=400.0, t_prime=400.0)
-    kw = dict(cutoff=20.0, n_kappa=8192)
+    kw = dict(cutoff=20.0, n_kappa=N_KAPPA)
     coarse = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.04, **kw)
     fine = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, **kw)
     assert abs(coarse.total - fine.total) <= 1e-3 * abs(fine.total)
@@ -134,7 +135,7 @@ def test_direct_vs_late_time(bath):
     frame = ObservationFrame(r=15.0, t=400.0, t_prime=400.0)
     grid = FrequencyGrid(20.0, 2**14)
     late = interacting_hadamard_late(frame, p, bath, grid)
-    direct = interacting_hadamard_direct(frame, p, bath, time_step=0.02, cutoff=20.0)
+    direct = interacting_hadamard_direct(frame, p, bath, time_step=0.02, cutoff=20.0, n_kappa=N_KAPPA)
     assert late == pytest.approx(direct.total, rel=0.01)
 
 
@@ -142,7 +143,7 @@ def test_direct_oracle_transient_regime_reported():
     # early frame: the transient term is a visible fraction of the total
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=2.0, t=8.0, t_prime=8.0)
-    res = interacting_hadamard_direct(frame, p, BathSpec(1.0), time_step=0.01, cutoff=20.0)
+    res = interacting_hadamard_direct(frame, p, BathSpec(1.0), time_step=0.01, cutoff=20.0, n_kappa=N_KAPPA)
     assert res.transient != 0.0
     assert math.isfinite(res.total)
 
@@ -150,7 +151,7 @@ def test_direct_oracle_transient_regime_reported():
 def test_direct_oracle_result_breakdown():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=10.0, t=300.0, t_prime=299.5)
-    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.025, cutoff=10.0)
+    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.025, cutoff=10.0, n_kappa=N_KAPPA)
     d = res.to_dict()
     assert d["total"] == pytest.approx(
         d["interference_a"] + d["interference_b"] + d["radiation"] + d["transient"], rel=1e-15
@@ -164,7 +165,7 @@ def test_direct_oracle_rejects_bad_step():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=10.0, t=300.0, t_prime=300.0)
     with pytest.raises(ValueError):
-        interacting_hadamard_direct(frame, p, VACUUM, time_step=0.0, cutoff=10.0)
+        interacting_hadamard_direct(frame, p, VACUUM, time_step=0.0, cutoff=10.0, n_kappa=N_KAPPA)
 
 
 def test_weak_coupling_correction_vanishes():
@@ -176,8 +177,8 @@ def test_weak_coupling_correction_vanishes():
     free_scale = abs(
         float(free_hadamard_kernel_lags(5.0, VACUUM, 10.0, 0.0, 1.0, 1, n_kappa=4096)[0])
     )
-    late = interacting_hadamard_late(frame, p, VACUUM, grid, enforce_margin=False)
-    direct = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, cutoff=10.0)
+    late = interacting_hadamard_late(frame, p, VACUUM, grid)
+    direct = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, cutoff=10.0, n_kappa=N_KAPPA)
     assert abs(late) <= 1e-4 * free_scale
     assert abs(direct.total) <= 1e-4 * free_scale
     assert abs(direct.transient) <= 1e-4 * free_scale
