@@ -16,14 +16,16 @@ and all reductions run in a fixed order, so ensembles are bit-identical for
 any worker count.
 
 Engine layout: a chunk of k trajectories is split into row batches of about
-r = ``_ROW_SAMPLES`` // n trajectories (at least two, at most k).  Each batch is
-synthesized trajectory-major as one (r, n) record, then propagated in blocks of
-``_BLOCK_STEPS`` steps with the filter state carried from block to block, and
-each block is reduced as soon as it is made.  A worker therefore holds O(r n)
-memory, a batch of fewer than 2 * ``_ROW_SAMPLES`` samples while n is below
-``_ROW_SAMPLES`` / 2, however many trajectories a chunk has.  Every reduction
-runs in an order that does not depend on r: the per-trajectory sums in time
-order, the cross-trajectory series in trajectory order.
+r = ``_ROW_SAMPLES`` // n trajectories (at least one, at most k).  Each batch is
+synthesized trajectory-major as one (r, n) record and stays trajectory-major:
+each eigenmode is one filter over the forcing rows, its two taps folding in the
+piecewise-linear drive, run in blocks of ``_BLOCK_STEPS`` steps with the filter
+state carried from block to block, and each (r, block) block is reduced along
+its rows as soon as it is made.  A worker therefore holds O(r n) memory, a
+batch of fewer than 2 * ``_ROW_SAMPLES`` samples while n is below
+``_ROW_SAMPLES``, however many trajectories a chunk has.  Every reduction runs
+in an order that does not depend on r: the per-trajectory sums block by block
+in time order, the cross-trajectory series in trajectory order.
 """
 
 from __future__ import annotations
@@ -119,10 +121,10 @@ def _synthesize_rows(amplitudes, n_samples, seed, spawn_keys) -> np.ndarray:
         rng = _noise_generator(seed, key)
         rng.standard_normal(out=a[j])
         rng.standard_normal(out=b[j])
-    # amp * (a + 1j * b), evaluated in place with the same operand order
-    y = np.multiply(1j, b)
-    np.add(a, y, out=y)
-    np.multiply(amp, y, out=y)
+    # amp * (a + 1j * b), written one real part at a time
+    y = np.empty(a.shape, dtype=complex)
+    np.multiply(amp, a, out=y.real)
+    np.multiply(amp, b, out=y.imag)
     y[:, 0] = amp_real[0] * a[:, 0]  # zero mode is real
     if n_fft % 2 == 0:
         y[:, -1] = amp_real[-1] * a[:, -1]  # Nyquist mode is real
@@ -151,33 +153,38 @@ def _step_coefficients(p: AtomParams, dt: float):
     return e00, e01, e10, e11, f0q, f0v, f1q, f1v
 
 
-def _ar1(lam: complex, drive: np.ndarray, zi: np.ndarray, z0):
-    """Run z_{n+1} = lam * z_n + drive_n along the rows of ``drive`` from filter state ``zi``.
+def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, q, v, x0):
+    """Taps, poles and initial state of the filter that runs one eigenmode of the step map.
 
-    Returns the outputs time-major, shape (L, k) (preceded by the row ``z0``
-    unless it is None), and the final filter state for the next block.
+    The mode ``z = (v - mu_other q) / (mu - mu_other)`` obeys
+    ``z_{n+1} = lam z_n + c0 xi_n + c1 xi_{n+1}`` with ``lam = exp(mu dt)``, so
+    ``lfilter(b, a, xi[1:], zi=zi)`` yields z_1, z_2, ... from the forcing samples
+    alone, and the state it returns after z_m is ``lam z_m + c0 xi_m``, which
+    is the ``zi`` that continues the recursion from sample m.  A real pair of
+    eigenvalues gives real taps.
     """
-    y, zf = _lfilter(np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=-1, zi=zi)
-    first = z0 is not None
-    out = np.empty((y.shape[1] + first, y.shape[0]), dtype=complex)
-    if first:
-        out[0] = z0
-    out[first:] = y.T
-    return out, zf
+    f0q, f0v, f1q, f1v = coefficients
+    denom = mu - mu_other
+    c0 = ((f0v - f1v) - mu_other * (f0q - f1q)) / denom
+    c1 = (f1v - mu_other * f1q) / denom
+    lam = np.exp(mu * dt)
+    zi = lam * ((v - mu_other * q) / denom) + c0 * x0
+    return [np.array([c1, c0]), np.array([1.0, -lam]), zi[:, None]]
 
 
 def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
     """Propagate rows of forcing samples; yield ``(t0, q, v)`` blocks of ``block`` steps.
 
     ``xi`` has shape (k, n + 1), one trajectory per row.  Each yielded ``q``
-    and ``v`` is time-major, shape (L, k), and holds samples t0 .. t0 + L - 1;
-    the first block starts at the initial condition, sample 0.
+    and ``v`` is trajectory-major, shape (k, L), and holds samples
+    t0 .. t0 + L - 1; the first block starts at the initial condition, sample 0.
 
     The exact one-step map ``y_{n+1} = E y_n + Phi0 xi_n + Phi1 dxi_n`` is
     diagonalized: in the eigenbasis of the damped oscillator it splits into two
     first-order recursions with multipliers exp(mu_pm dt), mu_pm = -gamma pm
-    sqrt(gamma^2 - omega^2), which are run as constant-coefficient filters at C
-    speed along the contiguous time axis, carrying the filter state across
+    sqrt(gamma^2 - omega^2), whose per-step drive is a two-tap combination of
+    consecutive forcing samples.  Each runs as one constant-coefficient filter
+    over the forcing rows (``_mode_filter``), carrying the filter state across
     blocks.  First-order sections stay well conditioned even when omega*dt is
     tiny (a direct second-order recursion would lose several digits there).
     The critically damped point has a defective map and falls back to an
@@ -187,57 +194,60 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
     k, n = xi.shape[0], xi.shape[1] - 1
     q = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
     v = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
+    forcing_maps = (f0q, f0v, f1q, f1v)
 
     disc = p.gamma**2 - p.omega**2
+    filters = []  # [b, a, zi] per eigenmode; zi advances block by block
     if disc < 0:
         # underdamped: the second mode is the conjugate of the first, so one
         # complex filter carries the whole state
         mu_p = complex(-p.gamma, math.sqrt(-disc))
-        denom = 2j * math.sqrt(-disc)
-        lam = np.exp(mu_p * dt)
-        za = (v - np.conj(mu_p) * q) / denom
-        zi_a = lam * za[:, None]
+        filters = [_mode_filter(mu_p, mu_p.conjugate(), dt, forcing_maps, q, v, xi[:, 0])]
     elif disc > 0:
         # overdamped: two real decaying modes
-        nu = math.sqrt(disc)
-        mu_p = -p.gamma + nu
-        mu_m = -p.gamma - nu
-        denom = mu_p - mu_m
-        lam_p, lam_m = math.exp(mu_p * dt), math.exp(mu_m * dt)
-        za = (v - mu_m * q) / denom
-        zb = (mu_p * q - v) / denom
-        zi_a, zi_b = lam_p * za[:, None], lam_m * zb[:, None]
+        mu_p, mu_m = -p.gamma + math.sqrt(disc), -p.gamma - math.sqrt(disc)
+        filters = [
+            _mode_filter(mu_p, mu_m, dt, forcing_maps, q, v, xi[:, 0]),
+            _mode_filter(mu_m, mu_p, dt, forcing_maps, q, v, xi[:, 0]),
+        ]
 
     for s in range(0, n, block):
         e = min(s + block, n)
         first = s == 0
-        t0 = 0 if first else s + 1  # first sample this block yields
-        x0 = xi[:, s:e]
-        dxi = xi[:, s + 1 : e + 1] - x0
-        u = f0q * x0 + f1q * dxi  # coordinate drive per step
-        w = f0v * x0 + f1v * dxi  # velocity drive per step
+        q_blk = np.empty((k, e - s + first))
+        v_blk = np.empty((k, e - s + first))
+        if first:
+            q_blk[:, 0] = q
+            v_blk[:, 0] = v
+        q_out, v_out = q_blk[:, first:], v_blk[:, first:]
+        modes = []
+        for f in filters:
+            mode, f[2] = _lfilter(f[0], f[1], xi[:, s + 1 : e + 1], axis=-1, zi=f[2])
+            modes.append(mode)
         if disc < 0:
-            alpha, zi_a = _ar1(lam, (w - np.conj(mu_p) * u) / denom, zi_a, za if first else None)
-            yield t0, 2.0 * alpha.real, 2.0 * (mu_p * alpha).real
+            (alpha,) = modes
+            np.multiply(alpha.real, 2.0, out=q_out)
+            np.multiply(alpha, mu_p, out=alpha)
+            np.multiply(alpha.real, 2.0, out=v_out)
         elif disc > 0:
-            alpha, zi_a = _ar1(lam_p, (w - mu_m * u) / denom, zi_a, za if first else None)
-            beta, zi_b = _ar1(lam_m, (mu_p * u - w) / denom, zi_b, zb if first else None)
-            alpha, beta = alpha.real, beta.real
-            yield t0, alpha + beta, mu_p * alpha + mu_m * beta
+            alpha, beta = modes
+            np.add(alpha, beta, out=q_out)
+            np.multiply(alpha, mu_p, out=alpha)
+            np.multiply(beta, mu_m, out=beta)
+            np.add(alpha, beta, out=v_out)
         else:  # critically damped: defective propagator, explicit loop
-            q_blk = np.empty((e - s + first, k))
-            v_blk = np.empty((e - s + first, k))
-            if first:
-                q_blk[0] = q
-                v_blk[0] = v
+            x0 = xi[:, s:e]
+            dxi = xi[:, s + 1 : e + 1] - x0
+            u = f0q * x0 + f1q * dxi  # coordinate drive per step
+            w = f0v * x0 + f1v * dxi  # velocity drive per step
             for i in range(e - s):
                 q, v = (
                     e00 * q + e01 * v + u[:, i],
                     e10 * q + e11 * v + w[:, i],
                 )
-                q_blk[i + first] = q
-                v_blk[i + first] = v
-            yield t0, q_blk, v_blk
+                q_out[:, i] = q
+                v_out[:, i] = v
+        yield (0 if first else s + 1), q_blk, v_blk
 
 
 def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: int) -> float:
@@ -267,44 +277,34 @@ class EnsembleResult:
 def _batch_edges(start: int, stop: int, n_samples: int) -> list[int]:
     """Split trajectories start .. stop - 1 into near-equal row batches; returns the edges.
 
-    There are k // r batches, r = max(2, _ROW_SAMPLES // n_samples) capped at
-    the chunk size k, so each holds at least r rows and a chunk of two or more
-    trajectories never gets a lone-row batch.
+    There are k // r batches, r = _ROW_SAMPLES // n_samples kept between 1 and
+    the chunk size k, so each holds at least r rows.
     """
     k = stop - start
-    n_batches = k // min(k, max(2, _ROW_SAMPLES // n_samples))
+    n_batches = k // min(k, max(1, _ROW_SAMPLES // n_samples))
     return [start + (b * k) // n_batches for b in range(n_batches + 1)]
 
 
 def _reduce_batch(p, dt, xi, burn_index, sum_q2_t):
     """Propagate one batch of forcing records from rest and reduce it block by block.
 
-    Adds each trajectory's q^2 into ``sum_q2_t`` in trajectory order, so the
-    series does not depend on how a chunk is batched, and returns the batch's
-    post-burn means of q, q^2 and qdot^2.
+    Adds each trajectory's q^2 row into ``sum_q2_t`` in trajectory order, and
+    sums each row's post-burn q, q^2 and qdot^2 over each ``_BLOCK_STEPS``
+    block, adding the block sums in time order.  Every sum reads one row of
+    fixed blocks, so no output depends on how many rows share the batch.
+    Returns the batch's post-burn means of q, q^2 and qdot^2.
     """
     n_steps = xi.shape[1] - 1
-    # numpy sums several columns row by row, in time order, so running sums
-    # carried from block to block reproduce a whole-record reduction; a lone
-    # column is summed pairwise instead, so it is reduced in one block
-    block = _BLOCK_STEPS if len(xi) > 1 else n_steps
-    sums = None  # post-burn column sums of q, q^2 and qdot^2
-    for t0, q, v in _propagate(p, dt, xi, 0.0, 0.0, block):
-        series = sum_q2_t[t0 : t0 + len(q)]
-        for j in range(q.shape[1]):
-            series += q[:, j] * q[:, j]
-        q, v = q[max(burn_index - t0, 0) :], v[max(burn_index - t0, 0) :]
-        if not len(q):
-            continue
-        if sums is None:
-            sums = (q.sum(axis=0), np.einsum("ti,ti->i", q, q), np.einsum("ti,ti->i", v, v))
-        else:
-            sums = tuple(
-                np.concatenate([acc[None], rows]).sum(axis=0)
-                for acc, rows in zip(sums, (q, q * q, v * v))
-            )
-    n_post = n_steps + 1 - burn_index
-    return tuple(s / n_post for s in sums)
+    sums = np.zeros((3, len(xi)))  # post-burn row sums of q, q^2 and qdot^2
+    for t0, q, v in _propagate(p, dt, xi, 0.0, 0.0, _BLOCK_STEPS):
+        q2 = q * q
+        series = sum_q2_t[t0 : t0 + q.shape[1]]
+        for row in q2:
+            series += row
+        cut = max(burn_index - t0, 0)
+        post_v = v[:, cut:]
+        sums += (q[:, cut:].sum(axis=1), q2[:, cut:].sum(axis=1), (post_v * post_v).sum(axis=1))
+    return tuple(sums / (n_steps + 1 - burn_index))
 
 
 def _ensemble_chunk(args):
