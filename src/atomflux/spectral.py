@@ -3,13 +3,16 @@
 ``integrate_spectrum`` evaluates ``(1/2 pi) \\int_{-L}^{L} f(kappa) dkappa`` on a
 half-step-offset mirror grid with a fourth-order end-corrected midpoint rule.
 Mirrored samples are paired before summation, so odd integrands vanish exactly,
-and the reduction uses exact (Shewchuk) compensated summation in a fixed order,
-making results run-to-run and worker-count deterministic.  An integrand may
-return several rows at once; each row is reduced exactly as if it had been
-integrated on its own, so one pass over shared kernel samples feeds several
-integrals.  Integrands must vectorize: each is called once per grid with the
-whole array of kappa values.  ``fit_log_slope`` is the log-divergence
-diagnostic for integrals taken over a sequence of cutoffs.
+and each row's sum is exactly rounded: a few vectorized error-free extraction
+passes leave partial sums that hold the exact total, and ``math.fsum`` rounds
+them once, so the bits equal ``math.fsum`` of the terms by construction, in
+whatever order numpy adds.  Results are run-to-run and worker-count
+deterministic.  An integrand may return several rows at once; each row is
+reduced exactly as if it had been integrated on its own, so one pass over
+shared kernel samples feeds several integrals.  Integrands must vectorize:
+each is called once per grid with the whole array of kappa values.
+``fit_log_slope`` is the log-divergence diagnostic for integrals taken over a
+sequence of cutoffs.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ TWO_PI = 2.0 * math.pi
 _EDGE_CORRECTIONS = (71.0 / 576.0, -141.0 / 576.0, 93.0 / 576.0, -23.0 / 576.0)
 
 _ERROR_FLOOR_ULPS = 16.0
+
+# error-free extraction passes before the leftovers go to fsum; below the
+# floor eps*sigma could leave the normal range
+_EXTRACTION_PASSES = 6
+_EXTRACTION_FLOOR = 2.0**-969
 
 
 class IntegrandError(ValueError):
@@ -48,15 +56,6 @@ class QuadratureResult:
     n_evals: int
 
 
-def _pair_weights(half: int) -> np.ndarray:
-    w = np.ones(half)
-    w[-1] += _EDGE_CORRECTIONS[0]
-    w[-2] += _EDGE_CORRECTIONS[1]
-    w[-3] += _EDGE_CORRECTIONS[2]
-    w[-4] += _EDGE_CORRECTIONS[3]
-    return w
-
-
 def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
     """Samples of ``f`` on the grid: shape ``(n,)``, or ``(k, n)`` for k rows."""
     vals = np.asarray(f(grid.values))
@@ -74,27 +73,65 @@ def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
     return vals
 
 
-def _fsum(terms: np.ndarray) -> float:
-    # memoryview hands fsum the same floats in the same order as tolist(),
-    # without building a list of Python floats first
-    return math.fsum(memoryview(np.ascontiguousarray(terms)))
+def _exact_sum(p: np.ndarray, top: float, scratch: np.ndarray) -> float:
+    """``math.fsum(p)``, bit for bit, from a few vectorized passes; overwrites p and scratch.
+
+    ``top`` is max|p| and ``scratch`` a float array of p's length.  Each pass
+    is Rump, Ogita and Oishi's error-free extraction ("Accurate floating-point
+    summation", SIAM J. Sci. Comput. 31, 2008): with M = ceil(log2(n + 2)) and
+    sigma = 2^(M + e), where 2^e > top, q = (sigma + p) - sigma holds multiples
+    of eps*sigma no larger than 2^e, so ``q.sum()`` is exact in any order, and
+    p - q is exact and below eps*sigma.  The partial sums and the nonzero
+    leftovers then hold the exact sum, which ``fsum`` rounds correctly once:
+    the bits are those of ``fsum(p)`` by construction.  Rows the premises do
+    not cover go to ``fsum`` whole: non-finite or zero tops (so signed zeros
+    and all-zero rows follow ``fsum``), tops within 53 bits of the subnormal
+    range, and sigma past 2^1023, where ``fsum`` raises its own OverflowError.
+    """
+    m = (p.size + 1).bit_length()
+    if not _EXTRACTION_FLOOR <= top < math.inf or math.frexp(top)[1] + m > 1023:
+        return math.fsum(memoryview(np.ascontiguousarray(p)))
+    partials = []
+    for _ in range(_EXTRACTION_PASSES):
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
+        np.add(p, sigma, out=scratch)
+        scratch -= sigma
+        partials.append(float(scratch.sum()))
+        p -= scratch
+        top = max(float(p.max()), -float(p.min()))
+        if top < _EXTRACTION_FLOOR:
+            break
+    leftovers = p[p != 0.0] if top else ()
+    return math.fsum(memoryview(np.concatenate((partials, leftovers))))
 
 
 def _reduce(vals: np.ndarray, grid: FrequencyGrid):
-    """Weighted paired sum with the 1/(2 pi) measure; returns (value, abs_scale)."""
+    """Edge-corrected paired sum with the 1/(2 pi) measure; returns (value, abs_scale).
+
+    The sum over the weighted pairs is exactly rounded: ``_exact_sum`` gives
+    ``math.fsum``'s bits, and falls back to ``fsum`` itself on zero, non-finite,
+    near-subnormal and near-overflowing rows.
+    """
     half = grid.n_points // 2
     neg = vals[:half][::-1]  # neg[j] = f(-pos[j])
     pos = vals[half:]
-    pairs = pos + neg
-    w = _pair_weights(half)
-    terms = w * pairs
+    terms = pos + neg
+    # 1.0 * x == x, so weighting only the four edge pairs keeps every bit
+    terms[-4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
     h = grid.spacing
     if np.iscomplexobj(terms):
-        value = complex(_fsum(terms.real), _fsum(terms.imag)) * h / TWO_PI
+        abs_scale = float(np.sum(np.abs(terms)))
+        scratch = np.empty(half)
+        parts = []
+        for part in (terms.real, terms.imag):
+            top = float(np.abs(part, out=scratch).max())
+            parts.append(_exact_sum(part, top, scratch))
+        value = complex(*parts) * h / TWO_PI
     else:
-        value = _fsum(terms) * h / TWO_PI
-    abs_scale = float(np.sum(np.abs(terms))) * h / TWO_PI
-    return value, abs_scale
+        scratch = np.abs(terms)
+        abs_scale = float(np.sum(scratch))
+        value = _exact_sum(terms, float(scratch.max()), scratch) * h / TWO_PI
+    return value, abs_scale * h / TWO_PI
 
 
 def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, atom_retarded_ft
-from atomflux.spectral import IntegrandError, fit_log_slope, integrate_spectrum
+from atomflux.spectral import IntegrandError, _exact_sum, _reduce, fit_log_slope, integrate_spectrum
 from atomflux.flux import far_field_flux_integrand, radiated_power_density
 
 TWO_PI = 2.0 * math.pi
@@ -187,6 +187,175 @@ def test_determinism_bitwise():
     a = integrate_spectrum(f, g)
     b = integrate_spectrum(f, g)
     assert a.value == b.value and a.est_error == b.est_error
+
+
+# ---------------------------------------------------------------------------
+# the exactly rounded reduction: math.fsum's bits on every input
+# ---------------------------------------------------------------------------
+
+
+def _exact_sum_of(terms):
+    p = np.array(terms, dtype=float)
+    scratch = np.abs(p)
+    return _exact_sum(p, float(scratch.max()), scratch)
+
+
+def _assert_fsum_bits(terms):
+    terms = np.asarray(terms, dtype=float)
+    try:
+        want = math.fsum(terms.tolist())
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=str(exc)):
+            _exact_sum_of(terms)
+        return
+    # float.hex tells -0.0 from 0.0
+    assert _exact_sum_of(terms).hex() == want.hex()
+
+
+def _cancelling(rng, n, lo, hi):
+    """n terms spread over 10^lo..10^hi, then the negatives of half and near-negatives of a quarter."""
+    p = rng.standard_normal(n) * 10.0 ** rng.uniform(lo, hi, n)
+    p = np.concatenate([p, -p[: n // 2], -p[: n // 4] * (1.0 + 2.0**-52)])
+    rng.shuffle(p)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_sum_matches_fsum_on_cancelling_spread_terms(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4000))
+    _assert_fsum_bits(_cancelling(rng, n, -300.0, 300.0))
+    _assert_fsum_bits(_cancelling(rng, n, -20.0, 20.0))
+    # binary magnitudes produce exact half-way cases for the final rounding
+    _assert_fsum_bits(rng.integers(-3, 4, n) * 2.0 ** rng.integers(-80, 80, n).astype(float))
+    # large terms that cancel exactly leave the sum to what the passes leave over
+    big = rng.standard_normal(n) * 10.0 ** rng.uniform(100.0, 300.0, n)
+    _assert_fsum_bits(rng.permutation(np.concatenate([big, -big, _cancelling(rng, n, -300.0, -100.0)])))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [1.0, 2.0**-53],
+        [1.0, 2.0**-53, 2.0**-106],
+        [1.0, -(2.0**-54), 2.0**-160],
+        [1e16, 1.0, 1e-16],
+        [1e100, 1.0, -1e100, 1e-100],
+        [0.1] * 10,
+    ],
+    ids=["tie_even", "tie_up", "tie_down", "fsum_doc", "cancel_1e100", "tenths"],
+)
+def test_exact_sum_rounds_ties_like_fsum(terms):
+    _assert_fsum_bits(terms)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [1e308, 1e308, -1e308],
+        [-1e308, -1e308, 1e308],
+        [1.5e308, 1.5e308],
+        [1e308, -1e308] * 3,
+        [1e308, 1e308, -1e308, -1e308, 1.0],
+        [2.0**1020, 2.0**1020, 2.0**1020, -(2.0**1020)],
+        [1.5 * 2.0**1019, 1.75 * 2.0**1019, 2.0**-1000, -1.0],
+    ],
+    ids=[
+        "overflow",
+        "negative_overflow",
+        "pair_overflow",
+        "cancelled",
+        "cancelled_plus_one",
+        "sigma_past_2_1023",
+        "sigma_at_2_1023",
+    ],
+)
+def test_exact_sum_near_overflow_matches_fsum_or_its_error(terms):
+    _assert_fsum_bits(terms)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_sum_matches_fsum_on_subnormal_terms(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n = int(rng.integers(1, 500))
+    tiny = 5e-324
+    _assert_fsum_bits(rng.integers(-(2**40), 2**40, n) * tiny)  # subnormal only
+    _assert_fsum_bits(_cancelling(rng, n, -323.0, -300.0))  # subnormal mixed with near-subnormal
+    # a normal top with subnormal tails below it, and a top just above the floor
+    mixed = np.concatenate([_cancelling(rng, n, -320.0, -200.0), [1e-292, -1e-292 * (1 + 2**-52)]])
+    _assert_fsum_bits(mixed)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[0.0], [-0.0], [-0.0] * 7, [0.0, -0.0, 0.0], [-0.0] * 4 + [0.0], [1.0, -1.0], [-0.0, 5e-324, -5e-324]],
+    ids=[
+        "zero",
+        "negative_zero",
+        "negative_zeros",
+        "mixed_zeros",
+        "mostly_negative_zeros",
+        "cancelled",
+        "cancelled_subnormal",
+    ],
+)
+def test_exact_sum_signed_zeros_match_fsum(terms):
+    _assert_fsum_bits(terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 31, 1001, 16385])
+def test_exact_sum_matches_fsum_at_short_and_odd_lengths(n):
+    rng = np.random.default_rng(n)
+    _assert_fsum_bits(rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n))
+    _assert_fsum_bits(np.full(n, 0.1))
+
+
+def _weighted_pairs(vals):
+    """The end-corrected pair terms, weighted by a full array as the rule reads."""
+    half = vals.shape[-1] // 2
+    w = np.ones(half)
+    w[-4:] += (-23.0 / 576.0, 93.0 / 576.0, -141.0 / 576.0, 71.0 / 576.0)
+    return w * (vals[half:] + vals[:half][::-1])
+
+
+def test_reduce_complex_rows_match_fsum_of_weighted_pairs():
+    rng = np.random.default_rng(5)
+    for n in (16, 62, 2048):
+        g = FrequencyGrid(10.0, n)
+        vals = _cancelling(rng, n, -12.0, 12.0)[:n] + 1j * _cancelling(rng, n, -300.0, 300.0)[:n]
+        terms = _weighted_pairs(vals)
+        want = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * g.spacing / TWO_PI
+        value, _ = _reduce(vals, g)
+        assert type(value) is complex
+        assert value.real.hex() == want.real.hex() and value.imag.hex() == want.imag.hex()
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
+def test_budget_rows_reduce_to_fsum_bits(gamma, beta, monkeypatch):
+    # every row power_budget reduces, on the full and the half grid, gets the
+    # bits of math.fsum over the same weighted pairs; the reference is computed
+    # in this process, so the build's SIMD kernels cannot move the comparison
+    from atomflux import flux
+
+    integrands = []
+
+    def capture(f, grid):
+        integrands.append(f)
+        return integrate_spectrum(f, grid)
+
+    monkeypatch.setattr(flux, "integrate_spectrum", capture)
+    p = AtomParams.from_damping(gamma, 1.0, 1.0)
+    for lam in (10.0, 100.0, 1000.0):
+        grid = FrequencyGrid(lam, 2**15)
+        flux.power_budget(p, BathSpec(beta), grid)
+        f = integrands.pop()
+        for g in (grid, grid.halved()):
+            for row in f(g.values):
+                terms = _weighted_pairs(row)
+                value, abs_scale = _reduce(row, g)
+                assert value.hex() == (math.fsum(terms.tolist()) * g.spacing / TWO_PI).hex()
+                assert abs_scale == float(np.sum(np.abs(terms))) * g.spacing / TWO_PI
 
 
 # ---------------------------------------------------------------------------
