@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fdr, flux
-from .greens import AtomParams, BathSpec, FrequencyGrid
+from .greens import AtomParams, BathSpec, FrequencyGrid, NyquistError
 
 EXIT_PASS = 0
 EXIT_PHYSICS_FAIL = 1
@@ -54,7 +54,6 @@ class _Rule(NamedTuple):
 _POSITIVE = _Rule(lambda v: 0 < v < math.inf, "positive and finite")
 _NON_NEGATIVE = _Rule(lambda v: 0 <= v < math.inf, ">= 0 and finite")
 _AT_LEAST_ONE = _Rule(lambda v: v >= 1, ">= 1")
-_EVEN = _Rule(lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
 _FINITE = _Rule(math.isfinite, "finite")
 _FORMATS = _Rule(("json", "csv").__contains__, "json or csv", ("json", "csv"))
 
@@ -104,7 +103,6 @@ _SCHEMA = (
     _Key("oracle", "dt_obs", "0.0", float, _FINITE, "oracle_dt_obs", "--dt-obs", ("oracle",)),
     _Key("oracle", "time_step", "0.02", float, _POSITIVE, "oracle_time_step", "--time-step",
          ("oracle",)),
-    _Key("oracle", "n_kappa", "8192", int, _EVEN, "oracle_n_kappa"),
     _Key("tolerances", "fdr_rtol", "1e-12", float, _NON_NEGATIVE, "fdr_rtol", "--fdr-rtol",
          ("fdr-check",)),
     _Key("tolerances", "fdr_atol", "1e-15", float, _NON_NEGATIVE, "fdr_atol"),
@@ -135,7 +133,6 @@ class RunConfig:
     oracle_t: float
     oracle_dt_obs: float
     oracle_time_step: float
-    oracle_n_kappa: int
     fdr_rtol: float
     fdr_atol: float
     budget_rtol: float
@@ -258,7 +255,7 @@ def _length_key(duration_key: str, duration: float, step_key: str, step: float) 
 
 
 def _check_length(key: str, n_samples: float):
-    """Reject a record, history or node array too long to index, naming ``key``.
+    """Reject a record or history too long to index, naming ``key``.
 
     Checked by the command that builds it, not in load_config: the ``auto``
     lengths scale as 1/gamma, and fdr-check and budget, which build neither,
@@ -352,7 +349,7 @@ def cmd_relax(cfg: RunConfig) -> int:
             t_burn=cfg.t_burn,
             workers=cfg.workers,
         )
-    except langevin.NyquistError as exc:
+    except NyquistError as exc:
         raise ConfigError("langevin.dt", str(exc)) from None
     except langevin.BurnInError as exc:
         raise ConfigError("langevin.t_burn", str(exc)) from None
@@ -406,10 +403,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     history = max(frame.t, frame.t_prime)
     duration_key = "oracle.dt_obs" if cfg.oracle_dt_obs < 0 else "oracle.t"
     length_key = _length_key(duration_key, history, "oracle.time_step", cfg.oracle_time_step)
-    n_samples = history / cfg.oracle_time_step
-    _check_length(length_key, n_samples)
-    n_nodes = cfg.oracle_n_kappa + 1  # Filon nodes of each lag kernel
-    _check_length("oracle.n_kappa", n_nodes)
+    _check_length(length_key, history / cfg.oracle_time_step)
     margin_ok = frame.late_time_ok(cfg.atom.gamma)
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
     late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid)
@@ -420,12 +414,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
             cfg.bath,
             time_step=cfg.oracle_time_step,
             cutoff=cfg.cutoff,
-            n_kappa=cfg.oracle_n_kappa,
         )
+    except NyquistError as exc:
+        raise ConfigError("oracle.time_step", str(exc)) from None
     except MemoryError as exc:
-        if n_nodes > n_samples:  # the lag kernels' nodes, not the history, asked for the memory
-            message = f"{n_nodes} Filon nodes are too many to hold: {exc}"
-            raise ConfigError("oracle.n_kappa", message) from None
         raise ConfigError(length_key, f"the emission history is too long to hold: {exc}") from None
     rel_dev = abs(late - direct.total) / max(abs(direct.total), 1e-300)
     passed = (rel_dev <= cfg.oracle_rtol) if margin_ok else True

@@ -3,8 +3,8 @@
 Three identity suites, each reducing a residual over a frequency grid to a
 compact report:
 
-* field FDR: Hadamard kernel == thermal_factor * Im(retarded kernel), at any
-  separation r;
+* field FDR: Hadamard kernel == its mode sum (1 + 2 n_B) sin(|kappa| r)/(4 pi r),
+  at any separation r;
 * the algebraic reduction that collapses the radiation term of the interacting
   Hadamard function, ``G0H(0;kappa) |GR(kappa)|^2 == (m/e^2) coth(beta kappa/2)
   Im GR(kappa)`` (it holds because Im GR = (e^2/m) Im G0R(0) |GR|^2);
@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .greens import (
+    FOUR_PI,
     AtomParams,
     BathSpec,
     FrequencyGrid,
@@ -104,10 +105,21 @@ def check_field_fdr(
     rtol: float,
     atol: float,
 ) -> IdentityReport:
-    """Field FDR residual G0H(r;kappa) - thermal_factor(kappa) * Im G0R(r;kappa)."""
-    kap = grid.values
-    lhs = field_hadamard_ft(r, kap, bath)
-    rhs = thermal_factor(kap, bath) * field_retarded_im(r, kap)
+    """Field FDR residual of G0H(r;kappa) against the thermal mode sum.
+
+    Each mode |kappa| contributes (1 + 2 n_B(|kappa|)) sin(|kappa| r)/(4 pi r),
+    and |kappa|/(4 pi) at r = 0, with the Bose occupation n_B = 1/(e^{beta
+    |kappa|} - 1).  ``field_hadamard_ft`` computes the FDR product
+    coth(beta kappa/2) Im G0R(r;kappa) instead, so the two routes share no
+    thermal arithmetic.  n_B is written through e^{-beta |kappa|}, which
+    underflows to the vacuum's 0 where e^{beta |kappa|} would overflow.
+    """
+    k = np.abs(grid.values)
+    x = bath.beta * k
+    n_bose = np.exp(-x) / -np.expm1(-x)
+    mode = k / FOUR_PI if r == 0 else np.sin(k * r) / (FOUR_PI * r)
+    lhs = field_hadamard_ft(r, grid.values, bath)
+    rhs = (1.0 + 2.0 * n_bose) * mode
     return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, *_compare(lhs, rhs), rtol, atol)
 
 

@@ -43,6 +43,7 @@ from .greens import (
     FrequencyGrid,
     atom_hadamard_ft,
     atom_retarded_ft,
+    check_nyquist,
     damped_cos,
     damped_sinc,
     field_hadamard_ft,
@@ -55,6 +56,10 @@ TWO_PI = 2.0 * math.pi
 
 _BUDGET_BLOCK = 1 << 14  # kappa points per power_budget evaluation block (no fewer: see there)
 _LATE_TIME_MARGIN = 20.0  # relaxation and light-crossing times before the late-time formulas hold
+# Filon panels of a lag kernel: each panel spans at most this much phase of
+# sin(kappa r), and there are never fewer than the floor
+_FILON_PANEL_PHASE = 0.075
+_FILON_MIN_PANELS = 8192
 
 
 @dataclass(frozen=True)
@@ -455,13 +460,24 @@ def free_hadamard_kernel_lags(
 
     (1/pi) \\int_0^cutoff G0Hbar(r;kappa) cos(kappa tau) dkappa evaluated on the
     uniform lag grid tau0 + k dtau.  ``n_kappa`` is the (even) number of Filon
-    panels; the node spacing must resolve the sin(kappa r) oscillation.
+    panels; the node spacing must resolve the sin(kappa r) oscillation, which
+    ``_filon_panels(cutoff, r)`` panels do to within 1e-6 of max|K|.
     """
     if n_kappa % 2 != 0:
         raise ValueError("n_kappa must be even")
     nodes = np.linspace(0.0, cutoff, n_kappa + 1)
     svals = field_hadamard_ft(r, nodes, bath)
     return _filon_cos_uniform(svals, cutoff / n_kappa, tau0, dtau, m) / math.pi
+
+
+def _filon_panels(cutoff: float, r: float) -> int:
+    """The Filon panel count of a lag kernel at distance ``r`` regulated at ``cutoff``.
+
+    The smallest even count whose panel width times r is at most 0.075, and
+    never fewer than 8192: the panels then resolve sin(kappa r), and the
+    kernel is within 1e-6 of max|K| of its converged value.
+    """
+    return max(_FILON_MIN_PANELS, 2 * math.ceil(cutoff * r / (2.0 * _FILON_PANEL_PHASE)))
 
 
 def _simpson_weights(n_intervals: int, h: float) -> np.ndarray:
@@ -503,7 +519,6 @@ def interacting_hadamard_direct(
     bath: BathSpec,
     time_step: float,
     cutoff: float,
-    n_kappa: int,
 ) -> HadamardOracleResult:
     """Brute-force GH - G0H from the switch-on at time zero, by time quadrature.
 
@@ -513,15 +528,19 @@ def interacting_hadamard_direct(
     double history of the pure-radiation term is a Simpson x Simpson quadrature
     evaluated through an FFT convolution against the stationary kernel
     G0H(0; s - s').  The free-field Hadamard kernels are regulated at ``cutoff``
-    (match it with the grid cutoff of the late-time evaluation).
+    (match it with the grid cutoff of the late-time evaluation); each is a
+    Filon integral over ``_filon_panels(cutoff, r)`` panels, at its own r.
 
     Both emission times are snapped onto a common step no larger than
     ``time_step`` (reported in the result); outside the light cone (t < r) every
-    term vanishes identically.  Cost is O((t/dt) log(t/dt)) kernel operations
-    plus the Filon evaluation of the lag kernels.
+    term vanishes identically.  ``time_step`` above pi/cutoff raises
+    ``NyquistError``: the history could not resolve the kernels' band.  Cost is
+    O((t/dt) log(t/dt)) kernel operations plus the Filon evaluation of the lag
+    kernels, O(cutoff r) nodes each.
     """
     if time_step <= 0:
         raise ValueError("time_step must be positive")
+    check_nyquist("time_step", time_step, cutoff)
     r = frame.r
     pref_single = (p.e**2 / p.m) / (FOUR_PI * r)
     pref_double = (p.e**2 / p.m) ** 2 / (FOUR_PI * r) ** 2
@@ -533,7 +552,7 @@ def interacting_hadamard_direct(
     if longest <= 0.0:
         return HadamardOracleResult(0.0, 0.0, 0.0, 0.0, frame.t, frame.t_prime, time_step)
 
-    m_long = 2 * max(1, round(longest / (2.0 * time_step)))
+    m_long = 2 * max(1, math.ceil(longest / (2.0 * time_step)))
     step = longest / m_long
 
     def _snap(u):
@@ -562,7 +581,9 @@ def interacting_hadamard_direct(
             return 0.0
         w, grg = hist
         tau0 = other_obs_time - history_end
-        kern = free_hadamard_kernel_lags(r, bath, cutoff, tau0, step, grg.size, n_kappa)
+        kern = free_hadamard_kernel_lags(
+            r, bath, cutoff, tau0, step, grg.size, _filon_panels(cutoff, r)
+        )
         return float(np.dot(w, grg * kern))
 
     term_a = pref_single * _history_integral(hist_up, up_eff, t_eff)
@@ -576,7 +597,7 @@ def interacting_hadamard_direct(
         ell0 = m_u - m_up  # (u_eff - up_eff)/step, exact integer
         n_lags = m_u + m_up + 1
         kvec = free_hadamard_kernel_lags(
-            0.0, bath, cutoff, (ell0 - m_u) * step, step, n_lags, n_kappa
+            0.0, bath, cutoff, (ell0 - m_u) * step, step, n_lags, _filon_panels(cutoff, 0.0)
         )
         conv = _fft_convolve(w_up * grg_up, kvec[::-1])
         inner = conv[m_up : m_up + m_u + 1]

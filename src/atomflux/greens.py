@@ -35,6 +35,22 @@ class OriginRealPartError(ValueError):
     """
 
 
+class NyquistError(ValueError):
+    """Raised when a time step cannot represent the frequency cutoff."""
+
+
+def check_nyquist(name: str, step: float, cutoff: float):
+    """Raise ``NyquistError`` unless the time step ``name`` = ``step`` is at most pi/cutoff.
+
+    A signal sampled at that step cannot carry frequencies above pi/step, so
+    a time-domain oracle at a coarser step would not see the whole band.
+    """
+    if step > math.pi / cutoff * (1.0 + 1e-12):
+        raise NyquistError(
+            f"{name}={step:g} violates the Nyquist bound pi/cutoff={math.pi / cutoff:g}"
+        )
+
+
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0

@@ -42,7 +42,9 @@ from .greens import (
     AtomParams,
     BathSpec,
     FrequencyGrid,
+    NyquistError,  # re-exported: run_ensemble raises it
     atom_hadamard_ft,
+    check_nyquist,
     damped_cos,
     damped_sinc,
     field_hadamard_ft,
@@ -52,10 +54,6 @@ from .spectral import integrate_spectrum
 _CHUNK_SIZE = 32  # trajectories per worker chunk; fixed so reductions never move
 _BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(r * block)
 _ROW_SAMPLES = 1 << 21  # record samples per synthesis batch: r ~ _ROW_SAMPLES // n rows
-
-
-class NyquistError(ValueError):
-    """Raised when the time step cannot represent the synthesis cutoff."""
 
 
 class BurnInError(ValueError):
@@ -340,8 +338,7 @@ def run_ensemble(
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    if dt > math.pi / cutoff * (1.0 + 1e-12):
-        raise NyquistError(f"dt={dt:g} violates the Nyquist bound pi/cutoff={math.pi / cutoff:g}")
+    check_nyquist("dt", dt, cutoff)
     n_steps = int(round(t_total / dt))
     burn_index = int(math.ceil(t_burn / dt))
     if n_steps + 1 - burn_index < 16:

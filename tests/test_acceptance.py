@@ -207,7 +207,7 @@ def test_criterion_8_oracle_equivalence(beta):
         frame = ObservationFrame(r=30.0, t=t, t_prime=t)  # r <= t/20
         cutoff = 20.0
         late = interacting_hadamard_late(frame, p, bath, FrequencyGrid(cutoff, 2**14))
-        direct = interacting_hadamard_direct(frame, p, bath, time_step=0.02, cutoff=cutoff, n_kappa=8192)
+        direct = interacting_hadamard_direct(frame, p, bath, time_step=0.02, cutoff=cutoff)
         rel = abs(late - direct.total) / abs(direct.total)
         assert rel <= 0.01, (late, direct.total)
         info["rel_dev"] = f"{rel:.2e} "

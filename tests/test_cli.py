@@ -32,7 +32,7 @@ def test_load_config_defaults():
     assert cfg.t_burn == pytest.approx(20.0 / cfg.atom.gamma, rel=1e-12)
     assert cfg.t_total == pytest.approx(200.0 / cfg.atom.gamma, rel=1e-12)
     # pinned: every output file carries this hash, so a moved default shows here
-    assert cfg.config_hash() == "6293fbaf7f1287c686208ff35261dfc53c1ad97e028d701b517e9c5c5d71d87d"
+    assert cfg.config_hash() == "c7da00e39895859d8a36d9d73209f41baa62df849b27964c55a4d06dfe0c4231"
 
 
 def test_readme_config_example_is_the_default_config(tmp_path):
@@ -87,13 +87,14 @@ def test_load_config_rejects_unknown_atom_key(tmp_path):
     ("[grid]\ncutof = 50\n", "grid.cutof"),
     ("[output]\nfromat = csv\n", "output.fromat"),
     ("[run]\nworkers = 2\n", "run"),
+    ("[oracle]\nn_kappa = 8192\n", "oracle.n_kappa"),  # the oracle derives its panel count
 ])
 def test_unknown_key_in_a_config_file_exits_2(tmp_path, capsys, text, field):
     path = tmp_path / "run.ini"
     path.write_text(text)
     code = main(["fdr-check", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG_ERROR
-    assert f"config error: {field}:" in capsys.readouterr().err
+    assert f"config error: {field}: unknown config" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -248,7 +249,7 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
          "langevin.seed"),
         (["budget", "--grid-points", "15"], "grid.n_points"),
         (["budget", "--sweep", ","], "budget.sweep"),
-        (["oracle", "--config", "[oracle]\nn_kappa = 100000000000000000000\n"], "oracle.n_kappa"),
+        (["oracle", "--cutoff", "1000"], "oracle.time_step"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -256,7 +257,7 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
         "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
-        "empty_sweep", "n_kappa_past_intp",
+        "empty_sweep", "time_step_past_nyquist",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):
@@ -309,18 +310,14 @@ def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, mon
         (["--dt-obs=-1e9"], "oracle.dt_obs"),
         (["--t", "1e9"], "oracle.t"),
         (["--time-step", "1e-12"], "oracle.time_step"),
-        (["--config", "[oracle]\nn_kappa = 1000000000000\n"], "oracle.n_kappa"),
     ],
-    ids=[
-        "dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length",
-        "n_kappa_sets_the_size",
-    ],
+    ids=["dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length"],
 )
 def test_cmd_oracle_history_too_long_to_hold_is_config_error(
     tmp_path, tmp_path_factory, capsys, monkeypatch, argv, field
 ):
     # as for relax, the engine's MemoryError is simulated: at dt_obs = -1e9 the
-    # history would need 373 GiB, at n_kappa = 1e12 the Filon nodes 7.3 TiB
+    # history would need 373 GiB
     from atomflux import flux
 
     def no_memory(*args, **kwargs):
@@ -378,7 +375,14 @@ def test_cmd_oracle_late_time(tmp_path, capsys):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["late_time_margin_ok"] is True
     assert payload["rel_deviation"] <= 0.01
-    assert payload["config_sha256"] == "8abedca6069eba9ee2e2d0dd2c7bb9b759c1ee0874789ec8928987de7bf8fd94"
+    assert payload["config_sha256"] == "98c787cae1f011d8b8fde207dcfd8052372f2e461f6d92d2b2bed443f7baf927"
+
+
+def test_readme_oracle_line_passes(tmp_path, capsys):
+    line = next(ln for ln in README.read_text().splitlines() if ln.startswith("atomflux oracle"))
+    argv = line.split("#", 1)[0].split()[1:]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_PASS
+    assert capsys.readouterr().out.startswith("PASS oracle:")
 
 
 def test_cmd_oracle_transient_regime_not_fatal(tmp_path, capsys):

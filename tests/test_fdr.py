@@ -32,6 +32,21 @@ def test_field_fdr_origin_vacuum_exact_zero():
     assert rep.passed
 
 
+def test_field_fdr_catches_a_wrong_thermal_factor(monkeypatch):
+    # coth(beta kappa) in place of coth(beta kappa / 2), wherever it is read:
+    # the mode sum shares no thermal arithmetic with the kernel, so it disagrees
+    from atomflux import fdr, greens
+
+    def wrong(kappa, bath):
+        return 1.0 / np.tanh(bath.beta * np.asarray(kappa, dtype=float))
+
+    monkeypatch.setattr(greens, "thermal_factor", wrong)
+    monkeypatch.setattr(fdr, "thermal_factor", wrong)
+    rep = check_field_fdr(FrequencyGrid(40.0, 4096), 1.0, BathSpec(3.0), **TOL)
+    assert not rep.passed
+    assert rep.format_line().startswith("FAIL field_fdr")
+
+
 def test_field_fdr_mollified_kernel_cross_check():
     # rebuild Im G0R(r; kappa) by quadrature of the mollified time-domain
     # retarded kernel and compare the Hadamard kernel against it

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from atomflux.greens import AtomParams, BathSpec, FrequencyGrid
+from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, NyquistError, field_hadamard_ft
 from atomflux.flux import (
     HadamardOracleResult,
     ObservationFrame,
     _filon_cos_uniform,
+    _filon_panels,
     atom_response_kernel,
     free_hadamard_kernel_lags,
     interacting_hadamard_direct,
@@ -18,7 +19,6 @@ from atomflux.flux import (
 )
 
 VACUUM = BathSpec.vacuum()
-N_KAPPA = 8192  # the oracle.n_kappa default
 
 
 def test_filon_transform_against_direct_sum():
@@ -79,6 +79,44 @@ def test_free_hadamard_kernel_vacuum_closed_form():
         assert got_r[i] == pytest.approx(ref, rel=1e-7, abs=1e-12)
 
 
+@pytest.mark.parametrize("cutoff, r", [(20.0, 30.0), (100.0, 30.0), (20.0, 0.0), (1e3, 7.5), (0.5, 1.0)])
+def test_filon_panel_rule(cutoff, r):
+    # the smallest even count with panel width times r <= 0.075, never below 8192
+    n = _filon_panels(cutoff, r)
+    assert n % 2 == 0 and n >= 8192
+    assert cutoff / n * r <= 0.075
+    if n > 8192:
+        assert cutoff / (n - 2) * r > 0.075
+    if (cutoff, r) == (20.0, 30.0):
+        assert n == 8192  # acceptance criterion C8 keeps its panels
+
+
+def _gauss_legendre_kernel(r, bath, cutoff, taus, panels, order=20):
+    """(1/pi) int_0^cutoff G0H(r; kappa) cos(kappa tau) dkappa by composite Gauss-Legendre.
+
+    At panels = cutoff (r + max|tau|) / 2, each spans at most 2 rad of the
+    integrand's phase; twice as many panels change the result by <= 1.1e-13 of
+    its largest magnitude in every case below.
+    """
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(0.0, cutoff, panels + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    kap = (mid[:, None] + half[:, None] * x).ravel()
+    weighted = field_hadamard_ft(r, kap, bath) * (half[:, None] * w).ravel()
+    return np.array([np.dot(weighted, np.cos(kap * tau)) for tau in taus]) / math.pi
+
+
+@pytest.mark.parametrize("bath", [VACUUM, BathSpec(1.0), BathSpec(0.1)], ids=["vacuum", "beta1", "beta0.1"])
+@pytest.mark.parametrize("cutoff, r", [(100.0, 30.0), (20.0, 30.0), (20.0, 0.0)])
+def test_free_hadamard_kernel_at_the_derived_panels(cutoff, r, bath):
+    # at 8192 panels the (100, 30) kernels are off by about 3e-4 of max|K|
+    tau0, dtau, m = -45.0, 0.9, 101
+    taus = tau0 + dtau * np.arange(m)
+    ref = _gauss_legendre_kernel(r, bath, cutoff, taus, int(cutoff * (r + 45.0) / 2.0) + 16)
+    got = free_hadamard_kernel_lags(r, bath, cutoff, tau0, dtau, m, _filon_panels(cutoff, r))
+    assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
 def test_free_hadamard_kernel_even_in_lag():
     lam = 10.0
     pos = free_hadamard_kernel_lags(1.5, BathSpec(2.0), lam, 0.8, 0.3, 3, n_kappa=2048)
@@ -114,7 +152,7 @@ def test_transient_correlator_custom_moments():
 def test_direct_oracle_outside_light_cone_vanishes():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=30.0, t=20.0, t_prime=25.0)  # both t < r
-    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.05, cutoff=10.0, n_kappa=N_KAPPA)
+    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.05, cutoff=10.0)
     assert res.total == 0.0
     assert (res.interference_a, res.interference_b, res.radiation, res.transient) == (0, 0, 0, 0)
 
@@ -122,9 +160,8 @@ def test_direct_oracle_outside_light_cone_vanishes():
 def test_direct_oracle_step_halving_converges():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=15.0, t=400.0, t_prime=400.0)
-    kw = dict(cutoff=20.0, n_kappa=N_KAPPA)
-    coarse = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.04, **kw)
-    fine = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, **kw)
+    coarse = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.04, cutoff=20.0)
+    fine = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, cutoff=20.0)
     assert abs(coarse.total - fine.total) <= 1e-3 * abs(fine.total)
 
 
@@ -135,7 +172,7 @@ def test_direct_vs_late_time(bath):
     frame = ObservationFrame(r=15.0, t=400.0, t_prime=400.0)
     grid = FrequencyGrid(20.0, 2**14)
     late = interacting_hadamard_late(frame, p, bath, grid)
-    direct = interacting_hadamard_direct(frame, p, bath, time_step=0.02, cutoff=20.0, n_kappa=N_KAPPA)
+    direct = interacting_hadamard_direct(frame, p, bath, time_step=0.02, cutoff=20.0)
     assert late == pytest.approx(direct.total, rel=0.01)
 
 
@@ -143,7 +180,7 @@ def test_direct_oracle_transient_regime_reported():
     # early frame: the transient term is a visible fraction of the total
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=2.0, t=8.0, t_prime=8.0)
-    res = interacting_hadamard_direct(frame, p, BathSpec(1.0), time_step=0.01, cutoff=20.0, n_kappa=N_KAPPA)
+    res = interacting_hadamard_direct(frame, p, BathSpec(1.0), time_step=0.01, cutoff=20.0)
     assert res.transient != 0.0
     assert math.isfinite(res.total)
 
@@ -151,7 +188,7 @@ def test_direct_oracle_transient_regime_reported():
 def test_direct_oracle_result_breakdown():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=10.0, t=300.0, t_prime=299.5)
-    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.025, cutoff=10.0, n_kappa=N_KAPPA)
+    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.025, cutoff=10.0)
     d = res.to_dict()
     assert d["total"] == pytest.approx(
         d["interference_a"] + d["interference_b"] + d["radiation"] + d["transient"], rel=1e-15
@@ -165,7 +202,20 @@ def test_direct_oracle_rejects_bad_step():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=10.0, t=300.0, t_prime=300.0)
     with pytest.raises(ValueError):
-        interacting_hadamard_direct(frame, p, VACUUM, time_step=0.0, cutoff=10.0, n_kappa=N_KAPPA)
+        interacting_hadamard_direct(frame, p, VACUUM, time_step=0.0, cutoff=10.0)
+    # above pi/cutoff = 0.314 the history cannot resolve the kernels' band
+    with pytest.raises(NyquistError, match="time_step=0.4"):
+        interacting_hadamard_direct(frame, p, VACUUM, time_step=0.4, cutoff=10.0)
+
+
+@pytest.mark.parametrize("steps", [2.8, 2.2, 6.9, 4.0, 1.01, 0.3])
+def test_direct_oracle_step_no_larger_than_requested(steps):
+    # the history t - r spans ``steps`` requested steps; rounding its even step
+    # count to the nearest made t - r = 2.8 steps run at 1.4 times the step
+    p = AtomParams.from_damping(0.1, 1.0, 1.0)
+    frame = ObservationFrame(r=10.0, t=10.0 + steps * 0.05, t_prime=10.0)
+    res = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.05, cutoff=10.0)
+    assert res.time_step <= 0.05
 
 
 def test_weak_coupling_correction_vanishes():
@@ -178,7 +228,7 @@ def test_weak_coupling_correction_vanishes():
         float(free_hadamard_kernel_lags(5.0, VACUUM, 10.0, 0.0, 1.0, 1, n_kappa=4096)[0])
     )
     late = interacting_hadamard_late(frame, p, VACUUM, grid)
-    direct = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, cutoff=10.0, n_kappa=N_KAPPA)
+    direct = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, cutoff=10.0)
     assert abs(late) <= 1e-4 * free_scale
     assert abs(direct.total) <= 1e-4 * free_scale
     assert abs(direct.transient) <= 1e-4 * free_scale
