@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fdr, flux
-from .greens import AtomParams, BathSpec, FrequencyGrid, NyquistError
+from .greens import AtomParams, BathSpec, FrequencyGrid, NyquistError, check_nyquist
 
 EXIT_PASS = 0
 EXIT_PHYSICS_FAIL = 1
@@ -403,7 +403,17 @@ def cmd_oracle(cfg: RunConfig) -> int:
     history = max(frame.t, frame.t_prime)
     duration_key = "oracle.dt_obs" if cfg.oracle_dt_obs < 0 else "oracle.t"
     length_key = _length_key(duration_key, history, "oracle.time_step", cfg.oracle_time_step)
-    _check_length(length_key, history / cfg.oracle_time_step)
+    history_samples = history / cfg.oracle_time_step
+    _check_length(length_key, history_samples)
+    try:
+        check_nyquist("time_step", cfg.oracle_time_step, cfg.cutoff)
+    except NyquistError as exc:
+        raise ConfigError("oracle.time_step", str(exc)) from None
+    # inside the light cone every lag kernel is a Filon sum over a node array
+    # that grows with cutoff * r, however short the history; with the Nyquist
+    # bound, cutoff * r stays below about pi * history_samples, so it is finite
+    kernel_nodes = flux._filon_panels(cfg.cutoff, frame.r) + 1 if history > frame.r else 0
+    _check_length("oracle.r", kernel_nodes)
     margin_ok = frame.late_time_ok(cfg.atom.gamma)
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
     late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid)
@@ -415,9 +425,10 @@ def cmd_oracle(cfg: RunConfig) -> int:
             time_step=cfg.oracle_time_step,
             cutoff=cfg.cutoff,
         )
-    except NyquistError as exc:
-        raise ConfigError("oracle.time_step", str(exc)) from None
     except MemoryError as exc:
+        if kernel_nodes > history_samples:
+            message = f"{kernel_nodes} lag-kernel nodes are too many to hold: {exc}"
+            raise ConfigError("oracle.r", message) from None
         raise ConfigError(length_key, f"the emission history is too long to hold: {exc}") from None
     rel_dev = abs(late - direct.total) / max(abs(direct.total), 1e-300)
     passed = (rel_dev <= cfg.oracle_rtol) if margin_ok else True

@@ -5,6 +5,10 @@ it is simulated as a classical stationary Gaussian process whose spectral
 density is the free-field Hadamard kernel at the atom, truncated at the same
 ultraviolet cutoff used by the frequency-domain predictions (cutoff
 consistency is mandatory: the velocity variance is log-divergent without it).
+Each record is synthesized in the frequency domain: the n_band rfft modes at
+or below the cutoff get Gaussian amplitudes from 2 n_band standard normals,
+and the modes above it are zero, so a trajectory draws normals for a
+cutoff*dt/pi share of the modes only.
 
 The equation of motion ``Qdd + 2 gamma Qd + omega^2 Q = xi(t)`` is advanced
 with the exact homogeneous propagator over each step and piecewise-linear
@@ -88,17 +92,19 @@ def _noise_generator(seed, spawn_key):
 
 
 def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
-    """Per-mode Gaussian amplitudes for the shaped spectrum, on a fast FFT length.
+    """Per-mode Gaussian amplitudes of the band kappa <= cutoff, on a fast FFT length.
 
     The record is synthesized on n_fft >= n_samples points (n_fft chosen
     FFT-friendly) and truncated, which only refines the discrete frequency
-    spacing 2 pi/(n_fft dt).
+    spacing 2 pi/(n_fft dt).  The spectrum vanishes above the cutoff, so only
+    the n_band rfft modes at or below it get an amplitude (a cutoff*dt/pi
+    share of the n_fft // 2 + 1 modes); ``amp`` and ``amp_real`` have n_band
+    entries.
     """
     n_fft = _next_fast_len(n_samples, real=True)
     dk = 2.0 * math.pi / (n_fft * dt)
     kap = dk * np.arange(n_fft // 2 + 1)
-    spec = noise_spectrum(kap, p, bath)
-    spec[kap > cutoff] = 0.0
+    spec = noise_spectrum(kap[kap <= cutoff], p, bath)
     amp = np.sqrt(n_fft * spec / (2.0 * dt))
     amp_real = np.sqrt(n_fft * spec / dt)  # for the self-conjugate modes
     return n_fft, amp, amp_real
@@ -108,25 +114,26 @@ def _synthesize_rows(amplitudes, n_samples, seed, spawn_keys) -> np.ndarray:
     """Forcing records of shape (len(spawn_keys), n_samples); row j is seeded by (seed, spawn_keys[j]).
 
     ``amplitudes`` is the ``_synthesis_amplitudes`` triple for ``n_samples``.
-    Each row draws all its ``a`` normals, then all its ``b`` normals, so a row
-    does not depend on which other rows share the batch; one batched inverse
-    FFT then shapes every row.
+    Each row draws 2 n_band normals, its n_band ``a`` normals and then its
+    n_band ``b`` normals, so a row does not depend on which other rows share
+    the batch.  Mode k gets amp_k (a_k + i b_k); the modes above the band are
+    zero, the zero mode is real, and so is the Nyquist mode, set only when it
+    lies in the band.  One batched inverse FFT then shapes every row.
     """
     n_fft, amp, amp_real = amplitudes
-    a = np.empty((len(spawn_keys), n_fft // 2 + 1))
-    b = np.empty_like(a)
+    n_band = amp.size
+    ab = np.empty((2, n_band))
+    y = np.empty((len(spawn_keys), n_fft // 2 + 1), dtype=complex)
     for j, key in enumerate(spawn_keys):
-        rng = _noise_generator(seed, key)
-        rng.standard_normal(out=a[j])
-        rng.standard_normal(out=b[j])
-    # amp * (a + 1j * b), written one real part at a time
-    y = np.empty(a.shape, dtype=complex)
-    np.multiply(amp, a, out=y.real)
-    np.multiply(amp, b, out=y.imag)
-    y[:, 0] = amp_real[0] * a[:, 0]  # zero mode is real
-    if n_fft % 2 == 0:
-        y[:, -1] = amp_real[-1] * a[:, -1]  # Nyquist mode is real
-    del a, b
+        _noise_generator(seed, key).standard_normal(out=ab)
+        # amp * (a + 1j * b), written one real part at a time
+        np.multiply(amp, ab[0], out=y.real[j, :n_band])
+        np.multiply(amp, ab[1], out=y.imag[j, :n_band])
+        y[j, 0] = amp_real[0] * ab[0, 0]  # zero mode is real
+        if n_band == y.shape[1] and n_fft % 2 == 0:
+            y[j, -1] = amp_real[-1] * ab[0, -1]  # Nyquist mode is real
+    y[:, n_band:] = 0.0
+    del ab
     return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
 
 

@@ -250,6 +250,7 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         (["budget", "--grid-points", "15"], "grid.n_points"),
         (["budget", "--sweep", ","], "budget.sweep"),
         (["oracle", "--cutoff", "1000"], "oracle.time_step"),
+        (["oracle", "--r", "1e17", "--t", "1.0000000000000002e17", "--grid-points", "4096"], "oracle.r"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -257,7 +258,7 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         "nan_dt_obs", "negative_sweep_cutoff", "infinite_sweep_cutoff",
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
         "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
-        "empty_sweep", "time_step_past_nyquist",
+        "empty_sweep", "time_step_past_nyquist", "lag_kernel_nodes_past_intp",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):
@@ -310,14 +311,16 @@ def test_cmd_relax_record_too_long_to_hold_is_config_error(tmp_path, capsys, mon
         (["--dt-obs=-1e9"], "oracle.dt_obs"),
         (["--t", "1e9"], "oracle.t"),
         (["--time-step", "1e-12"], "oracle.time_step"),
+        (["--r", "1e5", "--t", "100010"], "oracle.r"),
     ],
-    ids=["dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length"],
+    ids=["dt_obs_sets_the_length", "t_sets_the_length", "time_step_sets_the_length", "r_sets_the_length"],
 )
 def test_cmd_oracle_history_too_long_to_hold_is_config_error(
     tmp_path, tmp_path_factory, capsys, monkeypatch, argv, field
 ):
     # as for relax, the engine's MemoryError is simulated: at dt_obs = -1e9 the
-    # history would need 373 GiB
+    # history would need 373 GiB.  At r = 1e5, just inside the light cone, the
+    # lag kernels' 2.7e7 Filon nodes outnumber the history's 5e6 samples
     from atomflux import flux
 
     def no_memory(*args, **kwargs):
@@ -329,6 +332,14 @@ def test_cmd_oracle_history_too_long_to_hold_is_config_error(
     assert code == EXIT_CONFIG_ERROR
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_oracle_outside_the_light_cone_is_not_bound_by_kernel_nodes(tmp_path, capsys):
+    # at t < r every term vanishes and no lag kernel is built, so a distance
+    # whose kernels could not be indexed is still a valid frame
+    code = main(["oracle", "--r", "1e17", "--cutoff", "20", "--grid-points", "4096", "--out", str(tmp_path)])
+    assert code == EXIT_PASS
+    assert "NOTE transient regime" in capsys.readouterr().out
 
 
 def test_load_config_rejects_non_finite_atom_values():

@@ -50,27 +50,130 @@ def test_noise_same_seed_bit_identical():
     assert not np.array_equal(a, c)
 
 
+def _band_limited_row(amplitudes, seed, key):
+    """One forcing record drawn in the band-limited layout, independently of _synthesize_rows.
+
+    The generator's first n_band normals are the a's, the next n_band the b's;
+    the modes above the band are zero and the zero mode (and a Nyquist mode in
+    the band) is real.
+    """
+    n_fft, amp, amp_real = amplitudes
+    n_band = amp.size
+    rng = langevin._noise_generator(seed, key)
+    a = rng.standard_normal(n_band)
+    b = rng.standard_normal(n_band)
+    y = np.zeros(n_fft // 2 + 1, dtype=complex)
+    y[:n_band] = amp * (a + 1j * b)
+    y[0] = amp_real[0] * a[0]
+    if n_fft % 2 == 0 and n_band == y.size:
+        y[-1] = amp_real[-1] * a[-1]
+    return np.fft.irfft(y, n=n_fft)
+
+
 @pytest.mark.parametrize("n_samples", [1000, 1125])  # even and odd FFT lengths
 def test_synthesized_rows_match_complex_spectrum_reference(n_samples):
     # the spectrum is written into y.real and y.imag; the rows must keep the
     # bits of amp * (a + 1j * b), the zero mode and (even lengths) the Nyquist
-    # mode included: a cutoff above pi/dt leaves the Nyquist amplitude nonzero
+    # mode included: a cutoff above pi/dt leaves the Nyquist amplitude nonzero,
+    # and a cutoff of 10 keeps a third of the modes
     dt = 0.1
-    n_fft, amp, amp_real = amplitudes = langevin._synthesis_amplitudes(
-        BathSpec(1.0), P_STD, 1.01 * math.pi / dt, dt, n_samples
-    )
-    assert n_fft == n_samples and amp_real[0] > 0 and amp_real[-1] > 0
-    for seed in (0, 7, 20240):
-        rows = langevin._synthesize_rows(amplitudes, n_samples, seed, [(i,) for i in range(3)])
-        for i, row in enumerate(rows):
-            rng = langevin._noise_generator(seed, (i,))
-            a = rng.standard_normal(n_fft // 2 + 1)
-            b = rng.standard_normal(n_fft // 2 + 1)
-            y = amp * (a + 1j * b)
-            y[0] = amp_real[0] * a[0]
-            if n_fft % 2 == 0:
-                y[-1] = amp_real[-1] * a[-1]
-            assert np.array_equal(row, np.fft.irfft(y, n=n_fft))
+    for cutoff in (10.0, 1.01 * math.pi / dt):
+        amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, cutoff, dt, n_samples)
+        n_fft, amp, amp_real = amplitudes
+        full = cutoff > math.pi / dt
+        assert n_fft == n_samples and amp_real[0] > 0 and (amp.size == n_fft // 2 + 1) == full
+        if full:
+            assert amp_real[-1] > 0
+        for seed in (0, 7, 20240):
+            rows = langevin._synthesize_rows(amplitudes, n_samples, seed, [(i,) for i in range(3)])
+            for i, row in enumerate(rows):
+                assert np.array_equal(row, _band_limited_row(amplitudes, seed, (i,)))
+
+
+def _full_length_rows(bath, p, cutoff, dt, n_samples, seed, spawn_keys):
+    """The synthesis that drew normals for every rfft mode, the band's and the rest."""
+    n_fft = langevin._next_fast_len(n_samples, real=True)
+    kap = 2.0 * math.pi / (n_fft * dt) * np.arange(n_fft // 2 + 1)
+    spec = noise_spectrum(kap, p, bath)
+    spec[kap > cutoff] = 0.0
+    amp, amp_real = np.sqrt(n_fft * spec / (2.0 * dt)), np.sqrt(n_fft * spec / dt)
+    a, b = np.empty((2, len(spawn_keys), n_fft // 2 + 1))
+    for j, key in enumerate(spawn_keys):
+        rng = langevin._noise_generator(seed, key)
+        rng.standard_normal(out=a[j])
+        rng.standard_normal(out=b[j])
+    y = np.empty(a.shape, dtype=complex)
+    np.multiply(amp, a, out=y.real)
+    np.multiply(amp, b, out=y.imag)
+    y[:, 0] = amp_real[0] * a[:, 0]
+    if n_fft % 2 == 0:
+        y[:, -1] = amp_real[-1] * a[:, -1]
+    return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
+
+
+@pytest.mark.parametrize("n_samples", [1024, 1125])  # even and odd FFT lengths
+def test_full_band_rows_equal_full_length_draws(n_samples):
+    # at dt * cutoff = pi every mode is in the band (the Nyquist mode too at
+    # these lengths), so band-limited draws are the full-length draws, bit for bit
+    dt = 0.1
+    cutoff = math.pi / dt
+    amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, cutoff, dt, n_samples)
+    n_fft, amp, _ = amplitudes
+    assert n_fft == n_samples and amp.size == n_fft // 2 + 1
+    keys = [(i,) for i in range(4)]
+    for seed in (0, 20240):
+        rows = langevin._synthesize_rows(amplitudes, n_samples, seed, keys)
+        want = _full_length_rows(BathSpec(1.0), P_STD, cutoff, dt, n_samples, seed, keys)
+        assert np.array_equal(rows, want)
+
+
+def test_band_keeps_the_mode_at_the_cutoff_and_drops_the_next():
+    dt, n_samples, m = 0.1, 1000, 37
+    kap = 2.0 * math.pi / (n_samples * dt) * np.arange(n_samples // 2 + 1)
+    # exactly at mode m keeps it; just below it or just below mode m + 1 drops the mode above
+    below = np.nextafter(kap, 0.0)
+    for cutoff, n_band in ((kap[m], m + 1), (below[m], m), (below[m + 1], m + 1)):
+        amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, float(cutoff), dt, n_samples)
+        assert amplitudes[0] == n_samples and amplitudes[1].size == n_band
+        row = langevin._synthesize_rows(amplitudes, n_samples, 3, [(0,)])[0]
+        spectrum = np.abs(np.fft.rfft(row))
+        assert spectrum[n_band - 1] > 1e-3 * spectrum.max()
+        assert np.all(spectrum[n_band:] <= 1e-14 * spectrum.max())
+
+
+def test_cutoff_below_one_mode_spacing_leaves_the_zero_mode():
+    dt, n_samples = 0.1, 1000
+    half_spacing = math.pi / (n_samples * dt)
+    amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, half_spacing, dt, n_samples)
+    n_fft, amp, amp_real = amplitudes
+    assert amp.size == 1 and amp_real[0] > 0
+    row = langevin._synthesize_rows(amplitudes, n_samples, 5, [(2,)])[0]
+    level = amp_real[0] * langevin._noise_generator(5, (2,)).standard_normal() / n_fft
+    assert np.max(np.abs(row - level)) <= 1e-14 * abs(level)
+
+
+def test_each_trajectory_draws_two_normals_per_band_mode(monkeypatch):
+    # every generator the engine seeds makes one draw of 2 n_band normals
+    draws = []
+    original = langevin._noise_generator
+
+    class Counting:
+        def __init__(self, rng):
+            self._rng = rng
+            draws.append([])
+
+        def standard_normal(self, *args, **kwargs):
+            out = self._rng.standard_normal(*args, **kwargs)
+            draws[-1].append(np.size(out))
+            return out
+
+    monkeypatch.setattr(langevin, "_noise_generator", lambda seed, key: Counting(original(seed, key)))
+    p, bath, cutoff, dt, n_steps = P_STD, BathSpec(1.0), 10.0, 0.2, 1237
+    n_fft, amp, _ = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    n_band = amp.size
+    assert abs(n_band / (n_fft // 2) - cutoff * dt / math.pi) < 1e-2  # a cutoff*dt/pi share of the modes
+    langevin._ensemble_chunk((p, bath, cutoff, dt, n_steps, 11, 3, 10, 437))
+    assert draws == [[2 * n_band]] * 7
 
 
 def test_noise_nyquist_guard():
@@ -325,17 +428,10 @@ def _reference_advance(p, dt, xi, q0, qdot0):
 def _reference_chunk(args):
     """The whole-record, time-major chunk the block engine replaced."""
     (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = args
-    n_fft, amp, amp_real = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    amplitudes = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
     xi = np.empty((n_steps + 1, stop - start))
     for j, idx in enumerate(range(start, stop)):
-        rng = langevin._noise_generator(master_seed, (idx,))
-        a = rng.standard_normal(n_fft // 2 + 1)
-        b = rng.standard_normal(n_fft // 2 + 1)
-        y = amp * (a + 1j * b)
-        y[0] = amp_real[0] * a[0]
-        if n_fft % 2 == 0:
-            y[-1] = amp_real[-1] * a[-1]
-        xi[:, j] = np.fft.irfft(y, n=n_fft)[: n_steps + 1]
+        xi[:, j] = _band_limited_row(amplitudes, master_seed, (idx,))[: n_steps + 1]
     q_mat, v_mat = _reference_advance(p, dt, xi, 0.0, 0.0)
     n_post = n_steps + 1 - burn_index
     return (
