@@ -34,7 +34,10 @@ EXIT_PHYSICS_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 
 _MIN_TRAJ_FOR_POWER = 50  # below this, relax reports WARN instead of judging
-_MAX_SAMPLES = np.iinfo(np.intp).max  # the longest record or history numpy can index
+# the longest record or history numpy will build: it refuses complex128 arrays
+# of more elements with a ValueError, and below this an oversized one raises
+# MemoryError, which the commands map to a config error
+_MAX_SAMPLES = np.iinfo(np.intp).max // 16
 
 
 class ConfigError(Exception):
@@ -255,14 +258,14 @@ def _length_key(duration_key: str, duration: float, step_key: str, step: float) 
 
 
 def _check_length(key: str, n_samples: float):
-    """Reject a record or history too long to index, naming ``key``.
+    """Reject a record or history too long for numpy to build, naming ``key``.
 
     Checked by the command that builds it, not in load_config: the ``auto``
     lengths scale as 1/gamma, and fdr-check and budget, which build neither,
     must keep working at a tiny gamma.
     """
     if not n_samples < _MAX_SAMPLES:
-        message = f"{n_samples:.3g} samples exceed the largest array index {_MAX_SAMPLES}"
+        message = f"{n_samples:.3g} samples exceed the largest complex128 array, {_MAX_SAMPLES} elements"
         raise ConfigError(key, message)
 
 

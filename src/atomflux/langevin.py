@@ -15,9 +15,13 @@ with the exact homogeneous propagator over each step and piecewise-linear
 forcing, which is unconditionally stable for any gamma, omega > 0.
 
 Determinism contract: every trajectory is a pure function of
-(master_seed, trajectory_index) through a splittable counter-based generator,
-and all reductions run in a fixed order, so ensembles are bit-identical for
-any worker count.
+(master_seed, trajectory_index) and all reductions run in a fixed order, so
+ensembles are bit-identical for any worker count.  Trajectory i draws from the
+counter-based Philox stream that ``SeedSequence(master_seed, spawn_key=(i,))``
+keys.  That 128-bit key is a fixed integer hash of the seed and the index, so
+``_spawn_keys`` computes it for a whole batch at once, and one generator per
+batch is re-keyed row by row to the exact state a freshly seeded Philox has:
+the streams are those of one generator built per trajectory.
 
 Engine layout: a chunk of k trajectories is split into row batches of about
 r = ``_ROW_SAMPLES`` // n trajectories (at least one, at most k).  Each batch is
@@ -35,6 +39,7 @@ in time order, the cross-trajectory series in trajectory order.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -87,8 +92,102 @@ def noise_spectrum(kappa, p: AtomParams, bath: BathSpec):
 
 
 def _noise_generator(seed, spawn_key):
+    """The generator of the stream (seed, spawn_key): Philox keyed by ``SeedSequence(seed, spawn_key)``.
+
+    Trajectory i's stream is ``_noise_generator(seed, (i,))``; the engine
+    builds one generator per batch here and re-keys it to each row's stream.
+    """
     seq = np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[int]:
+    """init, init * mult, ..., init * mult^n mod 2^32: a hash-constant sequence."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashmix(value, xor_const, mult_const):
+    """SeedSequence's hashmix of 32-bit words, given the hash constant before and after the step.
+
+    Python ints, or uint64 arrays holding 32-bit words: every product of two
+    such words stays below 2^64.
+    """
+    value = (value ^ xor_const) * mult_const & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (uint64 arrays wrap mod 2^64, then mask)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words of n >= 0; zero is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _spawn_keys(seed, indices) -> np.ndarray:
+    """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
+
+    Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
+    np.uint64)``, following SeedSequence's algorithm: the run entropy (the
+    seed's words, zero-padded to the pool size because a spawn key is present)
+    is hashed into the pool, mixed all-pairs, and any run words beyond the
+    pool are mixed in after; none of that depends on i, so it runs once, in
+    Python ints.  Only the spawn words of i (one below 2^32, two from there to
+    2^64) and the four output words run per row, on (k, 4) uint64 arrays: the
+    hash constants do not depend on the data, so the four pool words of one
+    step are hashed at once.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    run = _words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    # hashmix number m uses the constants m (xor) and m + 1 (multiply): 16 for
+    # the pool, then 4 per run word beyond it and 4 per spawn word (two at most)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(run) + 2))
+    steps = zip(consts, consts[1:])
+
+    pool = [_hashmix(word, *next(steps)) for word in run[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in run[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+
+    index = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+    high = index >> 32
+    pool = np.array(pool, dtype=np.uint64)
+    spawn_words = [index & _MASK32]
+    if high.any():  # indices from 2^32 on have a second word
+        spawn_words.append(high)
+    for n, word in enumerate(spawn_words):
+        xor_const, mult_const = np.array([next(steps) for _ in range(_POOL_SIZE)], dtype=np.uint64).T
+        mixed = _mix(pool, _hashmix(word, xor_const, mult_const))
+        pool = np.where(high > 0, mixed, pool) if n else mixed
+
+    # generate_state(2, np.uint64): four output words, then little-endian word pairs
+    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)
+    state = _hashmix(pool, out_consts[:-1], out_consts[1:])
+    return state[:, 0::2] | (state[:, 1::2] << 32)
 
 
 def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
@@ -98,34 +197,59 @@ def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
     FFT-friendly) and truncated, which only refines the discrete frequency
     spacing 2 pi/(n_fft dt).  The spectrum vanishes above the cutoff, so only
     the n_band rfft modes at or below it get an amplitude (a cutoff*dt/pi
-    share of the n_fft // 2 + 1 modes); ``amp`` and ``amp_real`` have n_band
-    entries.
+    share of the n_fft // 2 + 1 modes); ``amp`` has n_band entries.  The
+    self-conjugate modes are real: ``amp_real[0]`` is the zero mode's
+    amplitude and ``amp_real[-1]`` the last band mode's, which is used only
+    when that mode is the Nyquist mode.
     """
     n_fft = _next_fast_len(n_samples, real=True)
     dk = 2.0 * math.pi / (n_fft * dt)
     kap = dk * np.arange(n_fft // 2 + 1)
     spec = noise_spectrum(kap[kap <= cutoff], p, bath)
     amp = np.sqrt(n_fft * spec / (2.0 * dt))
-    amp_real = np.sqrt(n_fft * spec / dt)  # for the self-conjugate modes
+    amp_real = np.sqrt(n_fft * spec[[0, -1]] / dt)
     return n_fft, amp, amp_real
 
 
-def _synthesize_rows(amplitudes, n_samples, seed, spawn_keys) -> np.ndarray:
-    """Forcing records of shape (len(spawn_keys), n_samples); row j is seeded by (seed, spawn_keys[j]).
+def _fresh_philox_state(key) -> dict:
+    """The state of ``Philox(SeedSequence)`` right after seeding with the 128-bit ``key``.
+
+    Counter 0 and an empty buffer (``buffer_pos`` 4), no cached 32-bit half:
+    assigning it to ``bit_generator.state`` restarts that generator on the
+    stream a new Philox with this key would give.
+    """
+    return {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _synthesize_rows(amplitudes, n_samples, seed, indices) -> np.ndarray:
+    """Forcing records of shape (len(indices), n_samples); row j is trajectory indices[j]'s.
 
     ``amplitudes`` is the ``_synthesis_amplitudes`` triple for ``n_samples``.
-    Each row draws 2 n_band normals, its n_band ``a`` normals and then its
-    n_band ``b`` normals, so a row does not depend on which other rows share
-    the batch.  Mode k gets amp_k (a_k + i b_k); the modes above the band are
-    zero, the zero mode is real, and so is the Nyquist mode, set only when it
-    lies in the band.  One batched inverse FFT then shapes every row.
+    Row j draws from the stream of ``_noise_generator(seed, (indices[j],))``:
+    the batch builds one generator and, for each row, sets its state to that
+    of a fresh Philox with the row's ``_spawn_keys`` key.  Each row draws 2
+    n_band normals, its n_band ``a`` normals and then its n_band ``b``
+    normals, so a row does not depend on which other rows share the batch.
+    Mode k gets amp_k (a_k + i b_k); the modes above the band are zero, the
+    zero mode is real, and so is the Nyquist mode, set only when it lies in
+    the band.  One batched inverse FFT then shapes every row.
     """
     n_fft, amp, amp_real = amplitudes
     n_band = amp.size
     ab = np.empty((2, n_band))
-    y = np.empty((len(spawn_keys), n_fft // 2 + 1), dtype=complex)
-    for j, key in enumerate(spawn_keys):
-        _noise_generator(seed, key).standard_normal(out=ab)
+    y = np.empty((len(indices), n_fft // 2 + 1), dtype=complex)
+    rng = _noise_generator(seed, ())  # re-keyed below before every draw
+    bit_generator = rng.bit_generator
+    for j, key in enumerate(_spawn_keys(seed, indices).tolist()):
+        bit_generator.state = _fresh_philox_state(key)
+        rng.standard_normal(out=ab)
         # amp * (a + 1j * b), written one real part at a time
         np.multiply(amp, ab[0], out=y.real[j, :n_band])
         np.multiply(amp, ab[1], out=y.imag[j, :n_band])
@@ -319,7 +443,7 @@ def _ensemble_chunk(args):
     sum_q2_t = np.zeros(n_steps + 1)
     means = []
     for lo, hi in zip(edges, edges[1:]):
-        xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, [(idx,) for idx in range(lo, hi)])
+        xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, range(lo, hi))
         means.append(_reduce_batch(p, dt, xi, burn_index, sum_q2_t))
         del xi  # free this batch's record before the next one is synthesized
     return (sum_q2_t, *(np.concatenate(m) for m in zip(*means)))

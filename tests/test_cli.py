@@ -250,7 +250,11 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         (["budget", "--grid-points", "15"], "grid.n_points"),
         (["budget", "--sweep", ","], "budget.sweep"),
         (["oracle", "--cutoff", "1000"], "oracle.time_step"),
-        (["oracle", "--r", "1e17", "--t", "1.0000000000000002e17", "--grid-points", "4096"], "oracle.r"),
+        # a 4e17-sample history numpy can hold, but 1.07e19 lag-kernel nodes past the index range
+        (["oracle", "--r", "8e15", "--t", "8.000000000000001e15", "--grid-points", "4096"], "oracle.r"),
+        (["relax", "--t-total", "1e17", "--dt", "0.05", "--cutoff", "20", "--n-traj", "2", "--gamma", "0.5"],
+         "langevin.t_total"),
+        (["oracle", "--t", "4e16", "--cutoff", "20", "--grid-points", "4096"], "oracle.t"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -259,6 +263,7 @@ def test_cmd_relax_default_dt_above_nyquist_is_config_error(tmp_path, capsys):
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
         "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
         "empty_sweep", "time_step_past_nyquist", "lag_kernel_nodes_past_intp",
+        "record_past_complex128", "oracle_history_past_complex128",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):

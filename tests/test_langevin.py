@@ -21,11 +21,11 @@ VACUUM = BathSpec.vacuum()
 P_STD = AtomParams.from_damping(0.05, 1.0, 1.0)
 
 
-def _noise_rows(bath, p, cutoff, dt, t_total, seed, spawn_keys):
-    """Forcing records of n + 1 samples, n = t_total / dt, one per spawn key."""
+def _noise_rows(bath, p, cutoff, dt, t_total, seed, indices):
+    """Forcing records of n + 1 samples, n = t_total / dt, one per trajectory index."""
     n_samples = int(round(t_total / dt)) + 1
     amplitudes = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_samples)
-    return langevin._synthesize_rows(amplitudes, n_samples, seed, spawn_keys)
+    return langevin._synthesize_rows(amplitudes, n_samples, seed, indices)
 
 
 def _propagate_one(p, dt, xi, q0=0.0, qdot0=0.0):
@@ -43,23 +43,23 @@ def _propagate_one(p, dt, xi, q0=0.0, qdot0=0.0):
 
 
 def test_noise_same_seed_bit_identical():
-    a = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42, spawn_keys=[()])
-    b = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42, spawn_keys=[()])
+    a = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42, indices=[0])
+    b = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=42, indices=[0])
     assert np.array_equal(a, b)
-    c = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=43, spawn_keys=[()])
+    c = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=50.0, seed=43, indices=[0])
     assert not np.array_equal(a, c)
 
 
-def _band_limited_row(amplitudes, seed, key):
+def _band_limited_row(amplitudes, seed, index):
     """One forcing record drawn in the band-limited layout, independently of _synthesize_rows.
 
-    The generator's first n_band normals are the a's, the next n_band the b's;
-    the modes above the band are zero and the zero mode (and a Nyquist mode in
-    the band) is real.
+    The trajectory's own freshly seeded generator gives the a's as its first
+    n_band normals and the b's as the next n_band; the modes above the band
+    are zero and the zero mode (and a Nyquist mode in the band) is real.
     """
     n_fft, amp, amp_real = amplitudes
     n_band = amp.size
-    rng = langevin._noise_generator(seed, key)
+    rng = langevin._noise_generator(seed, (index,))
     a = rng.standard_normal(n_band)
     b = rng.standard_normal(n_band)
     y = np.zeros(n_fft // 2 + 1, dtype=complex)
@@ -85,21 +85,21 @@ def test_synthesized_rows_match_complex_spectrum_reference(n_samples):
         if full:
             assert amp_real[-1] > 0
         for seed in (0, 7, 20240):
-            rows = langevin._synthesize_rows(amplitudes, n_samples, seed, [(i,) for i in range(3)])
+            rows = langevin._synthesize_rows(amplitudes, n_samples, seed, range(3))
             for i, row in enumerate(rows):
-                assert np.array_equal(row, _band_limited_row(amplitudes, seed, (i,)))
+                assert np.array_equal(row, _band_limited_row(amplitudes, seed, i))
 
 
-def _full_length_rows(bath, p, cutoff, dt, n_samples, seed, spawn_keys):
+def _full_length_rows(bath, p, cutoff, dt, n_samples, seed, indices):
     """The synthesis that drew normals for every rfft mode, the band's and the rest."""
     n_fft = langevin._next_fast_len(n_samples, real=True)
     kap = 2.0 * math.pi / (n_fft * dt) * np.arange(n_fft // 2 + 1)
     spec = noise_spectrum(kap, p, bath)
     spec[kap > cutoff] = 0.0
     amp, amp_real = np.sqrt(n_fft * spec / (2.0 * dt)), np.sqrt(n_fft * spec / dt)
-    a, b = np.empty((2, len(spawn_keys), n_fft // 2 + 1))
-    for j, key in enumerate(spawn_keys):
-        rng = langevin._noise_generator(seed, key)
+    a, b = np.empty((2, len(indices), n_fft // 2 + 1))
+    for j, index in enumerate(indices):
+        rng = langevin._noise_generator(seed, (index,))
         rng.standard_normal(out=a[j])
         rng.standard_normal(out=b[j])
     y = np.empty(a.shape, dtype=complex)
@@ -120,10 +120,9 @@ def test_full_band_rows_equal_full_length_draws(n_samples):
     amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, cutoff, dt, n_samples)
     n_fft, amp, _ = amplitudes
     assert n_fft == n_samples and amp.size == n_fft // 2 + 1
-    keys = [(i,) for i in range(4)]
     for seed in (0, 20240):
-        rows = langevin._synthesize_rows(amplitudes, n_samples, seed, keys)
-        want = _full_length_rows(BathSpec(1.0), P_STD, cutoff, dt, n_samples, seed, keys)
+        rows = langevin._synthesize_rows(amplitudes, n_samples, seed, range(4))
+        want = _full_length_rows(BathSpec(1.0), P_STD, cutoff, dt, n_samples, seed, range(4))
         assert np.array_equal(rows, want)
 
 
@@ -135,7 +134,7 @@ def test_band_keeps_the_mode_at_the_cutoff_and_drops_the_next():
     for cutoff, n_band in ((kap[m], m + 1), (below[m], m), (below[m + 1], m + 1)):
         amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, float(cutoff), dt, n_samples)
         assert amplitudes[0] == n_samples and amplitudes[1].size == n_band
-        row = langevin._synthesize_rows(amplitudes, n_samples, 3, [(0,)])[0]
+        row = langevin._synthesize_rows(amplitudes, n_samples, 3, [0])[0]
         spectrum = np.abs(np.fft.rfft(row))
         assert spectrum[n_band - 1] > 1e-3 * spectrum.max()
         assert np.all(spectrum[n_band:] <= 1e-14 * spectrum.max())
@@ -147,33 +146,78 @@ def test_cutoff_below_one_mode_spacing_leaves_the_zero_mode():
     amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, half_spacing, dt, n_samples)
     n_fft, amp, amp_real = amplitudes
     assert amp.size == 1 and amp_real[0] > 0
-    row = langevin._synthesize_rows(amplitudes, n_samples, 5, [(2,)])[0]
+    row = langevin._synthesize_rows(amplitudes, n_samples, 5, [2])[0]
     level = amp_real[0] * langevin._noise_generator(5, (2,)).standard_normal() / n_fft
     assert np.max(np.abs(row - level)) <= 1e-14 * abs(level)
 
 
 def test_each_trajectory_draws_two_normals_per_band_mode(monkeypatch):
-    # every generator the engine seeds makes one draw of 2 n_band normals
-    draws = []
+    # a batch builds one generator and makes one draw of 2 n_band normals per
+    # trajectory on it
+    generators = []
     original = langevin._noise_generator
 
     class Counting:
         def __init__(self, rng):
             self._rng = rng
-            draws.append([])
+            self.draws = []
+            generators.append(self)
 
         def standard_normal(self, *args, **kwargs):
             out = self._rng.standard_normal(*args, **kwargs)
-            draws[-1].append(np.size(out))
+            self.draws.append(np.size(out))
             return out
+
+        def __getattr__(self, attr):
+            return getattr(self._rng, attr)
 
     monkeypatch.setattr(langevin, "_noise_generator", lambda seed, key: Counting(original(seed, key)))
     p, bath, cutoff, dt, n_steps = P_STD, BathSpec(1.0), 10.0, 0.2, 1237
     n_fft, amp, _ = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
     n_band = amp.size
     assert abs(n_band / (n_fft // 2) - cutoff * dt / math.pi) < 1e-2  # a cutoff*dt/pi share of the modes
+    assert langevin._batch_edges(3, 10, n_steps + 1) == [3, 10]
     langevin._ensemble_chunk((p, bath, cutoff, dt, n_steps, 11, 3, 10, 437))
-    assert draws == [[2 * n_band]] * 7
+    assert [g.draws for g in generators] == [[2 * n_band] * 7]
+
+
+_SEEDS = [0, 1, 991, 20240, 2**32 + 5, 2**70 + 3, 2**200 + 7]
+_INDICES = [0, 1, 31, 32, 2**32 - 1, 2**32, 2**40 + 17]
+
+
+def _seed_sequence_key(seed, index):
+    return np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_spawn_keys_equal_seed_sequence_state(seed):
+    # one- to seven-word seeds, one- and two-word indices, alone and batched
+    want = np.array([_seed_sequence_key(seed, i) for i in _INDICES])
+    got = langevin._spawn_keys(seed, _INDICES)
+    assert got.dtype == np.uint64 and got.shape == (len(_INDICES), 2)
+    assert np.array_equal(got, want)
+    for i, row in zip(_INDICES, want):
+        assert np.array_equal(langevin._spawn_keys(seed, [i]), row[None, :])
+    straddle = range(2**32 - 3, 2**32 + 3)  # one batch of one- and two-word indices
+    want = np.array([_seed_sequence_key(seed, i) for i in straddle])
+    assert np.array_equal(langevin._spawn_keys(seed, straddle), want)
+
+
+@pytest.mark.parametrize("seed", [0, 20240, 2**128 + 1])
+def test_rekeyed_generator_draws_each_trajectory_stream(seed):
+    # one generator, re-keyed row after row, gives each trajectory's first
+    # 2 n_band normals bit for bit; draws between rows leave the buffer part
+    # used and a 32-bit half cached, which the re-keying must clear
+    n_band = 317
+    indices = [0, 5, 2**32 + 1, 3]
+    rng = langevin._noise_generator(seed, ())
+    for index, key in zip(indices, langevin._spawn_keys(seed, indices).tolist()):
+        rng.bit_generator.random_raw(3)
+        rng.integers(2**32, dtype=np.uint32)
+        rng.bit_generator.state = langevin._fresh_philox_state(key)
+        got = rng.standard_normal((2, n_band))
+        want = langevin._noise_generator(seed, (index,)).standard_normal((2, n_band))
+        assert np.array_equal(got, want)
 
 
 def test_noise_nyquist_guard():
@@ -203,8 +247,7 @@ def test_noise_lag_zero_autocovariance_matches_spectral_integral():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     bath = BathSpec(1.0)
     pred = integrate_spectrum(lambda k: noise_spectrum(k, p, bath), FrequencyGrid(20.0, 2**14)).value
-    rows = _noise_rows(bath, p, cutoff=20.0, dt=0.1, t_total=500.0, seed=777,
-                       spawn_keys=[(i,) for i in range(200)])
+    rows = _noise_rows(bath, p, cutoff=20.0, dt=0.1, t_total=500.0, seed=777, indices=range(200))
     vals = np.asarray([float(np.mean(row**2)) for row in rows])
     se = vals.std(ddof=1) / math.sqrt(vals.size)
     assert abs(vals.mean() - pred) <= 3.0 * se
@@ -268,7 +311,7 @@ def test_integrate_energy_decay_rate():
 
 
 def test_integrate_linearity_exact():
-    xi = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=100.0, seed=42, spawn_keys=[()])[0]
+    xi = _noise_rows(VACUUM, P_STD, cutoff=20.0, dt=0.1, t_total=100.0, seed=42, indices=[0])[0]
     base_q, base_qdot = _propagate_one(P_STD, 0.1, xi)
     doubled_q, doubled_qdot = _propagate_one(P_STD, 0.1, 2.0 * xi)
     assert np.array_equal(doubled_q, 2.0 * base_q)
@@ -371,13 +414,13 @@ def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
     p, bath, kw = _small_ensemble_params()
     n = int(round(kw["t_total"] / kw["dt"]))
     amplitudes = langevin._synthesis_amplitudes(bath, p, kw["cutoff"], kw["dt"], n + 1)
-    xi = langevin._synthesize_rows(amplitudes, n + 1, 5, [(i,) for i in range(6)])
+    xi = langevin._synthesize_rows(amplitudes, n + 1, 5, range(6))
     q_batch, v_batch = np.empty((6, n + 1)), np.empty((6, n + 1))
     for t0, q, v in langevin._propagate(p, kw["dt"], xi, 0.0, 0.0, langevin._BLOCK_STEPS):
         q_batch[:, t0 : t0 + q.shape[1]] = q
         v_batch[:, t0 : t0 + v.shape[1]] = v
     for i in range(6):
-        xi_alone = langevin._synthesize_rows(amplitudes, n + 1, 5, [(i,)])[0]
+        xi_alone = langevin._synthesize_rows(amplitudes, n + 1, 5, [i])[0]
         assert np.array_equal(xi[i], xi_alone)
         q, qdot = _propagate_one(p, kw["dt"], xi_alone)
         assert np.array_equal(q_batch[i], q)
@@ -431,7 +474,7 @@ def _reference_chunk(args):
     amplitudes = langevin._synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
     xi = np.empty((n_steps + 1, stop - start))
     for j, idx in enumerate(range(start, stop)):
-        xi[:, j] = _band_limited_row(amplitudes, master_seed, (idx,))[: n_steps + 1]
+        xi[:, j] = _band_limited_row(amplitudes, master_seed, idx)[: n_steps + 1]
     q_mat, v_mat = _reference_advance(p, dt, xi, 0.0, 0.0)
     n_post = n_steps + 1 - burn_index
     return (
@@ -485,7 +528,7 @@ def test_initial_state_superposes_on_the_forced_motion(regime):
     # (blocks of 100 steps) stays within the stated tolerance of the time-major
     # reference
     p, dt = _REGIMES[regime], 0.2
-    xi = _noise_rows(BathSpec(1.0), p, 10.0, dt, 240.0, 31, [(i,) for i in range(4)])
+    xi = _noise_rows(BathSpec(1.0), p, 10.0, dt, 240.0, 31, range(4))
 
     def propagate(forcing, q0, qdot0):
         q, v = np.empty(forcing.shape), np.empty(forcing.shape)
