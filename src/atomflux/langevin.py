@@ -26,26 +26,42 @@ the streams are those of one generator built per trajectory.
 Engine layout: a chunk of k trajectories is split into row batches of about
 r = ``_ROW_SAMPLES`` // n trajectories (at least one, at most k).  Each batch is
 synthesized trajectory-major as one (r, n) record and stays trajectory-major:
-each eigenmode is one filter over the forcing rows, its two taps folding in the
-piecewise-linear drive, run in blocks of ``_BLOCK_STEPS`` steps with the filter
-state carried from block to block, and each (r, block) block is reduced along
-its rows as soon as it is made.  A worker therefore holds O(r n) memory, a
-batch of fewer than 2 * ``_ROW_SAMPLES`` samples while n is below
-``_ROW_SAMPLES``, however many trajectories a chunk has.  Every reduction runs
-in an order that does not depend on r: the per-trajectory sums block by block
-in time order, the cross-trajectory series in trajectory order.
+each eigenmode is one first-order filter section over the forcing rows, its
+two taps folding in the piecewise-linear drive (complex taps run through
+``sosfilt``, real ones through ``lfilter``, with the same bits), run in blocks
+of ``_BLOCK_STEPS`` steps with the filter state carried from block to block,
+and each (r, block) block is reduced along its rows as soon as it is made.  A
+worker therefore holds O(r n) memory, a batch of fewer than 2 *
+``_ROW_SAMPLES`` samples while n is below ``_ROW_SAMPLES``, however many
+trajectories a chunk has.  Every reduction runs in an order that does not
+depend on r: the per-trajectory sums block by block in time order, the
+cross-trajectory series in trajectory order.
+
+The q and qdot blocks and their squares live in one workspace per process
+(per thread), sized for the largest batch of a chunk and reused by every later
+batch and chunk of the run, so the steady state makes no large allocation that
+the allocator would hand back to the operating system and fault in again.
+``run_ensemble`` empties the workspace when the run ends, and a pool worker's
+goes with the worker when the pool shuts down; no result is a view of it.  The
+band spectrum stays a fresh array per batch, freed before the batch is
+propagated, so it never adds to the propagation's peak.  A pool task carries
+several chunks (about four tasks per worker), and the results still come back
+one per chunk, in chunk order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len as _next_fast_len
-from scipy.signal import lfilter as _lfilter
+from scipy.signal import lfilter as _scipy_lfilter
+from scipy.signal import sosfilt as _sosfilt
 
 from .greens import (
     AtomParams,
@@ -63,6 +79,65 @@ from .spectral import integrate_spectrum
 _CHUNK_SIZE = 32  # trajectories per worker chunk; fixed so reductions never move
 _BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(r * block)
 _ROW_SAMPLES = 1 << 21  # record samples per synthesis batch: r ~ _ROW_SAMPLES // n rows
+
+
+class _Workspace(threading.local):
+    """Scratch buffers that the engine reuses across batches and chunks; one per thread.
+
+    ``take(name, shape)`` views a C-contiguous prefix of the flat float64
+    buffer ``name`` as ``shape``, so every shape with no more elements reuses
+    it.  A buffer is reallocated only when it is too small, and then sized for
+    ``rows`` rows (a chunk sets it to its largest batch), so batches of r and
+    r + 1 rows share it.  Reuse keeps the steady state free of large
+    allocations, which the allocator would otherwise return to the operating
+    system after each chunk and fault in again for the next.
+    Nothing the engine returns is a view of a buffer.  The buffers are
+    per-thread so that concurrent ensembles in one process never share them.
+    """
+
+    def __init__(self):
+        self.rows = 1
+        self.buffers = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = None  # free the old buffer before allocating its successor
+            capacity = max(shape[0], self.rows) * math.prod(shape[1:])
+            buf = self.buffers[name] = np.empty(capacity)
+        return buf[:size].reshape(shape)
+
+    def clear(self):
+        self.buffers.clear()
+
+
+# the buffers live from the first batch a process runs until run_ensemble
+# returns there, or until a pool worker exits
+_WORKSPACE = _Workspace()
+
+
+def _lfilter(b, a, x, axis=-1, zi=None):
+    """``scipy.signal.lfilter(b, a, x, axis, zi)`` for one first-order section, complex taps through ``sosfilt``.
+
+    ``b`` and ``a`` hold two taps each, with ``a[0] == 1``; ``zi`` and ``zf``
+    have lfilter's layout.  Complex taps run as the section
+    ``[b0, b1, 0, 1, a1, 0]``: that is lfilter's transposed direct form with
+    its second state entry held at zero, so ``y`` and ``zf`` carry lfilter's
+    bits.  ``sosfilt`` makes one copy of ``x``, in the output dtype, which
+    becomes ``y``, where lfilter copies a real ``x`` to complex, allocates
+    ``y`` besides and runs a generic complex loop, 1.6-2.9x slower on the
+    engine's blocks.  Real taps stay on lfilter, whose real loop beats
+    sosfilt's by 1.1-1.5x on the same blocks.
+    """
+    if not (np.iscomplexobj(b) or np.iscomplexobj(a)):
+        return _scipy_lfilter(b, a, x, axis=axis, zi=zi)
+    sos = np.concatenate((b, [0.0], a, [0.0]))[None, :]
+    if zi is None:
+        return _sosfilt(sos, x, axis=axis)
+    state = np.concatenate((zi, np.zeros_like(zi)), axis=axis)[None]
+    y, zf = _sosfilt(sos, x, axis=axis, zi=state)
+    return y, np.take(zf[0], [0], axis=axis)
 
 
 class BurnInError(ValueError):
@@ -141,22 +216,18 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _spawn_keys(seed, indices) -> np.ndarray:
-    """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
+@functools.lru_cache(maxsize=8)
+def _seed_pool(seed: int):
+    """SeedSequence's pool after the run entropy of ``seed``, and the hash constants of the spawn words.
 
-    Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
-    np.uint64)``, following SeedSequence's algorithm: the run entropy (the
-    seed's words, zero-padded to the pool size because a spawn key is present)
-    is hashed into the pool, mixed all-pairs, and any run words beyond the
-    pool are mixed in after; none of that depends on i, so it runs once, in
-    Python ints.  Only the spawn words of i (one below 2^32, two from there to
-    2^64) and the four output words run per row, on (k, 4) uint64 arrays: the
-    hash constants do not depend on the data, so the four pool words of one
-    step are hashed at once.
+    The run entropy (the seed's words, zero-padded to the pool size because a
+    spawn key is present) is hashed into the pool, mixed all-pairs, and any
+    run words beyond the pool are mixed in after, in Python ints.  None of that
+    depends on the trajectory index, so each process computes it once per
+    seed.  Returns read-only uint64 arrays: the four pool words, and the
+    (xor, multiply) hash constants of the first and second spawn word, shape
+    (2, 2, 4).
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))
     # hashmix number m uses the constants m (xor) and m + 1 (multiply): 16 for
@@ -173,20 +244,43 @@ def _spawn_keys(seed, indices) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
 
+    pool = np.array(pool, dtype=np.uint64)
+    spawn_consts = np.array(list(steps), dtype=np.uint64).reshape(2, _POOL_SIZE, 2).transpose(0, 2, 1)
+    pool.flags.writeable = spawn_consts.flags.writeable = False
+    return pool, spawn_consts
+
+
+# generate_state's output hash constants: xor and multiply for each of the four words
+_OUT_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)
+
+
+def _spawn_keys(seed, indices) -> np.ndarray:
+    """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
+
+    Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
+    np.uint64)``, following SeedSequence's algorithm.  The pool after the
+    seed's run entropy does not depend on i (``_seed_pool``, cached per seed).
+    Only the spawn words of i (one below 2^32, two from there to 2^64) and the
+    four output words run per row, on (k, 4) uint64 arrays: the hash constants
+    do not depend on the data, so the four pool words of one step are hashed
+    at once.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    pool, spawn_consts = _seed_pool(seed)
+
     index = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
     high = index >> 32
-    pool = np.array(pool, dtype=np.uint64)
     spawn_words = [index & _MASK32]
     if high.any():  # indices from 2^32 on have a second word
         spawn_words.append(high)
-    for n, word in enumerate(spawn_words):
-        xor_const, mult_const = np.array([next(steps) for _ in range(_POOL_SIZE)], dtype=np.uint64).T
+    for n, (word, (xor_const, mult_const)) in enumerate(zip(spawn_words, spawn_consts)):
         mixed = _mix(pool, _hashmix(word, xor_const, mult_const))
         pool = np.where(high > 0, mixed, pool) if n else mixed
 
     # generate_state(2, np.uint64): four output words, then little-endian word pairs
-    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)
-    state = _hashmix(pool, out_consts[:-1], out_consts[1:])
+    state = _hashmix(pool, _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
     return state[:, 0::2] | (state[:, 1::2] << 32)
 
 
@@ -237,26 +331,28 @@ def _synthesize_rows(amplitudes, n_samples, seed, indices) -> np.ndarray:
     of a fresh Philox with the row's ``_spawn_keys`` key.  Each row draws 2
     n_band normals, its n_band ``a`` normals and then its n_band ``b``
     normals, so a row does not depend on which other rows share the batch.
-    Mode k gets amp_k (a_k + i b_k); the modes above the band are zero, the
-    zero mode is real, and so is the Nyquist mode, set only when it lies in
-    the band.  One batched inverse FFT then shapes every row.
+    Mode k gets amp_k (a_k + i b_k); the zero mode is real, and so is the
+    Nyquist mode, set only when it lies in the band.  The spectrum holds the
+    band only: one batched inverse FFT of length n_fft zero-pads the modes
+    above it, the same zeros a full-length spectrum would hold, and shapes
+    every row.
     """
     n_fft, amp, amp_real = amplitudes
     n_band = amp.size
+    nyquist_in_band = n_band == n_fft // 2 + 1 and n_fft % 2 == 0
     ab = np.empty((2, n_band))
-    y = np.empty((len(indices), n_fft // 2 + 1), dtype=complex)
+    y = np.empty((len(indices), n_band), dtype=complex)
     rng = _noise_generator(seed, ())  # re-keyed below before every draw
     bit_generator = rng.bit_generator
     for j, key in enumerate(_spawn_keys(seed, indices).tolist()):
         bit_generator.state = _fresh_philox_state(key)
         rng.standard_normal(out=ab)
         # amp * (a + 1j * b), written one real part at a time
-        np.multiply(amp, ab[0], out=y.real[j, :n_band])
-        np.multiply(amp, ab[1], out=y.imag[j, :n_band])
+        np.multiply(amp, ab[0], out=y.real[j])
+        np.multiply(amp, ab[1], out=y.imag[j])
         y[j, 0] = amp_real[0] * ab[0, 0]  # zero mode is real
-        if n_band == y.shape[1] and n_fft % 2 == 0:
+        if nyquist_in_band:
             y[j, -1] = amp_real[-1] * ab[0, -1]  # Nyquist mode is real
-    y[:, n_band:] = 0.0
     del ab
     return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
 
@@ -287,10 +383,12 @@ def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, q, v, 
 
     The mode ``z = (v - mu_other q) / (mu - mu_other)`` obeys
     ``z_{n+1} = lam z_n + c0 xi_n + c1 xi_{n+1}`` with ``lam = exp(mu dt)``, so
-    ``lfilter(b, a, xi[1:], zi=zi)`` yields z_1, z_2, ... from the forcing samples
+    ``_lfilter(b, a, xi[1:], zi=zi)`` yields z_1, z_2, ... from the forcing samples
     alone, and the state it returns after z_m is ``lam z_m + c0 xi_m``, which
-    is the ``zi`` that continues the recursion from sample m.  A real pair of
-    eigenvalues gives real taps.
+    is the ``zi`` that continues the recursion from sample m: one first-order
+    section ``[c1, c0, 0, 1, -lam, 0]``.  A real pair of eigenvalues gives real
+    taps, a complex pair complex ones, which ``_lfilter`` runs through
+    ``sosfilt``.
     """
     f0q, f0v, f1q, f1v = coefficients
     denom = mu - mu_other
@@ -307,15 +405,19 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
     ``xi`` has shape (k, n + 1), one trajectory per row.  Each yielded ``q``
     and ``v`` is trajectory-major, shape (k, L), and holds samples
     t0 .. t0 + L - 1; the first block starts at the initial condition, sample 0.
+    The blocks are views of the workspace's buffers, overwritten by the next
+    block.
 
     The exact one-step map ``y_{n+1} = E y_n + Phi0 xi_n + Phi1 dxi_n`` is
     diagonalized: in the eigenbasis of the damped oscillator it splits into two
     first-order recursions with multipliers exp(mu_pm dt), mu_pm = -gamma pm
     sqrt(gamma^2 - omega^2), whose per-step drive is a two-tap combination of
     consecutive forcing samples.  Each runs as one constant-coefficient filter
-    over the forcing rows (``_mode_filter``), carrying the filter state across
-    blocks.  First-order sections stay well conditioned even when omega*dt is
-    tiny (a direct second-order recursion would lose several digits there).
+    over the forcing rows (``_mode_filter``: one first-order section, through
+    ``_lfilter``), carrying the filter state across blocks.  First-order
+    sections stay well conditioned even when omega*dt is tiny (a direct
+    second-order recursion, or one second-order section, would lose several
+    digits there).
     The critically damped point has a defective map and falls back to an
     explicit step loop.
     """
@@ -343,8 +445,8 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
     for s in range(0, n, block):
         e = min(s + block, n)
         first = s == 0
-        q_blk = np.empty((k, e - s + first))
-        v_blk = np.empty((k, e - s + first))
+        q_blk = _WORKSPACE.take("q", (k, e - s + first))
+        v_blk = _WORKSPACE.take("v", (k, e - s + first))
         if first:
             q_blk[:, 0] = q
             v_blk[:, 0] = v
@@ -420,26 +522,34 @@ def _reduce_batch(p, dt, xi, burn_index, sum_q2_t):
     Adds each trajectory's q^2 row into ``sum_q2_t`` in trajectory order, and
     sums each row's post-burn q, q^2 and qdot^2 over each ``_BLOCK_STEPS``
     block, adding the block sums in time order.  Every sum reads one row of
-    fixed blocks, so no output depends on how many rows share the batch.
-    Returns the batch's post-burn means of q, q^2 and qdot^2.
+    fixed blocks, so no output depends on how many rows share the batch.  The
+    blocks and their squares live in the workspace.  Returns the batch's
+    post-burn means of q, q^2 and qdot^2.
     """
     n_steps = xi.shape[1] - 1
     sums = np.zeros((3, len(xi)))  # post-burn row sums of q, q^2 and qdot^2
     for t0, q, v in _propagate(p, dt, xi, 0.0, 0.0, _BLOCK_STEPS):
-        q2 = q * q
+        q2 = np.multiply(q, q, out=_WORKSPACE.take("q2", q.shape))
         series = sum_q2_t[t0 : t0 + q.shape[1]]
         for row in q2:
             series += row
         cut = max(burn_index - t0, 0)
         post_v = v[:, cut:]
-        sums += (q[:, cut:].sum(axis=1), q2[:, cut:].sum(axis=1), (post_v * post_v).sum(axis=1))
+        v2 = np.multiply(post_v, post_v, out=_WORKSPACE.take("v2", post_v.shape))
+        sums += (q[:, cut:].sum(axis=1), q2[:, cut:].sum(axis=1), v2.sum(axis=1))
     return tuple(sums / (n_steps + 1 - burn_index))
 
 
 def _ensemble_chunk(args):
+    """Trajectories start .. stop - 1: their q^2 series sum and per-trajectory post-burn means.
+
+    The batches run in this thread's workspace, sized for the chunk's largest
+    batch; the results are fresh arrays.
+    """
     (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = args
     amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
     edges = _batch_edges(start, stop, n_steps + 1)
+    _WORKSPACE.rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     sum_q2_t = np.zeros(n_steps + 1)
     means = []
     for lo, hi in zip(edges, edges[1:]):
@@ -465,7 +575,10 @@ def run_ensemble(
     Every trajectory starts at rest, q = qdot = 0, and the statistics are taken
     after ``t_burn``.  The trajectory with index ``i`` is seeded by
     (master_seed, spawn_key=(i,)); chunking and the reduction order are fixed,
-    so the result is bit-identical for any ``workers`` count.
+    so the result is bit-identical for any ``workers`` count.  A pool task
+    carries several chunks, about four tasks per worker, and the results come
+    back one per chunk in chunk order.  The calling thread's workspace is
+    emptied when the run ends.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -484,11 +597,17 @@ def run_ensemble(
         (p, bath, cutoff, dt, n_steps, master_seed, s, e, burn_index)
         for s, e in bounds
     ]
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ensemble_chunk, jobs))
-    else:
-        results = [_ensemble_chunk(job) for job in jobs]
+    try:
+        if workers > 1 and len(jobs) > 1:
+            # one pool round trip per task, not per chunk; four tasks per
+            # worker still even out the load
+            chunksize = max(1, len(jobs) // (4 * workers))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_ensemble_chunk, jobs, chunksize=chunksize))
+        else:
+            results = [_ensemble_chunk(job) for job in jobs]
+    finally:
+        _WORKSPACE.clear()  # the buffers outlive chunks, never the run
 
     sum_q2 = np.zeros(n_steps + 1)
     for chunk in results:  # fixed chunk order

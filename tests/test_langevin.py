@@ -1,10 +1,12 @@
 """Stochastic oracle tests: synthesis, integration, statistics, determinism."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from atomflux import langevin
 from atomflux.greens import AtomParams, BathSpec, FrequencyGrid
@@ -406,6 +408,18 @@ def test_run_ensemble_worker_count_invariance():
     assert r1.stats == r4.stats
 
 
+def test_run_ensemble_worker_count_invariance_several_chunks_per_task():
+    # 600 trajectories make 19 chunks: two workers take two chunks per pool
+    # task, three take one; the series and the statistics keep their bits
+    p, bath = AtomParams.from_damping(0.25, 1.0, 1.0), BathSpec(1.0)
+    kw = dict(cutoff=10.0, dt=0.2, t_total=40.0, n_traj=600, master_seed=8, t_burn=10.0)
+    base = run_ensemble(p, bath, workers=1, **kw)
+    for workers in (2, 3):
+        res = run_ensemble(p, bath, workers=workers, **kw)
+        assert np.array_equal(res.var_q_series, base.var_q_series)
+        assert res.stats == base.stats
+
+
 def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
     # a chunk's batched synthesis and propagation are rowwise identical to each
     # row synthesized and propagated alone, so ensemble members are reproducible
@@ -441,7 +455,7 @@ def _reference_advance(p, dt, xi, q0, qdot0):
         out = np.empty((n + 1, k), dtype=complex)
         out[0] = z0
         zi = lam * np.atleast_2d(z0)
-        out[1:], _ = langevin._lfilter(
+        out[1:], _ = scipy.signal.lfilter(
             np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=0, zi=zi
         )
         return out
@@ -490,6 +504,41 @@ _REGIMES = {
     "overdamped": AtomParams.from_damping(2.0, 1.0, 1.0),
     "critical": AtomParams(e=1.0, m=1.0, omega=1.0 / (8.0 * math.pi)),
 }
+
+
+@pytest.mark.parametrize("taps", ["complex", "real"])
+@pytest.mark.parametrize("shape", [(1, 16384), (5, 16384), (32, 1600)])
+def test_filter_equals_scipy_lfilter_bitwise(taps, shape):
+    # the engine's mode filters (underdamped: one complex section, overdamped:
+    # two real ones) over four consecutive blocks of one strided record, the
+    # state carried from block to block as the engine carries it
+    p = _REGIMES["underdamped" if taps == "complex" else "overdamped"]
+    dt = 0.05
+    coefficients = langevin._step_coefficients(p, dt)[4:]
+    root = math.sqrt(abs(p.gamma**2 - p.omega**2))
+    if taps == "complex":
+        modes = [(complex(-p.gamma, root), complex(-p.gamma, -root))]
+    else:
+        modes = [(-p.gamma + root, -p.gamma - root), (-p.gamma - root, -p.gamma + root)]
+    k, length = shape
+    rng = np.random.default_rng(20240)
+    xi = rng.standard_normal((k, 4 * length + 1))
+    q0, v0 = rng.standard_normal(k), rng.standard_normal(k)
+    for mu, mu_other in modes:
+        b, a, zi = langevin._mode_filter(mu, mu_other, dt, coefficients, q0, v0, xi[:, 0])
+        assert np.iscomplexobj(b) == (taps == "complex")
+        got_state = want_state = zi
+        for s in range(1, xi.shape[1], length):
+            block = xi[:, s : s + length]
+            got, got_state = langevin._lfilter(b, a, block, axis=-1, zi=got_state)
+            want, want_state = scipy.signal.lfilter(b, a, block, axis=-1, zi=want_state)
+            assert got.dtype == want.dtype and got_state.shape == want_state.shape
+            assert np.array_equal(got, want) and np.array_equal(got_state, want_state)
+        # lfilter's other forms: time along axis 0, and no initial state
+        got, got_state = langevin._lfilter(b, a, block.T, axis=0, zi=zi.T)
+        want, want_state = scipy.signal.lfilter(b, a, block.T, axis=0, zi=zi.T)
+        assert np.array_equal(got, want) and np.array_equal(got_state, want_state)
+        assert np.array_equal(langevin._lfilter(b, a, block), scipy.signal.lfilter(b, a, block))
 
 
 # the block engine folds the drive into its filter taps and sums each
@@ -600,6 +649,7 @@ def test_ensemble_chunk_memory_bounded(monkeypatch):
     k, n, r = 32, 100_000, 4
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
     job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, k, 40_000)
+    langevin._WORKSPACE.clear()  # the workspace's buffers count in the peak
     tracemalloc.start()
     try:
         langevin._ensemble_chunk(job)
@@ -616,6 +666,7 @@ def test_one_trajectory_chunk_memory_bounded():
     p = AtomParams.from_damping(0.01, 1.0, 1.0)
     n = 400_000
     job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, 1, 40_000)
+    langevin._WORKSPACE.clear()  # the workspace's buffers count in the peak
     tracemalloc.start()
     try:
         langevin._ensemble_chunk(job)
@@ -623,6 +674,79 @@ def test_one_trajectory_chunk_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * (n + 1) * 8
+
+
+def _chunk_bytes(job):
+    return b"".join(out.tobytes() for out in langevin._ensemble_chunk(job))
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_reused_workspace_keeps_every_chunk_byte(monkeypatch, regime):
+    # chunks of other shapes run back to back in one workspace, each one
+    # after each of the others: a 32 x 1600 chunk in one batch, a 32-row chunk
+    # of 9999 steps in batches of 5, 5, 6, 5, 5, 6 rows and 3 blocks, and a
+    # one-trajectory chunk; each gives the bytes it gives from an empty
+    # workspace, the state a fresh process starts in
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 4096)
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", 32 * 1601)
+    p, bath = _REGIMES[regime], BathSpec(1.0)
+    jobs = {
+        "wide": (p, bath, 20.0, 0.05, 1600, 991, 0, 32, 20),
+        "long": (p, bath, 10.0, 0.2, 9999, 11, 32, 64, 437),
+        "single": (p, bath, 10.0, 0.2, 9999, 11, 96, 97, 437),
+    }
+    assert langevin._batch_edges(0, 32, 1601) == [0, 32]
+    assert langevin._batch_edges(32, 64, 10000) == [32, 37, 42, 48, 53, 58, 64]
+    fresh = {}
+    for name, job in jobs.items():
+        langevin._WORKSPACE.clear()
+        fresh[name] = _chunk_bytes(job)
+    sequence = ["wide", "long", "single", "wide", "single", "long", "wide"]
+    assert {pair for pair in zip(sequence, sequence[1:])} == set(itertools.permutations(jobs, 2))
+    for step, name in enumerate(sequence):
+        assert _chunk_bytes(jobs[name]) == fresh[name], (step, name)
+    langevin._WORKSPACE.clear()
+
+
+def test_results_do_not_alias_the_workspace():
+    # overwriting every workspace buffer after the calls leaves their results as they were
+    p = _REGIMES["underdamped"]
+    langevin._WORKSPACE.clear()
+    chunk = langevin._ensemble_chunk((p, BathSpec(1.0), 10.0, 0.2, 1237, 11, 0, 32, 437))
+    amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), p, 10.0, 0.2, 1238)
+    rows = langevin._synthesize_rows(amplitudes, 1238, 11, range(3))
+    kept = [out.copy() for out in (*chunk, rows)]
+    assert langevin._WORKSPACE.buffers
+    for buf in langevin._WORKSPACE.buffers.values():
+        buf.fill(np.nan)
+    for out, want in zip((*chunk, rows), kept):
+        assert np.array_equal(out, want)
+    langevin._WORKSPACE.clear()
+
+
+def test_run_ensemble_empties_the_workspace(monkeypatch):
+    # the buffers live through the run's chunks and go when it returns or raises
+    p, bath, kw = _small_ensemble_params()
+    reduce_batch, in_use = langevin._reduce_batch, []
+
+    def watched(*args):
+        means = reduce_batch(*args)
+        in_use.append(bool(langevin._WORKSPACE.buffers))
+        return means
+
+    monkeypatch.setattr(langevin, "_reduce_batch", watched)
+    run_ensemble(p, bath, n_traj=40, master_seed=5, t_burn=80.0, **kw)
+    assert in_use == [True, True] and not langevin._WORKSPACE.buffers
+
+    def fails(*args):
+        reduce_batch(*args)
+        in_use.append(bool(langevin._WORKSPACE.buffers))
+        raise RuntimeError("batch failed")
+
+    monkeypatch.setattr(langevin, "_reduce_batch", fails)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        run_ensemble(p, bath, n_traj=40, master_seed=5, t_burn=80.0, **kw)
+    assert in_use == [True, True, True] and not langevin._WORKSPACE.buffers
 
 
 def test_run_ensemble_insufficient_burn_raises():
