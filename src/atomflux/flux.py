@@ -21,7 +21,9 @@ difference of two cutoff-dependent numbers.
 The budget's three integrands (the P_r and P_gamma densities and the cancelled
 net integrand) are even in kappa, so ``power_budget`` evaluates them on the
 kappa > 0 half of each grid only, in blocks of 2^14 points, and mirrors them
-onto kappa < 0 (its docstring says why the blocks are not smaller).
+onto kappa < 0 (its docstring says why the blocks are not smaller).  The net
+integrand is evaluated on the full grid alone: its half-grid error estimate
+would go unread.
 
 Sign convention for the recorded flows (the magnitude balances are the
 physical statements): P_r >= 0 is the outward pure-radiation flow, P_cross =
@@ -241,7 +243,10 @@ class PowerBudget:
 
 
 def _budget_rows(p: AtomParams, bath: BathSpec, r: float, kap, out):
-    """Write the P_r density, the P_gamma density and the net integrand at ``kap`` into ``out``."""
+    """Write the P_r density, the P_gamma density and the net integrand at ``kap`` into ``out``.
+
+    With only two rows in ``out`` the net integrand is skipped.
+    """
     kap2 = kap**2
     th = thermal_factor(kap, bath)
     g = atom_retarded_ft(kap, p)
@@ -250,6 +255,8 @@ def _budget_rows(p: AtomParams, bath: BathSpec, r: float, kap, out):
     # thermal_factor times Im GR and times kappa/(4 pi)
     out[0] = _radiated(p, kap2, th * im_g)
     out[1] = _dissipated(p, kap, im_g, th * (kap / FOUR_PI))
+    if len(out) == 2:
+        return
     terms = _far_field_terms(_far_field_prefactor(p, kap2, th), field_retarded_ft(r, kap), g)
     np.add(next(terms), next(terms), out=out[2])
     out[2] += next(terms)
@@ -268,7 +275,9 @@ def power_budget(
     P_r density, the P_gamma density and the net far-field integrand), which a
     single quadrature call reduces.  Each row holds the same floats as the
     public density of that flow, so the flows equal separate integrations of
-    those densities bit for bit.
+    those densities bit for bit.  Only ``est_error`` reads the Richardson half
+    grid, and it sums the P_r and P_gamma rows' errors, so the half grid
+    evaluates those two rows and not the far-field terms.
 
     All three rows are bitwise even in kappa, so they are evaluated on the
     kappa > 0 half of the mirror grid only, in blocks of ``_BUDGET_BLOCK`` =
@@ -288,7 +297,8 @@ def power_budget(
     def integrand(kap):
         # kap is a FrequencyGrid's values: kap[i] == -kap[n - 1 - i] exactly
         half = kap.size // 2
-        rows = np.empty((3, kap.size))
+        # the net row's est_error is never read, so the half grid skips it
+        rows = np.empty((3 if kap.size == grid.n_points else 2, kap.size))
         edges = [b * _BUDGET_BLOCK for b in range(max(1, half // _BUDGET_BLOCK))] + [half]
         for lo, hi in zip(edges, edges[1:]):
             _budget_rows(p, bath, r, kap[half + lo : half + hi], rows[:, half + lo : half + hi])
@@ -417,7 +427,11 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
 
     ``svals`` holds S at kappa_j = j h (an even number of panels); the result is
     returned at tau_k = tau0 + k dtau for k = 0..m-1.  The oscillatory node sums
-    are chirp-z transforms, so the cost is O((n + m) log) rather than n * m.
+    over even and odd j are chirp-z transforms (Bluestein's algorithm), so the
+    cost is O((n + m) log) rather than n * m.  Both sums share one chirp
+    w^(k^2/2) and one run of powers a^-k, each built once.  Every other step
+    repeats the arithmetic of ``scipy.signal.czt`` in its order, so the bits
+    are those of one ``czt`` call per sum, and only ``scipy.fft`` is loaded.
     """
     n_nodes = svals.size
     if n_nodes < 3 or n_nodes % 2 == 0:
@@ -426,16 +440,27 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     theta = h * taus
     alpha, beta, gamma = _filon_coefficients(theta)
 
-    from scipy.signal import czt  # imported here: only the oracle needs scipy.signal
+    from scipy.fft import fft, ifft, next_fast_len  # imported here: only the oracle needs it
 
-    # node sums Sum_j S_j exp(i kappa_j tau_k) over even / odd j via chirp-z
-    def _node_sum(vals, step):
-        a = np.exp(-1j * step * tau0)
-        w = np.exp(1j * step * dtau)
-        return czt(vals, m=m, w=w, a=a)
+    even, odd = svals[0::2], svals[1::2]
+    step = 2.0 * h
+    a = np.exp(-1j * step * tau0)
+    w = np.exp(1j * step * dtau)
+    size = max(m, even.size)
+    k = np.arange(size, dtype=np.min_scalar_type(-(size**2)))
+    wk2 = w ** (k**2 / 2.0)
+    a_k = a ** -k[: even.size]  # the odd sum's powers are its leading entries
 
-    even_sum = _node_sum(svals[0::2], 2.0 * h)
-    odd_sum = np.exp(1j * h * taus) * _node_sum(svals[1::2], 2.0 * h)
+    # node sums Sum_j S_j exp(i kappa_j tau_k) over even / odd j
+    def _node_sum(x):
+        n = x.size
+        nfft = next_fast_len(n + m - 1)
+        awk2 = a_k[:n] * wk2[:n]
+        fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
+        return ifft(fwk2 * fft(x * awk2, nfft))[n - 1 : n + m - 1] * wk2[:m]
+
+    even_sum = _node_sum(even)
+    odd_sum = np.exp(1j * h * taus) * _node_sum(odd)
 
     lam = (n_nodes - 1) * h
     s_first = svals[0]

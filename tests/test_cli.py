@@ -426,3 +426,21 @@ def test_import_cli_loads_no_heavy_scipy_modules():
     env = dict(os.environ, PYTHONPATH=str(Path(atomflux.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_oracle_command_loads_neither_scipy_signal_nor_langevin(tmp_path):
+    # the lag kernels' chirp-z transforms need scipy.fft alone, and the oracle
+    # never touches the Langevin engine
+    code = (
+        "import sys; from atomflux import cli; "
+        "code = cli.main(['oracle', '--vacuum', '--gamma', '0.5', '--cutoff', '10', "
+        "'--grid-points', '1024', '--r', '2', '--t', '60', '--time-step', '0.05', "
+        f"'--out', {str(tmp_path)!r}]); "
+        "print(code, [m for m in ('scipy.signal', 'atomflux.langevin') if m in sys.modules])"
+    )
+    import atomflux
+
+    env = dict(os.environ, PYTHONPATH=str(Path(atomflux.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "oracle.json").is_file()

@@ -226,6 +226,27 @@ def test_power_budget_matches_four_quadrature_reference(gamma, beta):
     assert power_budget(p, bath, grid, r=7.0).to_dict() == _reference_power_budget(p, bath, grid, r=7.0).to_dict()
 
 
+def test_power_budget_far_field_terms_on_full_grid_only(monkeypatch):
+    # the net row's est_error is never read, so the Richardson half grid
+    # evaluates P_r and P_gamma alone: the far-field terms see exactly the
+    # full grid's kappa > 0 half, once, block by block
+    import atomflux.flux as flux_module
+
+    seen = []
+
+    def recording(r, kappa):
+        seen.append(np.array(kappa))
+        return field_retarded_ft(r, kappa)
+
+    monkeypatch.setattr(flux_module, "field_retarded_ft", recording)
+    p = AtomParams.from_damping(0.1, 1.0, 1.0)
+    grid = FrequencyGrid(100.0, 65540)
+    budget = power_budget(p, BathSpec(1.0), grid)
+    assert [k.size for k in seen] == [16384, 16386]
+    assert np.array_equal(np.concatenate(seen), grid.values[grid.n_points // 2 :])
+    assert budget.to_dict() == _reference_power_budget(p, BathSpec(1.0), grid).to_dict()
+
+
 def test_power_budget_memory_bounded():
     p = AtomParams.from_damping(0.01, 1.0, 1.0)
     grid = FrequencyGrid(100.0, 2**18)

@@ -9,6 +9,7 @@ from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, NyquistError, f
 from atomflux.flux import (
     HadamardOracleResult,
     ObservationFrame,
+    _filon_coefficients,
     _filon_cos_uniform,
     _filon_panels,
     atom_response_kernel,
@@ -41,6 +42,71 @@ def test_filon_transform_against_direct_sum():
         c_odd = float(np.sum(svals[1::2] * np.cos(nodes[1::2] * tau)))
         ref = h * (alpha * svals[-1] * math.sin(lam * tau) + beta * c_even + gamma * c_odd)
         assert got[k] == pytest.approx(ref, rel=1e-11, abs=1e-13)
+
+
+def _two_czt_filon(svals, h, tau0, dtau, m):
+    """The Filon transform with one ``scipy.signal.czt`` call per node sum.
+
+    ``_filon_cos_uniform`` builds the chirp once for both sums and must give
+    these bits exactly.
+    """
+    from scipy.signal import czt
+
+    taus = tau0 + dtau * np.arange(m)
+    alpha, beta, gamma = _filon_coefficients(h * taus)
+
+    def node_sum(vals, step):
+        return czt(vals, m=m, w=np.exp(1j * step * dtau), a=np.exp(-1j * step * tau0))
+
+    even_sum = node_sum(svals[0::2], 2.0 * h)
+    odd_sum = np.exp(1j * h * taus) * node_sum(svals[1::2], 2.0 * h)
+    lam = (svals.size - 1) * h
+    c_even = even_sum.real - 0.5 * (svals[0] + svals[-1] * np.cos(lam * taus))
+    endpoint = svals[-1] * np.sin(lam * taus)
+    return h * (alpha * endpoint + beta * c_even + gamma * odd_sum.real)
+
+
+# (nodes, m, tau0): m above and below the node count; node-sum lengths and m on
+# each side of 46340/46341, where k^2 outgrows int32 and czt's index type
+# turns int64 (at 2 * 46341 - 1 nodes only the even sum's does)
+@pytest.mark.parametrize(
+    "n_nodes, m, tau0",
+    [
+        (17, 9, -2.1),
+        (17, 40, 0.3),
+        (8193, 2501, -10.0),
+        (2 * 46340 - 1, 100, 0.5),
+        (2 * 46341 - 1, 100, -3.0),
+        (2 * 46341 + 1, 5, 1.0),
+        (101, 46340, 0.1),
+        (101, 46341, -0.1),
+        (2 * 46340 - 1, 46341, 0.2),
+    ],
+)
+def test_filon_transform_bitwise_equals_two_czt_calls(n_nodes, m, tau0):
+    svals = np.random.default_rng(n_nodes + m).standard_normal(n_nodes)
+    got = _filon_cos_uniform(svals, 0.01, tau0, 0.02, m)
+    assert np.array_equal(got, _two_czt_filon(svals, 0.01, tau0, 0.02, m))
+
+
+@pytest.mark.parametrize("bath", [VACUUM, BathSpec(1.0)], ids=["vacuum", "beta1"])
+def test_filon_transform_bitwise_on_c8_kernels(bath, monkeypatch):
+    # both lag kernels of acceptance criterion C8: r = 30 and r = 0
+    import atomflux.flux as flux_module
+
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _filon_cos_uniform(*args)
+
+    monkeypatch.setattr(flux_module, "_filon_cos_uniform", recording)
+    p = AtomParams.from_damping(0.05, 1.0, 1.0)
+    t = 40.0 / p.gamma
+    interacting_hadamard_direct(ObservationFrame(r=30.0, t=t, t_prime=t), p, bath, 0.02, 20.0)
+    assert len(calls) == 2 and calls[1][2] < 0.0  # the r = 0 kernel starts at a negative lag
+    for args in calls:
+        assert np.array_equal(_filon_cos_uniform(*args), _two_czt_filon(*args))
 
 
 def test_filon_quadrature_against_scipy():

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, atom_retarded_ft
-from atomflux.spectral import IntegrandError, _exact_sum, _reduce, fit_log_slope, integrate_spectrum
+from atomflux.spectral import (
+    _ERROR_FLOOR_ULPS,
+    IntegrandError,
+    _exact_sum,
+    _reduce,
+    fit_log_slope,
+    integrate_spectrum,
+)
 from atomflux.flux import far_field_flux_integrand, radiated_power_density
 
 TWO_PI = 2.0 * math.pi
@@ -122,15 +129,34 @@ def test_nonfinite_value_in_any_row_raises():
             integrate_spectrum(f, g)
 
 
-def test_row_count_must_match_on_half_grid():
+def test_more_rows_on_half_grid_raise():
     g = FrequencyGrid(2.0, 64)
 
     def f(k):
-        rows = 3 if k.size == g.n_points else 2
+        rows = 2 if k.size == g.n_points else 3
         return np.stack([np.cos(k)] * rows)
 
-    with pytest.raises(IntegrandError, match="2 rows on the half grid but 3"):
+    with pytest.raises(IntegrandError, match="3 rows on the half grid but 2"):
         integrate_spectrum(f, g)
+
+
+def test_fewer_rows_on_half_grid_floor_the_rest():
+    # rows left out on the half grid keep their value and get the ulp floor
+    # alone as est_error; the leading rows are those of an all-rows call
+    g = FrequencyGrid(3.0, 256)
+
+    def rows(k):
+        return np.stack([np.exp(-(k**2)), np.cos(k) / (1.0 + k**2), np.sin(k) ** 2, np.abs(k)])
+
+    full = integrate_spectrum(rows, g)
+    for kept in (0, 1, 3):
+        part = integrate_spectrum(lambda k: rows(k) if k.size == g.n_points else rows(k)[:kept], g)
+        assert part.value == full.value
+        assert part.n_evals == full.n_evals
+        assert part.est_error[:kept] == full.est_error[:kept]
+        for i in range(kept, 4):
+            floor = _ERROR_FLOOR_ULPS * np.finfo(float).eps * _reduce(rows(g.values)[i], g)[1]
+            assert part.est_error[i] == floor < full.est_error[i]
 
 
 def test_adaptive_oracle_agrees():
