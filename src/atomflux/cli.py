@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -455,6 +456,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     return EXIT_PASS if passed else EXIT_PHYSICS_FAIL
 
 
+@functools.cache  # built once per process, however often an in-process caller runs main
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="atomflux",

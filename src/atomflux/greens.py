@@ -298,7 +298,11 @@ def damped_cos(tau, p: AtomParams):
 def damped_sinc(tau, p: AtomParams):
     """exp(-gamma tau) * sin(Omega tau)/Omega, valid in all damping regimes.
 
-    This is the retarded response kernel of the oscillator for tau > 0.
+    This is the retarded response kernel of the oscillator for tau > 0.  The
+    overdamped branch is exp((nu - gamma) t) (1 - exp(-2 nu t))/(2 nu), with
+    nu^2 = (gamma - omega)(gamma + omega): expm1 keeps every digit next to
+    gamma = omega, where the difference of the two exponentials cancels, and
+    the branch still cannot overflow at large t.
     """
     t, scalar = _as_float_array(tau)
     d = p.omega**2 - p.gamma**2
@@ -306,8 +310,8 @@ def damped_sinc(tau, p: AtomParams):
         om = math.sqrt(d)
         out = np.exp(-p.gamma * t) * np.sin(om * t) / om
     elif d < 0:
-        nu = math.sqrt(-d)
-        out = (np.exp((nu - p.gamma) * t) - np.exp(-(nu + p.gamma) * t)) / (2.0 * nu)
+        nu = math.sqrt((p.gamma - p.omega) * (p.gamma + p.omega))
+        out = np.exp((nu - p.gamma) * t) * -np.expm1(-2.0 * nu * t) / (2.0 * nu)
     else:
         out = t * np.exp(-p.gamma * t)
     return out[()] if scalar else out

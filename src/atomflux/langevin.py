@@ -12,16 +12,19 @@ cutoff*dt/pi share of the modes only.
 
 The equation of motion ``Qdd + 2 gamma Qd + omega^2 Q = xi(t)`` is advanced
 with the exact homogeneous propagator over each step and piecewise-linear
-forcing, which is unconditionally stable for any gamma, omega > 0.
+forcing, which is unconditionally stable for any gamma, omega > 0.  The whole
+step map, propagator and forcing maps, is one matrix exponential with no
+damping-regime branch (``_step_coefficients``).
 
 Determinism contract: every trajectory is a pure function of
 (master_seed, trajectory_index) and all reductions run in a fixed order, so
 ensembles are bit-identical for any worker count.  Trajectory i draws from the
 counter-based Philox stream that ``SeedSequence(master_seed, spawn_key=(i,))``
 keys.  That 128-bit key is a fixed integer hash of the seed and the index, so
-``_spawn_keys`` computes it for a whole batch at once, and one generator per
-batch is re-keyed row by row to the exact state a freshly seeded Philox has:
-the streams are those of one generator built per trajectory.
+``_spawn_keys`` computes it for a whole batch at once, with nothing cached
+between batches, and one generator per batch is re-keyed row by row to the
+exact state a freshly seeded Philox has: the streams are those of one
+generator built per trajectory.
 
 Engine layout: a chunk of k trajectories is split into row batches of about
 r = ``_ROW_SAMPLES`` // n trajectories (at least one, at most k).  Each batch is
@@ -51,7 +54,6 @@ one per chunk, in chunk order.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
@@ -60,6 +62,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.fft import next_fast_len as _next_fast_len
+from scipy.linalg import expm as _expm
 from scipy.signal import lfilter as _scipy_lfilter
 from scipy.signal import sosfilt as _sosfilt
 
@@ -70,8 +73,6 @@ from .greens import (
     NyquistError,  # re-exported: run_ensemble raises it
     atom_hadamard_ft,
     check_nyquist,
-    damped_cos,
-    damped_sinc,
     field_hadamard_ft,
 )
 from .spectral import integrate_spectrum
@@ -216,18 +217,22 @@ def _words(n: int) -> list[int]:
     return words
 
 
-@functools.lru_cache(maxsize=8)
-def _seed_pool(seed: int):
-    """SeedSequence's pool after the run entropy of ``seed``, and the hash constants of the spawn words.
+def _spawn_keys(seed, indices) -> np.ndarray:
+    """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
 
-    The run entropy (the seed's words, zero-padded to the pool size because a
-    spawn key is present) is hashed into the pool, mixed all-pairs, and any
-    run words beyond the pool are mixed in after, in Python ints.  None of that
-    depends on the trajectory index, so each process computes it once per
-    seed.  Returns read-only uint64 arrays: the four pool words, and the
-    (xor, multiply) hash constants of the first and second spawn word, shape
-    (2, 2, 4).
+    Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
+    np.uint64)``, following SeedSequence's algorithm.  The run entropy (the
+    seed's words, zero-padded to the pool size because a spawn key is present)
+    is hashed into the pool, mixed all-pairs, and any run words beyond the pool
+    are mixed in after, in Python ints: none of that depends on i.  Only the
+    spawn words of i (one below 2^32, two from there to 2^64) and the four
+    output words run per row, on (k, 4) uint64 arrays: the hash constants do
+    not depend on the data, so the four pool words of one step are hashed at
+    once.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     run = _words(seed)
     run += [0] * (_POOL_SIZE - len(run))
     # hashmix number m uses the constants m (xor) and m + 1 (multiply): 16 for
@@ -244,32 +249,9 @@ def _seed_pool(seed: int):
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
 
-    pool = np.array(pool, dtype=np.uint64)
+    # the (xor, multiply) constants of the first and second spawn word, (2, 2, 4)
     spawn_consts = np.array(list(steps), dtype=np.uint64).reshape(2, _POOL_SIZE, 2).transpose(0, 2, 1)
-    pool.flags.writeable = spawn_consts.flags.writeable = False
-    return pool, spawn_consts
-
-
-# generate_state's output hash constants: xor and multiply for each of the four words
-_OUT_CONSTS = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)
-
-
-def _spawn_keys(seed, indices) -> np.ndarray:
-    """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
-
-    Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
-    np.uint64)``, following SeedSequence's algorithm.  The pool after the
-    seed's run entropy does not depend on i (``_seed_pool``, cached per seed).
-    Only the spawn words of i (one below 2^32, two from there to 2^64) and the
-    four output words run per row, on (k, 4) uint64 arrays: the hash constants
-    do not depend on the data, so the four pool words of one step are hashed
-    at once.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    pool, spawn_consts = _seed_pool(seed)
-
+    pool = np.array(pool, dtype=np.uint64)
     index = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
     high = index >> 32
     spawn_words = [index & _MASK32]
@@ -280,7 +262,8 @@ def _spawn_keys(seed, indices) -> np.ndarray:
         pool = np.where(high > 0, mixed, pool) if n else mixed
 
     # generate_state(2, np.uint64): four output words, then little-endian word pairs
-    state = _hashmix(pool, _OUT_CONSTS[:-1], _OUT_CONSTS[1:])
+    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)
+    state = _hashmix(pool, out_consts[:-1], out_consts[1:])
     return state[:, 0::2] | (state[:, 1::2] << 32)
 
 
@@ -361,21 +344,23 @@ def _step_coefficients(p: AtomParams, dt: float):
     """Exact homogeneous propagator over one step plus piecewise-linear forcing maps.
 
     Returns (e00, e01, e10, e11, f0q, f0v, f1q, f1v) such that
-    y_{n+1} = E y_n + Phi0 xi_n + Phi1 (xi_{n+1} - xi_n).
+    y_{n+1} = E y_n + Phi0 xi_n + Phi1 (xi_{n+1} - xi_n), y = (q, qdot).
+
+    All eight come from one matrix exponential (Van Loan 1978): over a step,
+    in units of dt, the state (q/dt^2, qdot/dt, xi, xi_{n+1} - xi_n) obeys a
+    linear ODE with the generator below, so its exponential holds E, Phi0 and
+    Phi1, read off with their powers of dt.  No coefficient is a difference of
+    nearly equal numbers, and no damping regime needs a branch of its own:
+    the critically damped point and its neighbours keep every digit.
     """
-    w2 = p.omega**2
-    dc = damped_cos(dt, p)
-    ds = damped_sinc(dt, p)
-    e00 = dc + p.gamma * ds
-    e01 = ds
-    e10 = -w2 * ds
-    e11 = dc - p.gamma * ds
-    # Phi0 = A^{-1} (E - 1) B, Phi1 = -A^{-1} B + A^{-2} (E - 1) B / dt
-    f0q = (-2.0 * p.gamma * e01 - (e11 - 1.0)) / w2
-    f0v = e01
-    f1q = 1.0 / w2 + (-2.0 * p.gamma * f0q - f0v) / (w2 * dt)
-    f1v = f0q / dt
-    return e00, e01, e10, e11, f0q, f0v, f1q, f1v
+    generator = np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [-((p.omega * dt) ** 2), -2.0 * p.gamma * dt, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    (e00, e01, f0q, f1q), (e10, e11, f0v, f1v) = _expm(generator)[:2].tolist()
+    return e00, e01 * dt, e10 / dt, e11, f0q * dt**2, f0v * dt, f1q * dt**2, f1v * dt
 
 
 def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, q, v, x0):

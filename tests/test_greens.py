@@ -350,3 +350,15 @@ def test_damped_kernels_critical_limit():
     t = np.linspace(0.0, 5.0, 50)
     assert damped_cos(t, p) == pytest.approx(np.exp(-p.gamma * t), rel=1e-14)
     assert damped_sinc(t, p) == pytest.approx(t * np.exp(-p.gamma * t), rel=1e-14, abs=1e-300)
+
+
+def test_damped_sinc_keeps_every_digit_next_to_critical():
+    # gamma / omega - 1 = 1e-12: the difference of two exponentials lost about
+    # 9 digits here; against the series t e^{-gamma t} (1 + (nu t)^2/6), whose
+    # next term is below 1e-17 relative, the expm1 form reads 1e-14
+    p = AtomParams.from_damping(0.3 * (1.0 + 1e-12), 1.0, 0.3)
+    assert p.gamma > p.omega
+    nu2 = (p.gamma - p.omega) * (p.gamma + p.omega)
+    t = np.array([0.05, 1.0, 30.0, 400.0])
+    series = t * np.exp(-p.gamma * t) * (1.0 + nu2 * t**2 / 6.0)
+    assert damped_sinc(t, p) == pytest.approx(series, rel=1e-13, abs=0.0)

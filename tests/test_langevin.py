@@ -506,6 +506,52 @@ _REGIMES = {
 }
 
 
+def _taylor_step_coefficients(p, dt):
+    """The step map from the Taylor series of its generator, summed in float64.
+
+    The state (q/dt^2, qdot/dt, xi, xi_{n+1} - xi_n) has, in units of dt, the
+    generator below; the series sums its exponential term by term until a term
+    no longer changes the sum.  Measured within 4e-16 of a 50-digit reference
+    for omega*dt <= 1 and gamma <= 2 omega.
+    """
+    generator = np.array([
+        [0.0, 1.0, 0.0, 0.0],
+        [-((p.omega * dt) ** 2), -2.0 * p.gamma * dt, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    total = term = np.eye(4)
+    for k in itertools.count(1):
+        term = term @ generator / k
+        if np.array_equal(total + term, total):
+            break
+        total = total + term
+    (e00, e01, f0q, f1q), (e10, e11, f0v, f1v) = total[:2]
+    return e00, e01 * dt, e10 / dt, e11, f0q * dt**2, f0v * dt, f1q * dt**2, f1v * dt
+
+
+@pytest.mark.parametrize(
+    "p, dt",
+    [
+        pytest.param(
+            AtomParams.from_damping(ratio * omega_dt / 0.05, 1.0, omega_dt / 0.05),
+            0.05,
+            id=f"omega_dt={omega_dt:g}-gamma/omega={ratio!r}",
+        )
+        for omega_dt in (1e-4, 1e-3, 1e-2, 0.1, 1.0)
+        for ratio in (1.0 - 1e-12, 1.0 + 1e-12, 2.0)
+    ]
+    + [pytest.param(_REGIMES["critical"], dt, id=f"critical-dt={dt}") for dt in (0.05, 0.2)],
+)
+def test_step_coefficients_match_taylor_reference(p, dt):
+    # each coefficient within 1e-14 of its dt^k scale; next to gamma = omega
+    # the hand-derived regime branches were off by 31 dt^k at omega*dt = 1e-4
+    got = langevin._step_coefficients(p, dt)
+    want = _taylor_step_coefficients(p, dt)
+    for g, w, k in zip(got, want, (0, 1, -1, 0, 2, 1, 2, 1)):
+        assert abs(g - w) <= 1e-14 * dt**k, (g, w, k)
+
+
 @pytest.mark.parametrize("taps", ["complex", "real"])
 @pytest.mark.parametrize("shape", [(1, 16384), (5, 16384), (32, 1600)])
 def test_filter_equals_scipy_lfilter_bitwise(taps, shape):
