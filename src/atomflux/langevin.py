@@ -20,11 +20,12 @@ Determinism contract: every trajectory is a pure function of
 (master_seed, trajectory_index) and all reductions run in a fixed order, so
 ensembles are bit-identical for any worker count.  Trajectory i draws from the
 counter-based Philox stream that ``SeedSequence(master_seed, spawn_key=(i,))``
-keys.  That 128-bit key is a fixed integer hash of the seed and the index, so
-``_spawn_keys`` computes it for a whole batch at once, with nothing cached
-between batches, and one generator per batch is re-keyed row by row to the
-exact state a freshly seeded Philox has: the streams are those of one
-generator built per trajectory.
+keys.  That 128-bit key is a fixed integer hash of the seed and the index,
+and up to the index it is the hash that ``SeedSequence(master_seed)`` computes:
+``_spawn_keys`` takes that pool from numpy and hashes the index for a whole
+batch at once, with nothing cached between batches, and one generator per
+batch is re-keyed row by row to the exact state a freshly seeded Philox has:
+the streams are those of one generator built per trajectory.
 
 Engine layout: a chunk of k trajectories is split into row batches of about
 r = ``_ROW_SAMPLES`` // n trajectories (at least one, at most k).  Each batch is
@@ -89,7 +90,10 @@ class _Workspace(threading.local):
     buffer ``name`` as ``shape``, so every shape with no more elements reuses
     it.  A buffer is reallocated only when it is too small, and then sized for
     ``rows`` rows (a chunk sets it to its largest batch), so batches of r and
-    r + 1 rows share it.  Reuse keeps the steady state free of large
+    r + 1 rows share it: without that, the C5 relax cell of 64 trajectories x
+    400k steps at one worker (batches of 5 and 6 rows) peaked at 161.8-162.2
+    MB of RSS against 159.9-160.1 MB, with the same output bytes (8 runs each,
+    2-core Xeon).  Reuse keeps the steady state free of large
     allocations, which the allocator would otherwise return to the operating
     system after each chunk and fault in again for the next.
     Nothing the engine returns is a view of a buffer.  The buffers are
@@ -118,27 +122,28 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _lfilter(b, a, x, axis=-1, zi=None):
-    """``scipy.signal.lfilter(b, a, x, axis, zi)`` for one first-order section, complex taps through ``sosfilt``.
+def _lfilter(b, a, x, zi):
+    """``scipy.signal.lfilter(b, a, x, zi=zi)`` for one first-order section, complex taps through ``sosfilt``.
 
-    ``b`` and ``a`` hold two taps each, with ``a[0] == 1``; ``zi`` and ``zf``
-    have lfilter's layout.  Complex taps run as the section
-    ``[b0, b1, 0, 1, a1, 0]``: that is lfilter's transposed direct form with
-    its second state entry held at zero, so ``y`` and ``zf`` carry lfilter's
-    bits.  ``sosfilt`` makes one copy of ``x``, in the output dtype, which
-    becomes ``y``, where lfilter copies a real ``x`` to complex, allocates
-    ``y`` besides and runs a generic complex loop, 1.6-2.9x slower on the
-    engine's blocks.  Real taps stay on lfilter, whose real loop beats
-    sosfilt's by 1.1-1.5x on the same blocks.
+    ``b`` and ``a`` hold two taps each, with ``a[0] == 1``; time runs along the
+    last axis of ``x``, and ``zi`` and ``zf`` have lfilter's layout.  Complex
+    taps run as the section ``[b0, b1, 0, 1, a1, 0]``: that is lfilter's
+    transposed direct form with its second state entry held at zero, so ``y``
+    and ``zf`` carry lfilter's bits.  ``sosfilt`` makes one copy of ``x``, in
+    the output dtype, which becomes ``y``, where lfilter copies a real ``x``
+    to complex, allocates ``y`` besides and runs a generic complex loop,
+    1.6-2.9x slower on the engine's blocks.  Real taps stay on lfilter, with
+    the same bits as sosfilt but faster: an overdamped ensemble (gamma = 2,
+    32 trajectories x 400k steps, cutoff 20, one worker) ran in 0.62 s
+    (median of 14, quartiles 0.58-0.68) against 0.70 s (0.64-0.75) with the
+    real taps through sosfilt, lfilter faster in 10 of 14 alternating pairs
+    (2-core Xeon); at 320 x 6000 steps the two were within noise.
     """
     if not (np.iscomplexobj(b) or np.iscomplexobj(a)):
-        return _scipy_lfilter(b, a, x, axis=axis, zi=zi)
+        return _scipy_lfilter(b, a, x, zi=zi)
     sos = np.concatenate((b, [0.0], a, [0.0]))[None, :]
-    if zi is None:
-        return _sosfilt(sos, x, axis=axis)
-    state = np.concatenate((zi, np.zeros_like(zi)), axis=axis)[None]
-    y, zf = _sosfilt(sos, x, axis=axis, zi=state)
-    return y, np.take(zf[0], [0], axis=axis)
+    y, zf = _sosfilt(sos, x, zi=np.concatenate((zi, np.zeros_like(zi)), axis=-1)[None])
+    return y, zf[0, ..., :1]
 
 
 class BurnInError(ValueError):
@@ -194,10 +199,9 @@ def _hash_constants(init: int, mult: int, n: int) -> list[int]:
 
 
 def _hashmix(value, xor_const, mult_const):
-    """SeedSequence's hashmix of 32-bit words, given the hash constant before and after the step.
+    """SeedSequence's hashmix of 32-bit words in uint64 arrays, given the hash constant before and after the step.
 
-    Python ints, or uint64 arrays holding 32-bit words: every product of two
-    such words stays below 2^64.
+    Every product of two 32-bit words stays below 2^64.
     """
     value = (value ^ xor_const) * mult_const & _MASK32
     return value ^ (value >> 16)
@@ -209,55 +213,34 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _words(n: int) -> list[int]:
-    """The little-endian 32-bit words of n >= 0; zero is one word."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
 def _spawn_keys(seed, indices) -> np.ndarray:
     """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
 
     Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
-    np.uint64)``, following SeedSequence's algorithm.  The run entropy (the
-    seed's words, zero-padded to the pool size because a spawn key is present)
-    is hashed into the pool, mixed all-pairs, and any run words beyond the pool
-    are mixed in after, in Python ints: none of that depends on i.  Only the
-    spawn words of i (one below 2^32, two from there to 2^64) and the four
-    output words run per row, on (k, 4) uint64 arrays: the hash constants do
-    not depend on the data, so the four pool words of one step are hashed at
-    once.
+    np.uint64)``, following SeedSequence's algorithm.  Until the spawn words,
+    the spawned sequence hashes what ``SeedSequence(seed)`` hashes: the seed's
+    n 32-bit words, zero-padded to the pool size (numpy hashes a 0 into each
+    pool word beyond the seed), so its pool is ``SeedSequence(seed).pool``,
+    reached after 4 max(4, n) hash steps.  Only the spawn words of i (one below
+    2^32, two from there to 2^64) and the four output words run per row, on
+    (k, 4) uint64 arrays: the hash constants do not depend on the data, so the
+    four pool words of one step are hashed at once.
     """
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    run = _words(seed)
-    run += [0] * (_POOL_SIZE - len(run))
-    # hashmix number m uses the constants m (xor) and m + 1 (multiply): 16 for
-    # the pool, then 4 per run word beyond it and 4 per spawn word (two at most)
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(run) + 2))
-    steps = zip(consts, consts[1:])
-
-    pool = [_hashmix(word, *next(steps)) for word in run[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for word in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
-
-    # the (xor, multiply) constants of the first and second spawn word, (2, 2, 4)
-    spawn_consts = np.array(list(steps), dtype=np.uint64).reshape(2, _POOL_SIZE, 2).transpose(0, 2, 1)
-    pool = np.array(pool, dtype=np.uint64)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    # hashmix number m uses the constants m (xor) and m + 1 (multiply); the
+    # first spawn word starts at m = 4 max(4, n), and each spawn word takes 4
+    n_words = -(-seed.bit_length() // 32)
+    start = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, n_words), 1 << 32) & _MASK32
+    consts = np.array(_hash_constants(start, _MULT_A, 2 * _POOL_SIZE), dtype=np.uint64)
+    # the xor and multiply constants of the first and second spawn word, (2, 4) each
+    xor_consts, mult_consts = consts[:-1].reshape(2, _POOL_SIZE), consts[1:].reshape(2, _POOL_SIZE)
     index = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
     high = index >> 32
     spawn_words = [index & _MASK32]
     if high.any():  # indices from 2^32 on have a second word
         spawn_words.append(high)
-    for n, (word, (xor_const, mult_const)) in enumerate(zip(spawn_words, spawn_consts)):
+    for n, (word, xor_const, mult_const) in enumerate(zip(spawn_words, xor_consts, mult_consts)):
         mixed = _mix(pool, _hashmix(word, xor_const, mult_const))
         pool = np.where(high > 0, mixed, pool) if n else mixed
 
@@ -438,7 +421,7 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
         q_out, v_out = q_blk[:, first:], v_blk[:, first:]
         modes = []
         for f in filters:
-            mode, f[2] = _lfilter(f[0], f[1], xi[:, s + 1 : e + 1], axis=-1, zi=f[2])
+            mode, f[2] = _lfilter(f[0], f[1], xi[:, s + 1 : e + 1], f[2])
             modes.append(mode)
         if disc < 0:
             (alpha,) = modes

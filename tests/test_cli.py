@@ -32,7 +32,7 @@ def test_load_config_defaults():
     assert cfg.t_burn == pytest.approx(20.0 / cfg.atom.gamma, rel=1e-12)
     assert cfg.t_total == pytest.approx(200.0 / cfg.atom.gamma, rel=1e-12)
     # pinned: every output file carries this hash, so a moved default shows here
-    assert cfg.config_hash() == "c7da00e39895859d8a36d9d73209f41baa62df849b27964c55a4d06dfe0c4231"
+    assert cfg.config_hash() == "ffa4e3af00f7adc054b4fd21ff8977021cca79eee82ca558dd5d0d31e3a8e957"
 
 
 def test_readme_config_example_is_the_default_config(tmp_path):
@@ -108,11 +108,11 @@ def test_beta_and_vacuum_are_mutually_exclusive(tmp_path, capsys):
 def test_flags_per_command():
     subs = next(a for a in _parser()._actions if a.choices)
     common = {"--config", "--omega", "--gamma", "--beta", "--vacuum", "--cutoff", "--grid-points",
-              "--seed", "--workers", "--out", "--format"}
+              "--out"}
     expected = {
         "fdr-check": common | {"--fdr-rtol"},
-        "budget": common | {"--sweep"},
-        "relax": common | {"--n-traj", "--dt", "--t-total"},
+        "budget": common | {"--sweep", "--format"},
+        "relax": common | {"--n-traj", "--dt", "--t-total", "--seed", "--workers"},
         "oracle": common | {"--r", "--t", "--dt-obs", "--time-step"},
     }
     for command, sub in subs.choices.items():
@@ -150,8 +150,10 @@ def test_fdr_report_bytes_do_not_depend_on_the_output_format(tmp_path):
     reports = []
     for fmt in ("json", "csv"):
         out = tmp_path / fmt
-        code = main(["fdr-check", "--vacuum", "--gamma", "0.05", "--grid-points", "4096",
-                     "--format", fmt, "--out", str(out)])
+        config = tmp_path / f"{fmt}.ini"
+        config.write_text(f"[output]\nformat = {fmt}\n")
+        code = main(["fdr-check", "--config", str(config), "--vacuum", "--gamma", "0.05",
+                     "--grid-points", "4096", "--out", str(out)])
         assert code == EXIT_PASS
         reports.append((out / "fdr_report.json").read_bytes())
     assert reports[0] == reports[1]
@@ -391,7 +393,7 @@ def test_cmd_oracle_late_time(tmp_path, capsys):
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["late_time_margin_ok"] is True
     assert payload["rel_deviation"] <= 0.01
-    assert payload["config_sha256"] == "98c787cae1f011d8b8fde207dcfd8052372f2e461f6d92d2b2bed443f7baf927"
+    assert payload["config_sha256"] == "b44904e610872a783ab7858b45b8cbe90028742ba8fec619b8b0b093ee4cb37d"
 
 
 def test_readme_oracle_line_passes(tmp_path, capsys):

@@ -183,7 +183,7 @@ def test_each_trajectory_draws_two_normals_per_band_mode(monkeypatch):
     assert [g.draws for g in generators] == [[2 * n_band] * 7]
 
 
-_SEEDS = [0, 1, 991, 20240, 2**32 + 5, 2**70 + 3, 2**200 + 7]
+_SEEDS = [0, 1, 991, 20240, 2**32 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**200 + 7]
 _INDICES = [0, 1, 31, 32, 2**32 - 1, 2**32, 2**40 + 17]
 
 
@@ -193,7 +193,9 @@ def _seed_sequence_key(seed, index):
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_spawn_keys_equal_seed_sequence_state(seed):
-    # one- to seven-word seeds, one- and two-word indices, alone and batched
+    # one- to seven-word seeds (2^96 and 2^128 - 1 the first and last four-word
+    # seeds, 2^128 the first five-word one), one- and two-word indices, alone
+    # and batched
     want = np.array([_seed_sequence_key(seed, i) for i in _INDICES])
     got = langevin._spawn_keys(seed, _INDICES)
     assert got.dtype == np.uint64 and got.shape == (len(_INDICES), 2)
@@ -576,15 +578,10 @@ def test_filter_equals_scipy_lfilter_bitwise(taps, shape):
         got_state = want_state = zi
         for s in range(1, xi.shape[1], length):
             block = xi[:, s : s + length]
-            got, got_state = langevin._lfilter(b, a, block, axis=-1, zi=got_state)
+            got, got_state = langevin._lfilter(b, a, block, got_state)
             want, want_state = scipy.signal.lfilter(b, a, block, axis=-1, zi=want_state)
             assert got.dtype == want.dtype and got_state.shape == want_state.shape
             assert np.array_equal(got, want) and np.array_equal(got_state, want_state)
-        # lfilter's other forms: time along axis 0, and no initial state
-        got, got_state = langevin._lfilter(b, a, block.T, axis=0, zi=zi.T)
-        want, want_state = scipy.signal.lfilter(b, a, block.T, axis=0, zi=zi.T)
-        assert np.array_equal(got, want) and np.array_equal(got_state, want_state)
-        assert np.array_equal(langevin._lfilter(b, a, block), scipy.signal.lfilter(b, a, block))
 
 
 # the block engine folds the drive into its filter taps and sums each
