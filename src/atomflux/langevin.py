@@ -27,30 +27,37 @@ batch at once, with nothing cached between batches, and one generator per
 batch is re-keyed row by row to the exact state a freshly seeded Philox has:
 the streams are those of one generator built per trajectory.
 
-Engine layout: a chunk of k trajectories is split into row batches of about
-r = ``_ROW_SAMPLES`` // n trajectories (at least one, at most k).  Each batch is
-synthesized trajectory-major as one (r, n) record and stays trajectory-major:
-each eigenmode is one first-order filter section over the forcing rows, its
-two taps folding in the piecewise-linear drive (complex taps run through
-``sosfilt``, real ones through ``lfilter``, with the same bits), run in blocks
-of ``_BLOCK_STEPS`` steps with the filter state carried from block to block,
-and each (r, block) block is reduced along its rows as soon as it is made.  A
-worker therefore holds O(r n) memory, a batch of fewer than 2 *
-``_ROW_SAMPLES`` samples while n is below ``_ROW_SAMPLES``, however many
-trajectories a chunk has.  Every reduction runs in an order that does not
-depend on r: the per-trajectory sums block by block in time order, the
-cross-trajectory series in trajectory order.
+Engine layout: the trajectories are reduced in chunks of ``_CHUNK_SIZE``,
+and a pool task (one ``_ensemble_chunk`` call) covers a contiguous run of
+whole chunks.  A task is split into row batches of about r = ``_ROW_SAMPLES``
+// max(n, ``_BLOCK_STEPS``) trajectories (at least one, at most the task's),
+which may cross chunk edges; a record shorter than one block counts as one
+block, so r blocks never exceed ``_ROW_SAMPLES`` samples, however short the
+record.
+Each batch is synthesized trajectory-major as one (r, n) record and stays
+trajectory-major: each eigenmode is one first-order filter section over the
+forcing rows, its two taps folding in the piecewise-linear drive (complex taps
+run through ``sosfilt``, real ones through ``lfilter``, with the same bits),
+run in blocks of ``_BLOCK_STEPS`` steps with the filter state carried from
+block to block, and each (r, block) block is reduced along its rows as soon as
+it is made.  A worker therefore holds one batch, O(r n) memory, plus the
+task's (chunks, n) series, however many trajectories the task has.  Every
+reduction runs in an order that depends on neither r nor the task: the
+per-trajectory sums block by block in time order, each chunk's series over
+its own rows in trajectory order, and the ensemble series over the chunk
+series in chunk order.
 
 The q and qdot blocks and their squares live in one workspace per process
-(per thread), sized for the largest batch of a chunk and reused by every later
-batch and chunk of the run, so the steady state makes no large allocation that
+(per thread), sized for the largest batch of a task and reused by every later
+batch and task of the run, so the steady state makes no large allocation that
 the allocator would hand back to the operating system and fault in again.
 ``run_ensemble`` empties the workspace when the run ends, and a pool worker's
 goes with the worker when the pool shuts down; no result is a view of it.  The
 band spectrum stays a fresh array per batch, freed before the batch is
-propagated, so it never adds to the propagation's peak.  A pool task carries
-several chunks (about four tasks per worker), and the results still come back
-one per chunk, in chunk order.
+propagated, so it never adds to the propagation's peak.  ``run_ensemble``
+makes min(chunks, 4 workers) tasks, adds each task's chunk series into the
+running sum as the task's result arrives, in task order, and frees them
+before the next task runs.
 """
 
 from __future__ import annotations
@@ -78,24 +85,24 @@ from .greens import (
 )
 from .spectral import integrate_spectrum
 
-_CHUNK_SIZE = 32  # trajectories per worker chunk; fixed so reductions never move
+_CHUNK_SIZE = 32  # trajectories per reduction chunk; fixed so reductions never move
 _BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(r * block)
-_ROW_SAMPLES = 1 << 21  # record samples per synthesis batch: r ~ _ROW_SAMPLES // n rows
+_ROW_SAMPLES = 1 << 21  # record samples per synthesis batch: r ~ _ROW_SAMPLES // max(n, block) rows
 
 
 class _Workspace(threading.local):
-    """Scratch buffers that the engine reuses across batches and chunks; one per thread.
+    """Scratch buffers that the engine reuses across batches and tasks; one per thread.
 
     ``take(name, shape)`` views a C-contiguous prefix of the flat float64
     buffer ``name`` as ``shape``, so every shape with no more elements reuses
     it.  A buffer is reallocated only when it is too small, and then sized for
-    ``rows`` rows (a chunk sets it to its largest batch), so batches of r and
+    ``rows`` rows (a task sets it to its largest batch), so batches of r and
     r + 1 rows share it: without that, the C5 relax cell of 64 trajectories x
     400k steps at one worker (batches of 5 and 6 rows) peaked at 161.8-162.2
     MB of RSS against 159.9-160.1 MB, with the same output bytes (8 runs each,
     2-core Xeon).  Reuse keeps the steady state free of large
     allocations, which the allocator would otherwise return to the operating
-    system after each chunk and fault in again for the next.
+    system after each task and fault in again for the next.
     Nothing the engine returns is a view of a buffer.  The buffers are
     per-thread so that concurrent ensembles in one process never share them.
     """
@@ -476,21 +483,26 @@ class EnsembleResult:
 def _batch_edges(start: int, stop: int, n_samples: int) -> list[int]:
     """Split trajectories start .. stop - 1 into near-equal row batches; returns the edges.
 
-    There are k // r batches, r = _ROW_SAMPLES // n_samples kept between 1 and
-    the chunk size k, so each holds at least r rows.
+    There are k // r batches, r = _ROW_SAMPLES // max(n_samples, _BLOCK_STEPS)
+    kept between 1 and the row count k, so each holds r to 2 r - 1 rows.  A
+    record shorter than one block counts as one block, so that r blocks never
+    exceed _ROW_SAMPLES samples.  The edges ignore chunk edges: a batch may
+    hold rows of several chunks.
     """
     k = stop - start
-    n_batches = k // min(k, max(1, _ROW_SAMPLES // n_samples))
+    n_batches = k // min(k, max(1, _ROW_SAMPLES // max(n_samples, _BLOCK_STEPS)))
     return [start + (b * k) // n_batches for b in range(n_batches + 1)]
 
 
-def _reduce_batch(p, dt, xi, burn_index, sum_q2_t):
+def _reduce_batch(p, dt, xi, burn_index, series):
     """Propagate one batch of forcing records from rest and reduce it block by block.
 
-    Adds each trajectory's q^2 row into ``sum_q2_t`` in trajectory order, and
-    sums each row's post-burn q, q^2 and qdot^2 over each ``_BLOCK_STEPS``
-    block, adding the block sums in time order.  Every sum reads one row of
-    fixed blocks, so no output depends on how many rows share the batch.  The
+    ``series`` holds one 1-D array per row of ``xi``, the q^2 series of the
+    row's chunk, shared by the rows of one chunk.  Each row adds its q^2 into
+    its array, the rows in trajectory order, and sums its post-burn q, q^2 and
+    qdot^2 over each ``_BLOCK_STEPS`` block, adding the block sums in time
+    order.  Every sum reads one row of fixed blocks, so no output depends on
+    how many rows share the batch or on which chunks they come from.  The
     blocks and their squares live in the workspace.  Returns the batch's
     post-burn means of q, q^2 and qdot^2.
     """
@@ -498,9 +510,9 @@ def _reduce_batch(p, dt, xi, burn_index, sum_q2_t):
     sums = np.zeros((3, len(xi)))  # post-burn row sums of q, q^2 and qdot^2
     for t0, q, v in _propagate(p, dt, xi, 0.0, 0.0, _BLOCK_STEPS):
         q2 = np.multiply(q, q, out=_WORKSPACE.take("q2", q.shape))
-        series = sum_q2_t[t0 : t0 + q.shape[1]]
-        for row in q2:
-            series += row
+        t1 = t0 + q.shape[1]
+        for row, chunk_series in zip(q2, series):
+            chunk_series[t0:t1] += row
         cut = max(burn_index - t0, 0)
         post_v = v[:, cut:]
         v2 = np.multiply(post_v, post_v, out=_WORKSPACE.take("v2", post_v.shape))
@@ -508,23 +520,43 @@ def _reduce_batch(p, dt, xi, burn_index, sum_q2_t):
     return tuple(sums / (n_steps + 1 - burn_index))
 
 
-def _ensemble_chunk(args):
-    """Trajectories start .. stop - 1: their q^2 series sum and per-trajectory post-burn means.
+def _ensemble_chunk(job):
+    """One pool task: trajectories start .. stop - 1, a run of whole ``_CHUNK_SIZE`` chunks.
 
-    The batches run in this thread's workspace, sized for the chunk's largest
-    batch; the results are fresh arrays.
+    Returns the q^2 series sum of each chunk the task covers, one row per
+    chunk in a (chunks, n_steps + 1) array, and the per-trajectory post-burn
+    means of q, q^2 and qdot^2.  Trajectory i belongs to chunk i //
+    ``_CHUNK_SIZE``, whichever row batch carries it, so each chunk's row has
+    the bits of that chunk run alone.  The batches run in this thread's
+    workspace, sized for the task's largest batch; the results are fresh
+    arrays.
     """
-    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = args
+    (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = job
     amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    first_chunk = start // _CHUNK_SIZE
+    series = np.zeros((-(-stop // _CHUNK_SIZE) - first_chunk, n_steps + 1))
     edges = _batch_edges(start, stop, n_steps + 1)
     _WORKSPACE.rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
-    sum_q2_t = np.zeros(n_steps + 1)
     means = []
     for lo, hi in zip(edges, edges[1:]):
         xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, range(lo, hi))
-        means.append(_reduce_batch(p, dt, xi, burn_index, sum_q2_t))
+        rows = [series[i // _CHUNK_SIZE - first_chunk] for i in range(lo, hi)]
+        means.append(_reduce_batch(p, dt, xi, burn_index, rows))
         del xi  # free this batch's record before the next one is synthesized
-    return (sum_q2_t, *(np.concatenate(m) for m in zip(*means)))
+    return (series, *(np.concatenate(m) for m in zip(*means)))
+
+
+def _task_results(jobs, workers):
+    """Each job's ``_ensemble_chunk`` result, in job order, from at most ``workers`` processes.
+
+    A pool starts one process per worker, so it gets no more workers than
+    there are jobs.
+    """
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            yield from pool.map(_ensemble_chunk, jobs)
+    else:
+        yield from map(_ensemble_chunk, jobs)
 
 
 def run_ensemble(
@@ -543,9 +575,12 @@ def run_ensemble(
     Every trajectory starts at rest, q = qdot = 0, and the statistics are taken
     after ``t_burn``.  The trajectory with index ``i`` is seeded by
     (master_seed, spawn_key=(i,)); chunking and the reduction order are fixed,
-    so the result is bit-identical for any ``workers`` count.  A pool task
-    carries several chunks, about four tasks per worker, and the results come
-    back one per chunk in chunk order.  The calling thread's workspace is
+    so the result is bit-identical for any ``workers`` count.  The chunks are
+    split into min(chunks, 4 workers) tasks of contiguous whole chunks, run in
+    a pool of at most ``workers`` processes, one per task at most, or in this
+    process for one worker or one task.  Each task's chunk series are added
+    into the running sum in chunk order as its result arrives, and dropped
+    before the next task is computed.  The calling thread's workspace is
     emptied when the run ends.
     """
     if n_traj < 1:
@@ -558,31 +593,29 @@ def run_ensemble(
             f"insufficient post-burn-in samples: t_total={t_total:g} must exceed "
             f"t_burn={t_burn:g} by at least 16 steps of dt={dt:g}; increase t_total or reduce t_burn"
         )
-    bounds = [
-        (s, min(s + _CHUNK_SIZE, n_traj)) for s in range(0, n_traj, _CHUNK_SIZE)
-    ]
+    # min(chunks, 4 workers) tasks of contiguous whole chunks: four per worker
+    # even out the load, and each task pays its fixed costs once
+    n_chunks = -(-n_traj // _CHUNK_SIZE)
+    n_tasks = min(n_chunks, 4 * workers)
+    edges = [min(_CHUNK_SIZE * (t * n_chunks // n_tasks), n_traj) for t in range(n_tasks + 1)]
     jobs = [
         (p, bath, cutoff, dt, n_steps, master_seed, s, e, burn_index)
-        for s, e in bounds
+        for s, e in zip(edges, edges[1:])
     ]
-    try:
-        if workers > 1 and len(jobs) > 1:
-            # one pool round trip per task, not per chunk; four tasks per
-            # worker still even out the load
-            chunksize = max(1, len(jobs) // (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_ensemble_chunk, jobs, chunksize=chunksize))
-        else:
-            results = [_ensemble_chunk(job) for job in jobs]
-    finally:
-        _WORKSPACE.clear()  # the buffers outlive chunks, never the run
-
     sum_q2 = np.zeros(n_steps + 1)
-    for chunk in results:  # fixed chunk order
-        sum_q2 += chunk[0]
+    means = []
+    try:
+        for series, *task_means in _task_results(jobs, workers):  # task order
+            for chunk in range(len(series)):  # fixed chunk order; a loop view would keep series alive
+                sum_q2 += series[chunk]
+            means.append(task_means)
+            del series  # free this task's series before the next task is computed
+    finally:
+        _WORKSPACE.clear()  # the buffers outlive tasks, never the run
+
     # per-trajectory post-burn means; the forcing has zero mean, so the second
     # moments are the variances, and the standard errors come from the scatter
-    q_means, q2_means, v2_means = (np.concatenate(col) for col in list(zip(*results))[1:])
+    q_means, q2_means, v2_means = (np.concatenate(col) for col in zip(*means))
     root_n = math.sqrt(n_traj)
 
     def se(arr):

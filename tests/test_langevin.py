@@ -411,15 +411,35 @@ def test_run_ensemble_worker_count_invariance():
 
 
 def test_run_ensemble_worker_count_invariance_several_chunks_per_task():
-    # 600 trajectories make 19 chunks: two workers take two chunks per pool
-    # task, three take one; the series and the statistics keep their bits
+    # w workers split the chunks into min(chunks, 4 w) tasks: 77 trajectories
+    # make 3 chunks, the last partial (3 tasks at every count), 333 make 11 (4,
+    # 8 and 11 tasks at 1, 2 and 3 workers) and 600 make 19 (4, 8 and 12
+    # tasks), so the task edges fall on other chunks at each count; the series
+    # and the statistics keep their bytes
     p, bath = AtomParams.from_damping(0.25, 1.0, 1.0), BathSpec(1.0)
-    kw = dict(cutoff=10.0, dt=0.2, t_total=40.0, n_traj=600, master_seed=8, t_burn=10.0)
-    base = run_ensemble(p, bath, workers=1, **kw)
-    for workers in (2, 3):
-        res = run_ensemble(p, bath, workers=workers, **kw)
-        assert np.array_equal(res.var_q_series, base.var_q_series)
-        assert res.stats == base.stats
+    for n_traj in (77, 333, 600):
+        kw = dict(cutoff=10.0, dt=0.2, t_total=40.0, n_traj=n_traj, master_seed=8, t_burn=10.0)
+        base = run_ensemble(p, bath, workers=1, **kw)
+        for workers in (2, 3):
+            res = run_ensemble(p, bath, workers=workers, **kw)
+            assert res.var_q_series.tobytes() == base.var_q_series.tobytes()
+            assert repr(res.stats) == repr(base.stats)
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # 64 trajectories make two chunks and so two tasks: 16 workers start a
+    # pool of two processes, not sixteen
+    sizes = []
+
+    class Recording(langevin.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(langevin, "ProcessPoolExecutor", Recording)
+    p, bath, kw = _small_ensemble_params()
+    run_ensemble(p, bath, n_traj=64, master_seed=5, t_burn=80.0, workers=16, **kw)
+    assert sizes == [2]
 
 
 def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
@@ -608,8 +628,8 @@ def test_block_engine_matches_time_major_reference(monkeypatch, regime, start, s
     job = (p, BathSpec(1.0), 10.0, 0.2, 1237, 11, start, stop, 437)
     got = langevin._ensemble_chunk(job)
     want = _reference_chunk(job)
-    assert len(got) == 4
-    for g, w in zip(got, want):
+    assert len(got) == 4 and got[0].shape == (1, 1238)  # one chunk, one series row
+    for g, w in zip((got[0][0], *got[1:]), want):
         _assert_near_reference(g, w)
 
 
@@ -664,6 +684,27 @@ def test_ensemble_chunk_independent_of_batch_size(monkeypatch, regime, start, st
             assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+def test_batches_across_chunk_edges_keep_each_chunk_byte(monkeypatch, regime):
+    # a task of chunks 1, 2 and 3, the last one partial (13 rows), in batches
+    # of 10 or 11 rows, of which 54..64 and 87..97 straddle the chunk edges at
+    # 64 and 96: each chunk's series row and each trajectory's means are the
+    # bytes of that chunk run alone
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
+    n_steps = 1237
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(10, n_steps))
+    edges = langevin._batch_edges(32, 109, n_steps + 1)
+    assert edges == [32, 43, 54, 65, 76, 87, 98, 109]
+    job = (_REGIMES[regime], BathSpec(1.0), 10.0, 0.2, n_steps, 11, 32, 109, 437)
+    series, *means = langevin._ensemble_chunk(job)
+    assert series.shape == (3, n_steps + 1)
+    for c, (lo, hi) in enumerate([(32, 64), (64, 96), (96, 109)]):
+        alone_series, *alone_means = langevin._ensemble_chunk(job[:6] + (lo, hi) + job[8:])
+        assert np.array_equal(series[c : c + 1], alone_series)
+        for got, want in zip(means, alone_means):
+            assert np.array_equal(got[lo - 32 : hi - 32], want)
+
+
 def test_one_row_batches_match_one_trajectory_chunks(monkeypatch):
     # a record longer than _ROW_SAMPLES makes one-row batches; they give the
     # bits of a single 32-row batch, and each trajectory's means are those of
@@ -684,6 +725,18 @@ def test_one_row_batches_match_one_trajectory_chunks(monkeypatch):
             assert np.array_equal(got[i : i + 1], want)
 
 
+def _traced_peak(run):
+    """Traced peak bytes of ``run()``, from an empty workspace, whose buffers count in it."""
+    langevin._WORKSPACE.clear()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        langevin._WORKSPACE.clear()
+
+
 def test_ensemble_chunk_memory_bounded(monkeypatch):
     # a chunk holds one batch of r records at a time: the (r, n) batch, its
     # O(r * block) propagation working set and the O(n) series set the traced
@@ -692,14 +745,7 @@ def test_ensemble_chunk_memory_bounded(monkeypatch):
     k, n, r = 32, 100_000, 4
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
     job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, k, 40_000)
-    langevin._WORKSPACE.clear()  # the workspace's buffers count in the peak
-    tracemalloc.start()
-    try:
-        langevin._ensemble_chunk(job)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * r * (n + 1) * 8
+    assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= 5 * r * (n + 1) * 8
 
 
 def test_one_trajectory_chunk_memory_bounded():
@@ -709,14 +755,38 @@ def test_one_trajectory_chunk_memory_bounded():
     p = AtomParams.from_damping(0.01, 1.0, 1.0)
     n = 400_000
     job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, 1, 40_000)
-    langevin._WORKSPACE.clear()  # the workspace's buffers count in the peak
-    tracemalloc.start()
-    try:
-        langevin._ensemble_chunk(job)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * (n + 1) * 8
+    assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= 5 * (n + 1) * 8
+
+
+def test_short_record_task_memory_bounded():
+    # a record shorter than one block counts as one block, so a batch holds at
+    # most _ROW_SAMPLES // _BLOCK_STEPS rows: 128 or so rows of 1601 samples at
+    # C7's shape, a tenth of _ROW_SAMPLES.  The batch's record, workspace and
+    # mode output set the traced peak, and the task's (chunks, n + 1) series
+    # adds little: measured 0.70-0.78 _ROW_SAMPLES samples at 8 to 78 chunks
+    p = AtomParams.from_damping(0.1, 1.0, 1.0)
+    for chunks in (1, 8, 78):
+        job = (p, BathSpec(1.0), 20.0, 0.05, 1600, 1, 0, 32 * chunks, 20)
+        assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= langevin._ROW_SAMPLES * 8, chunks
+
+
+def test_serial_run_holds_one_task_of_series(monkeypatch):
+    # C5's shape scaled down: records of 20001 samples in batches of 5 or 6
+    # rows and 21 blocks.  One worker runs 13 chunks as 4 tasks of 3 or 4
+    # chunks and adds each task's series into the running sum before the next
+    # task starts, so the run peaks a task's four series, the running sum and
+    # the task's small arrays above a one-chunk task: measured 5.2 records.
+    # Holding every chunk's series until the run ends added 13.2
+    p, bath, n = AtomParams.from_damping(0.01, 1.0, 1.0), BathSpec(1.0), 20_000
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 1000)
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(5, n))
+    one_chunk = _traced_peak(lambda: langevin._ensemble_chunk((p, bath, 50.0, 0.05, n, 1, 0, 32, 2000)))
+    run = _traced_peak(
+        lambda: run_ensemble(
+            p, bath, cutoff=50.0, dt=0.05, t_total=n * 0.05, n_traj=13 * 32, master_seed=1, t_burn=100.0
+        )
+    )
+    assert run <= one_chunk + 7 * (n + 1) * 8
 
 
 def _chunk_bytes(job):
@@ -726,11 +796,11 @@ def _chunk_bytes(job):
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
 def test_reused_workspace_keeps_every_chunk_byte(monkeypatch, regime):
     # chunks of other shapes run back to back in one workspace, each one
-    # after each of the others: a 32 x 1600 chunk in one batch, a 32-row chunk
-    # of 9999 steps in batches of 5, 5, 6, 5, 5, 6 rows and 3 blocks, and a
-    # one-trajectory chunk; each gives the bytes it gives from an empty
-    # workspace, the state a fresh process starts in
-    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 4096)
+    # after each of the others: a 32 x 1600 chunk in one batch and one block, a
+    # 32-row chunk of 9999 steps in batches of 5, 5, 6, 5, 5, 6 rows and 7
+    # blocks, and a one-trajectory chunk; each gives the bytes it gives from an
+    # empty workspace, the state a fresh process starts in
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 1600)
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", 32 * 1601)
     p, bath = _REGIMES[regime], BathSpec(1.0)
     jobs = {
