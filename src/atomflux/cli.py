@@ -309,7 +309,8 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
     cutoffs = sweep if sweep else [cfg.cutoff]
     budgets = []
     for lam in cutoffs:
-        grid = FrequencyGrid(lam, cfg.n_points)
+        # power_budget integrates on an even grid; given one, it builds no twin
+        grid = FrequencyGrid(lam, cfg.n_points, even=True)
         budgets.append(flux.power_budget(cfg.atom, cfg.bath, grid))
     header = ",".join(flux.PowerBudget.CSV_COLUMNS)
     path = _out_path(cfg, "budget.csv")

@@ -19,11 +19,11 @@ budget's net flow is assembled from that cancelled integrand rather than as a
 difference of two cutoff-dependent numbers.
 
 The budget's three integrands (the P_r and P_gamma densities and the cancelled
-net integrand) are even in kappa, so ``power_budget`` evaluates them on the
-kappa > 0 half of each grid only, in blocks of 2^14 points, and mirrors them
-onto kappa < 0 (its docstring says why the blocks are not smaller).  The net
-integrand is evaluated on the full grid alone: its half-grid error estimate
-would go unread.
+net integrand) are even in kappa, so ``power_budget`` integrates them on an
+even grid: they are evaluated on the kappa > 0 half of each grid only, in
+blocks of 2^14 points (its docstring says why the blocks are not smaller),
+and never copied onto kappa < 0.  The net integrand is evaluated on the full
+grid alone: its half-grid error estimate would go unread.
 
 Sign convention for the recorded flows (the magnitude balances are the
 physical statements): P_r >= 0 is the outward pure-radiation flow, P_cross =
@@ -279,13 +279,15 @@ def power_budget(
     grid, and it sums the P_r and P_gamma rows' errors, so the half grid
     evaluates those two rows and not the far-field terms.
 
-    All three rows are bitwise even in kappa, so they are evaluated on the
-    kappa > 0 half of the mirror grid only, in blocks of ``_BUDGET_BLOCK`` =
-    2^14 points (the remainder joins the last block), and copied mirrored onto
-    the negative half.  The blocks are not made smaller: numpy reuses a
-    temporary of 256 KiB or more in place, swapping the operands of the net
-    row's ``u * np.conj(u)``, and a swapped complex product rounds differently;
-    2^14 complex points are the shortest block that keeps the rounding of a
+    All three rows are bitwise even in kappa, so they are integrated on the
+    even twin of ``grid`` (same cutoff and points, ``even=True``): each row
+    holds the kappa > 0 half alone, n/2 points, evaluated in blocks of
+    ``_BUDGET_BLOCK`` = 2^14 points (the remainder joins the last block), and
+    the quadrature pairs every sample with itself, which gives the bits of
+    the mirror grid's paired sum.  The blocks are not made smaller: numpy
+    reuses a temporary of 256 KiB or more in place, swapping the operands of
+    the net row's ``u * np.conj(u)``, and a swapped complex product rounds
+    differently; 2^14 complex points are the shortest block that keeps the rounding of a
     whole-grid evaluation.  Only on grids of 16384 to 32766 points is the
     whole grid long enough for that reuse and its positive half not, so there
     the net row (never P_r, P_gamma or est_error) can move by a rounding
@@ -293,16 +295,16 @@ def power_budget(
     """
     if r is None:
         r = 100.0 / p.omega
+    if not grid.even:
+        grid = FrequencyGrid(grid.cutoff, grid.n_points, even=True)
 
     def integrand(kap):
-        # kap is a FrequencyGrid's values: kap[i] == -kap[n - 1 - i] exactly
-        half = kap.size // 2
-        # the net row's est_error is never read, so the half grid skips it
-        rows = np.empty((3 if kap.size == grid.n_points else 2, kap.size))
-        edges = [b * _BUDGET_BLOCK for b in range(max(1, half // _BUDGET_BLOCK))] + [half]
+        # kap is the kappa > 0 half of the full or the half grid; the net
+        # row's est_error is never read, so the half grid skips it
+        rows = np.empty((3 if 2 * kap.size == grid.n_points else 2, kap.size))
+        edges = [b * _BUDGET_BLOCK for b in range(max(1, kap.size // _BUDGET_BLOCK))] + [kap.size]
         for lo, hi in zip(edges, edges[1:]):
-            _budget_rows(p, bath, r, kap[half + lo : half + hi], rows[:, half + lo : half + hi])
-        rows[:, :half] = rows[:, half:][:, ::-1]
+            _budget_rows(p, bath, r, kap[lo:hi], rows[:, lo:hi])
         return rows
 
     res = integrate_spectrum(integrand, grid)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -118,33 +119,43 @@ class FrequencyGrid:
     """Uniform symmetric frequency grid on (-cutoff, cutoff), offset half a step.
 
     The samples are midpoints of ``n_points`` equal cells, so kappa = 0 is never
-    hit and ``values[i] == -values[n-1-i]`` holds exactly (the positive half is
-    built first and mirrored by negation).
+    hit.  The kappa > 0 half, ``positive``, is built first; ``values``, the
+    whole grid, mirrors it by negation on first read, so
+    ``values[i] == -values[n-1-i]`` holds exactly.  A grid built with
+    ``even=True`` records that its integrand is even in kappa:
+    ``integrate_spectrum`` then samples ``positive`` alone and never builds
+    ``values``.
     """
 
     cutoff: float
     n_points: int
-    values: np.ndarray = field(init=False, repr=False)
+    even: bool = False
+    positive: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.cutoff < math.inf:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.n_points < 16 or self.n_points % 2 != 0:
             raise ValueError(f"n_points must be an even integer >= 16, got {self.n_points}")
-        h = 2.0 * self.cutoff / self.n_points
-        pos = (np.arange(self.n_points // 2) + 0.5) * h
-        vals = np.concatenate([-pos[::-1], pos])
+        pos = (np.arange(self.n_points // 2) + 0.5) * self.spacing
+        pos.setflags(write=False)
+        object.__setattr__(self, "positive", pos)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """All n grid points in ascending order: ``positive`` mirrored, then itself."""
+        vals = np.concatenate([-self.positive[::-1], self.positive])
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        return vals
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.cutoff / self.n_points
 
     def halved(self):
-        """Grid with half the resolution at the same cutoff, or None if too coarse."""
+        """Grid with half the resolution at the same cutoff and parity, or None if too coarse."""
         if self.n_points % 4 == 0 and self.n_points // 2 >= 16:
-            return FrequencyGrid(self.cutoff, self.n_points // 2)
+            return FrequencyGrid(self.cutoff, self.n_points // 2, self.even)
         return None
 
 

@@ -460,9 +460,10 @@ def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: i
     """Frequency-domain equilibrium coordinate variance at the same cutoff.
 
     (1/m) \\int dkappa/2pi coth(beta kappa/2) Im GR(kappa) over (-cutoff, cutoff);
-    use the synthesis cutoff here, never a different one.
+    use the synthesis cutoff here, never a different one.  The integrand is
+    bitwise even, so it is sampled on kappa > 0 alone.
     """
-    grid = FrequencyGrid(cutoff, n_points)
+    grid = FrequencyGrid(cutoff, n_points, even=True)
     res = integrate_spectrum(lambda k: atom_hadamard_ft(k, p, bath), grid)
     return res.value / p.m
 

@@ -2,8 +2,11 @@
 
 ``integrate_spectrum`` evaluates ``(1/2 pi) \\int_{-L}^{L} f(kappa) dkappa`` on a
 half-step-offset mirror grid with a fourth-order end-corrected midpoint rule.
-Mirrored samples are paired before summation, so odd integrands vanish exactly,
-and each row's sum is exactly rounded: a few vectorized error-free extraction
+Mirrored samples are paired before summation, so odd integrands vanish exactly.
+On a grid built ``even=True`` the integrand is sampled on kappa > 0 alone and
+each sample is paired with itself, which gives the mirror grid's bits for an
+integrand that is bitwise even there at half the samples and memory.  Each
+row's sum is exactly rounded: a few vectorized error-free extraction
 passes leave partial sums that hold the exact total, and ``math.fsum`` rounds
 them once, so the bits equal ``math.fsum`` of the terms by construction, in
 whatever order numpy adds.  Results are run-to-run and worker-count
@@ -47,8 +50,8 @@ class QuadratureResult:
     """One integral, or per-row tuples of them for a vector-valued integrand.
 
     ``n_evals`` counts the grid points handed to the integrand (fine plus half
-    grid), whatever the number of rows it returned for them and however many
-    of them it evaluated (an even integrand may evaluate half and mirror).
+    grid), whatever the number of rows it returned for them; on an even grid
+    that is twice the number of samples the integrand computed.
     """
 
     value: float | complex | tuple
@@ -57,18 +60,24 @@ class QuadratureResult:
 
 
 def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
-    """Samples of ``f`` on the grid: shape ``(n,)``, or ``(k, n)`` for k rows."""
-    vals = np.asarray(f(grid.values))
-    if vals.ndim not in (1, 2) or vals.shape[-1] != grid.n_points:
+    """Samples of ``f`` on the grid, or on its kappa > 0 half if the grid is even.
+
+    The shape is ``(m,)``, or ``(k, m)`` for k rows, with m the number of
+    kappa values handed to ``f``.
+    """
+    kappa = grid.positive if grid.even else grid.values
+    vals = np.asarray(f(kappa))
+    if vals.ndim not in (1, 2) or vals.shape[-1] != kappa.size:
         raise IntegrandError(
-            f"integrand returned shape {vals.shape} for {grid.n_points} kappa values; "
-            f"expected ({grid.n_points},) or (rows, {grid.n_points})"
+            f"integrand returned shape {vals.shape} for {kappa.size} kappa values; "
+            f"expected ({kappa.size},) or (rows, {kappa.size})"
         )
     if not np.all(np.isfinite(vals)):
-        row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), grid.n_points)
+        row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), kappa.size)
         where = f" in row {row}" if vals.ndim == 2 else ""
+        half = " of the kappa > 0 half" if grid.even else ""
         raise IntegrandError(
-            f"integrand is non-finite{where} at kappa={float(grid.values[bad])!r} (index {bad})"
+            f"integrand is non-finite{where} at kappa={float(kappa[bad])!r} (index {bad}{half})"
         )
     return vals
 
@@ -108,13 +117,19 @@ def _exact_sum(p: np.ndarray, top: float, scratch: np.ndarray) -> float:
 def _reduce(vals: np.ndarray, grid: FrequencyGrid):
     """Edge-corrected paired sum with the 1/(2 pi) measure; returns (value, abs_scale).
 
-    The sum over the weighted pairs is exactly rounded: ``_exact_sum`` gives
-    ``math.fsum``'s bits, and falls back to ``fsum`` itself on zero, non-finite,
+    On an even grid ``vals`` holds the kappa > 0 samples alone, and each pairs
+    with itself: ``pos + pos`` has the bits ``pos + neg`` has on the mirror
+    grid for an integrand that is bitwise even there.  The sum over the
+    weighted pairs is exactly rounded: ``_exact_sum`` gives ``math.fsum``'s
+    bits, and falls back to ``fsum`` itself on zero, non-finite,
     near-subnormal and near-overflowing rows.
     """
     half = grid.n_points // 2
-    neg = vals[:half][::-1]  # neg[j] = f(-pos[j])
-    pos = vals[half:]
+    if grid.even:
+        pos = neg = vals  # the kappa > 0 samples; f(-kappa) == f(kappa)
+    else:
+        neg = vals[:half][::-1]  # neg[j] = f(-pos[j])
+        pos = vals[half:]
     terms = pos + neg
     # 1.0 * x == x, so weighting only the four edge pairs keeps every bit
     terms[-4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
@@ -137,9 +152,10 @@ def _reduce(vals: np.ndarray, grid: FrequencyGrid):
 def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     """Integrate ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
 
-    ``f`` must vectorize: it is called with the ndarray of the n grid values
-    and returns an ``(n,)`` array, or a ``(k, n)`` array for k rows, which gets
-    per-row tuples of ``value`` and ``est_error``, each bitwise equal to
+    ``f`` must vectorize: it is called once with the ndarray of the m kappa
+    values it is sampled at (the n grid values, or on an even grid the n/2
+    values kappa > 0 alone) and returns an ``(m,)`` array, or a ``(k, m)``
+    array for k rows, which gets per-row tuples of ``value`` and ``est_error``, each bitwise equal to
     integrating that row alone.  Any other shape raises ``IntegrandError``, and
     an exception raised by ``f`` propagates.
     ``est_error`` comes from a Richardson comparison against the

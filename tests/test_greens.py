@@ -294,6 +294,7 @@ def test_bath_spec():
 def test_frequency_grid_mirror_symmetry_exact():
     g = FrequencyGrid(10.0, 48)
     assert np.array_equal(g.values, -g.values[::-1])
+    assert np.array_equal(g.values[24:], g.positive)
     assert np.max(np.abs(g.values)) <= g.cutoff
     assert 0.0 not in g.values
     assert g.spacing == pytest.approx(20.0 / 48)

@@ -9,7 +9,7 @@ import pytest
 import scipy.signal
 
 from atomflux import langevin
-from atomflux.greens import AtomParams, BathSpec, FrequencyGrid
+from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, atom_hadamard_ft
 from atomflux.spectral import integrate_spectrum
 from atomflux.langevin import (
     NyquistError,
@@ -360,6 +360,18 @@ def test_predicted_variance_monotone_in_temperature():
     v_hot = predicted_variance(p, BathSpec(0.5), 50.0, 32768)
     v_cold = predicted_variance(p, BathSpec(5.0), 50.0, 32768)
     assert v_hot > v_cold
+
+
+@pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
+def test_predicted_variance_on_even_grid_keeps_mirror_grid_bits(gamma, beta):
+    # atom_hadamard_ft is bitwise even, so sampling kappa > 0 alone keeps
+    # every bit of the mirror-grid integration
+    p = AtomParams.from_damping(gamma, 1.0, 1.0)
+    bath = BathSpec(beta)
+    for cutoff, n in itertools.product((20.0, 50.0), (32768, 65536)):
+        mirror = integrate_spectrum(lambda k: atom_hadamard_ft(k, p, bath), FrequencyGrid(cutoff, n))
+        assert predicted_variance(p, bath, cutoff, n).hex() == (mirror.value / p.m).hex()
 
 
 # ---------------------------------------------------------------------------

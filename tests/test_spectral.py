@@ -359,29 +359,90 @@ def test_reduce_complex_rows_match_fsum_of_weighted_pairs():
 @pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
 def test_budget_rows_reduce_to_fsum_bits(gamma, beta, monkeypatch):
-    # every row power_budget reduces, on the full and the half grid, gets the
-    # bits of math.fsum over the same weighted pairs; the reference is computed
-    # in this process, so the build's SIMD kernels cannot move the comparison
+    # every row power_budget reduces, three on the full grid and two on the
+    # half grid, gets the bits of math.fsum over the same weighted pairs, each
+    # kappa > 0 sample paired with itself; the reference is computed in this
+    # process, so the build's SIMD kernels cannot move the comparison
     from atomflux import flux
 
-    integrands = []
+    calls = []
 
     def capture(f, grid):
-        integrands.append(f)
+        calls.append((f, grid))
         return integrate_spectrum(f, grid)
 
     monkeypatch.setattr(flux, "integrate_spectrum", capture)
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
     for lam in (10.0, 100.0, 1000.0):
-        grid = FrequencyGrid(lam, 2**15)
-        flux.power_budget(p, BathSpec(beta), grid)
-        f = integrands.pop()
-        for g in (grid, grid.halved()):
-            for row in f(g.values):
-                terms = _weighted_pairs(row)
+        flux.power_budget(p, BathSpec(beta), FrequencyGrid(lam, 2**15))
+        f, grid = calls.pop()
+        assert grid.even
+        for g, n_rows in ((grid, 3), (grid.halved(), 2)):
+            rows = f(g.positive)
+            assert rows.shape == (n_rows, g.n_points // 2)
+            for row in rows:
+                terms = _weighted_pairs(np.concatenate([row[::-1], row]))
                 value, abs_scale = _reduce(row, g)
                 assert value.hex() == (math.fsum(terms.tolist()) * g.spacing / TWO_PI).hex()
                 assert abs_scale == float(np.sum(np.abs(terms))) * g.spacing / TWO_PI
+
+
+# ---------------------------------------------------------------------------
+# even grids: the kappa > 0 half alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [16, 30, 4096, 65540])  # n = 30 has no half grid
+def test_even_grid_matches_mirror_grid_bitwise(n):
+    mirror = FrequencyGrid(8.0, n)
+    even = FrequencyGrid(8.0, n, even=True)
+    integrands = (
+        lambda k: np.stack([np.exp(-(k**2)), np.cos(k) / (1.0 + k**2), k**2, np.abs(k) * 1e-300]),
+        lambda k: np.exp(-(k**2)),
+        lambda k: np.exp(-(k**2)) * (1.0 + 1j * np.cos(3.0 * k)),
+    )
+    for f in integrands:
+        samples = f(mirror.values)
+        assert np.array_equal(samples, samples[..., ::-1])  # bitwise even on the mirror grid
+        want = integrate_spectrum(f, mirror)
+        got = integrate_spectrum(f, even)
+        assert got.n_evals == want.n_evals == n + (n // 2 if mirror.halved() else 0)
+        assert np.array(got.value).tobytes() == np.array(want.value).tobytes()
+        assert np.array(got.est_error).tobytes() == np.array(want.est_error).tobytes()
+        assert type(got.value) is type(want.value)
+    assert "values" not in vars(even)  # the mirrored array is never built
+
+
+def test_even_grid_nonfinite_sample_names_kappa_and_index():
+    import re
+
+    g = FrequencyGrid(2.0, 32, even=True)
+    bad_kappa = float(g.positive[5])
+
+    def f(k):
+        out = np.stack([np.cos(k), k**2])
+        out[1, 5] = np.nan
+        return out
+
+    match = f"row 1 at kappa={re.escape(repr(bad_kappa))} \\(index 5 of the kappa > 0 half\\)"
+    with pytest.raises(IntegrandError, match=match):
+        integrate_spectrum(f, g)
+
+
+def test_even_grid_full_length_return_raises():
+    import re
+
+    g = FrequencyGrid(2.0, 32, even=True)
+    with pytest.raises(IntegrandError, match=re.escape("shape (32,) for 16 kappa values")):
+        integrate_spectrum(lambda k: np.ones(2 * k.size), g)
+
+
+def test_halved_keeps_the_grid_even():
+    for even in (False, True):
+        g = FrequencyGrid(5.0, 128, even=even).halved()
+        assert (g.n_points, g.even) == (64, even)
+        assert g.halved().even is even
+    assert FrequencyGrid(5.0, 34, even=True).halved() is None
 
 
 # ---------------------------------------------------------------------------
