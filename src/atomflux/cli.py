@@ -225,7 +225,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     fields = {row.attr: field(row.section, row.key, atom.gamma) for row in _SCHEMA if row.attr}
     try:
         FrequencyGrid(fields["cutoff"], fields["n_points"])
-    except (ValueError, MemoryError) as exc:  # grid.cutoff passed its rule: n_points is at fault
+    except ValueError as exc:  # grid.cutoff passed its rule: n_points is at fault
         raise ConfigError("grid.n_points", str(exc)) from None
     if not fields["oracle_t"] - fields["oracle_dt_obs"] > 0:
         raise ConfigError(
@@ -334,12 +334,17 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
 
 
 def cmd_relax(cfg: RunConfig) -> int:
-    # imported here, before run_ensemble forks its pool: the other commands
-    # never load the time-domain engine or the scipy modules it needs
-    from . import langevin
-
     length_key = _length_key("langevin.t_total", cfg.t_total, "langevin.dt", cfg.langevin_dt)
     _check_length(length_key, cfg.t_total / cfg.langevin_dt)
+    try:
+        check_nyquist("dt", cfg.langevin_dt, cfg.cutoff)
+    except NyquistError as exc:
+        raise ConfigError("langevin.dt", str(exc)) from None
+    # imported here, once the config is known to be good and before
+    # run_ensemble forks its pool: the other commands, and a rejected dt, never
+    # load the time-domain engine or the scipy modules it needs
+    from . import langevin
+
     try:
         result = langevin.run_ensemble(
             cfg.atom,
@@ -352,8 +357,6 @@ def cmd_relax(cfg: RunConfig) -> int:
             t_burn=cfg.t_burn,
             workers=cfg.workers,
         )
-    except NyquistError as exc:
-        raise ConfigError("langevin.dt", str(exc)) from None
     except langevin.BurnInError as exc:
         raise ConfigError("langevin.t_burn", str(exc)) from None
     except MemoryError as exc:

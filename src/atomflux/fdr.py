@@ -13,6 +13,12 @@ compact report:
 Residuals are reported absolutely and relative to the larger of the two
 compared magnitudes; points where both magnitudes sit below the absolute
 tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
+
+The suites walk the mirror grid in the quadrature's pieces (``spectral.pieces``
+of its kappa > 0 half, each also negated and reversed), so they hold a few
+arrays of one piece, whatever the grid size, and never build ``grid.values``.
+Each piece's residuals are reduced as they come, with the semantics of one
+report over the whole grid.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .greens import (
     field_retarded_im,
     thermal_factor,
 )
+from .spectral import pieces
 
 @dataclass
 class IdentityReport:
@@ -66,31 +73,68 @@ def _compare(lhs, rhs):
     return np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))
 
 
-def _report(name, grid, abs_res, scale, rtol, atol) -> IdentityReport:
-    """Reduce residuals to a report.
+def _mirror_parts(grid: FrequencyGrid, residual):
+    """``(start, *residual(kappa))`` for each piece of the mirror grid, in ascending order.
 
-    ``abs_res`` and ``scale`` hold one or more grid-length blocks laid end to
-    end; entry i belongs to kappa = grid.values[i % n_points].
+    ``kappa`` is ``grid.values[start:start + kappa.size]``, built from the
+    kappa > 0 points alone: a piece of them negated and reversed, or itself.
     """
-    meaningful = scale > atol
-    n_skipped = int(np.size(scale) - np.count_nonzero(meaningful))
-    if np.any(meaningful):
-        rel = abs_res[meaningful] / scale[meaningful]
-        imax = int(np.argmax(rel))
-        max_rel = float(rel[imax])
-        worst_index = int(np.flatnonzero(meaningful)[imax])
+    half = grid.n_points // 2
+    runs = pieces(half)
+    for lo, hi in reversed(runs):
+        yield half - hi, *residual(-grid.positive_slice(lo, hi)[::-1])
+    for lo, hi in runs:
+        yield half + lo, *residual(grid.positive_slice(lo, hi))
+
+
+def _kappa_at(grid: FrequencyGrid, i: int) -> float:
+    """``grid.values[i]``, without building ``grid.values``."""
+    half = grid.n_points // 2
+    if i >= half:
+        return float(grid.positive_slice(i - half, i - half + 1)[0])
+    return -float(grid.positive_slice(half - 1 - i, half - i)[0])
+
+
+def _report(name, grid, parts, rtol, atol) -> IdentityReport:
+    """Reduce residual parts to a report.
+
+    ``parts`` yields ``(start, abs_res, scale)``, one part at a time and in
+    any order: the residuals at entries start, start + 1, ... of one or more
+    grid-length blocks laid end to end, where entry i belongs to kappa =
+    grid.values[i % n_points].  The report is that of the whole laid-out
+    arrays: the first entry wins a tie, a NaN wins over every number, and if
+    every entry is skipped the worst kappa is that of the largest residual.
+    Each part leaves only its maxima and their entries.
+    """
+    n_skipped = 0
+    skipped_ok = True
+    rel_max, abs_max = [], []  # per part: (entry, value) of its first maximum
+    for start, abs_res, scale in parts:
+        meaningful = scale > atol
+        n_skipped += abs_res.size - int(np.count_nonzero(meaningful))
+        skipped_ok = skipped_ok and not np.any(abs_res[~meaningful] > atol)
+        i = int(np.argmax(abs_res))
+        abs_max.append((start + i, abs_res[i]))
+        if np.any(meaningful):
+            rel = abs_res[meaningful] / scale[meaningful]
+            j = int(np.argmax(rel))
+            rel_max.append((start + int(np.flatnonzero(meaningful)[j]), rel[j]))
+    # parts never overlap, so their maxima sorted by entry are in laid-out
+    # order, and np.argmax picks the first tied maximum, or the first NaN
+    rel_max.sort()
+    abs_max.sort()
+    if rel_max:
+        worst_index, max_rel = rel_max[int(np.argmax([value for _, value in rel_max]))]
     else:
-        max_rel = 0.0
-        worst_index = int(np.argmax(abs_res))
-    skipped_ok = not np.any(abs_res[~meaningful] > atol)
+        worst_index, max_rel = abs_max[int(np.argmax([value for _, value in abs_max]))][0], 0.0
     passed = bool(max_rel <= rtol and skipped_ok)
     return IdentityReport(
         name=name,
         cutoff=grid.cutoff,
         n_points=grid.n_points,
-        max_abs_residual=float(np.max(abs_res)),
-        max_rel_residual=max_rel,
-        worst_kappa=float(grid.values[worst_index % grid.n_points]),
+        max_abs_residual=float(np.max([value for _, value in abs_max])),
+        max_rel_residual=float(max_rel),
+        worst_kappa=_kappa_at(grid, worst_index % grid.n_points),
         passed=passed,
         rtol=rtol,
         atol=atol,
@@ -114,13 +158,15 @@ def check_field_fdr(
     thermal arithmetic.  n_B is written through e^{-beta |kappa|}, which
     underflows to the vacuum's 0 where e^{beta |kappa|} would overflow.
     """
-    k = np.abs(grid.values)
-    x = bath.beta * k
-    n_bose = np.exp(-x) / -np.expm1(-x)
-    mode = k / FOUR_PI if r == 0 else np.sin(k * r) / (FOUR_PI * r)
-    lhs = field_hadamard_ft(r, grid.values, bath)
-    rhs = (1.0 + 2.0 * n_bose) * mode
-    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, *_compare(lhs, rhs), rtol, atol)
+
+    def residual(kap):
+        k = np.abs(kap)
+        x = bath.beta * k
+        n_bose = np.exp(-x) / -np.expm1(-x)
+        mode = k / FOUR_PI if r == 0 else np.sin(k * r) / (FOUR_PI * r)
+        return _compare(field_hadamard_ft(r, kap, bath), (1.0 + 2.0 * n_bose) * mode)
+
+    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, _mirror_parts(grid, residual), rtol, atol)
 
 
 def check_atom_fdr_reduction(
@@ -137,11 +183,23 @@ def check_atom_fdr_reduction(
     what makes the far-field flux cancel at the integrand level, and any change
     to the kernels must keep it passing before flux results are trusted.
     """
-    kap = grid.values
-    gr = atom_retarded_ft(kap, p)
-    lhs = field_hadamard_ft(0.0, kap, bath) * np.abs(gr) ** 2
-    rhs = (p.m / p.e**2) * thermal_factor(kap, bath) * np.imag(gr)
-    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, *_compare(lhs, rhs), rtol, atol)
+
+    def residual(kap):
+        gr = atom_retarded_ft(kap, p)
+        lhs = field_hadamard_ft(0.0, kap, bath) * np.abs(gr) ** 2
+        rhs = (p.m / p.e**2) * thermal_factor(kap, bath) * np.imag(gr)
+        return _compare(lhs, rhs)
+
+    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, _mirror_parts(grid, residual), rtol, atol)
+
+
+def _parity_residuals(gr, gr_mirror, im_u, im_u_mirror, tf, tf_mirror):
+    """Yield the five parity residuals and their scales, from kernel samples and their mirror images'."""
+    yield np.abs(np.imag(gr) + np.imag(gr_mirror)), np.abs(np.imag(gr))  # Im odd
+    yield np.abs(np.real(gr) - np.real(gr_mirror)), np.abs(np.real(gr))  # Re even
+    yield np.abs(gr_mirror - np.conj(gr)), np.abs(gr)  # conjugate reflection
+    yield np.abs(im_u + im_u_mirror), np.abs(im_u)
+    yield np.abs(tf + tf_mirror), np.abs(tf)
 
 
 def check_parity(
@@ -157,20 +215,25 @@ def check_parity(
     oddness of the field kernel's imaginary part at unit separation, and
     oddness of the thermal factor.  All residuals are exact zeros in floating
     point because mirrored points run through sign-symmetric operations.
+    The report is that of the five residuals laid end to end over the grid,
+    but they are yielded lazily: the kernels are sampled once per piece of
+    the kappa > 0 half and once at its mirror image, and each of the two
+    samplings is the other's mirror.
     """
-    kap = grid.values
-    gr = atom_retarded_ft(kap, p)
-    gr_mirror = gr[::-1]
-    im_u = field_retarded_im(1.0, kap)
-    tf = thermal_factor(kap, bath)
+    n, half = grid.n_points, grid.n_points // 2
 
-    residuals = [
-        np.abs(np.imag(gr) + np.imag(gr_mirror)),      # Im odd
-        np.abs(np.real(gr) - np.real(gr_mirror)),      # Re even
-        np.abs(gr_mirror - np.conj(gr)),               # conjugate reflection
-        np.abs(im_u + field_retarded_im(1.0, kap[::-1])),
-        np.abs(tf + tf[::-1]),
-    ]
-    scales = [np.abs(np.imag(gr)), np.abs(np.real(gr)), np.abs(gr), np.abs(im_u), np.abs(tf)]
-    name = f"parity[{bath.describe()}]"
-    return _report(name, grid, np.concatenate(residuals), np.concatenate(scales), rtol, atol)
+    def parts():
+        for lo, hi in pieces(half):
+            pos = grid.positive_slice(lo, hi)
+            neg = -pos
+            gr, gr_neg = atom_retarded_ft(pos, p), atom_retarded_ft(neg, p)
+            im_u, im_u_neg = field_retarded_im(1.0, pos), field_retarded_im(1.0, neg)
+            tf, tf_neg = thermal_factor(pos, bath), thermal_factor(neg, bath)
+            at_neg = _parity_residuals(gr_neg, gr, im_u_neg, im_u, tf_neg, tf)
+            at_pos = _parity_residuals(gr, gr_neg, im_u, im_u_neg, tf, tf_neg)
+            for block, ((res_n, scale_n), (res_p, scale_p)) in enumerate(zip(at_neg, at_pos)):
+                # grid.values[half - hi:half - lo] is neg reversed
+                yield block * n + half - hi, res_n[::-1], scale_n[::-1]
+                yield block * n + half + lo, res_p, scale_p
+
+    return _report(f"parity[{bath.describe()}]", grid, parts(), rtol, atol)

@@ -20,10 +20,11 @@ difference of two cutoff-dependent numbers.
 
 The budget's three integrands (the P_r and P_gamma densities and the cancelled
 net integrand) are even in kappa, so ``power_budget`` integrates them on an
-even grid: they are evaluated on the kappa > 0 half of each grid only, in
-blocks of 2^14 points (its docstring says why the blocks are not smaller),
-and never copied onto kappa < 0.  The net integrand is evaluated on the full
-grid alone: its half-grid error estimate would go unread.
+even grid: they are evaluated on the kappa > 0 half of each grid only, one
+quadrature piece at a time, so its memory does not grow with the grid, and
+never copied onto kappa < 0.  The net integrand is evaluated on the full grid
+alone: its half-grid error estimate would go unread.  The late-time value
+``interacting_hadamard_late`` streams the same way.
 
 Sign convention for the recorded flows (the magnitude balances are the
 physical statements): P_r >= 0 is the outward pure-radiation flow, P_cross =
@@ -56,7 +57,6 @@ from .spectral import integrate_spectrum
 
 TWO_PI = 2.0 * math.pi
 
-_BUDGET_BLOCK = 1 << 14  # kappa points per power_budget evaluation block (no fewer: see there)
 _LATE_TIME_MARGIN = 20.0  # relaxation and light-crossing times before the late-time formulas hold
 # Filon panels of a lag kernel: each panel spans at most this much phase of
 # sin(kappa r), and there are never fewer than the floor
@@ -96,7 +96,7 @@ class ObservationFrame:
 
 # The densities share their expressions through these helpers, which take
 # kernel samples already evaluated: the public densities pass freshly computed
-# kernels, while ``power_budget`` computes each kernel once per grid and feeds
+# kernels, while ``power_budget`` computes each kernel once per grid point and feeds
 # every density from the same samples.
 
 
@@ -280,31 +280,31 @@ def power_budget(
     evaluates those two rows and not the far-field terms.
 
     All three rows are bitwise even in kappa, so they are integrated on the
-    even twin of ``grid`` (same cutoff and points, ``even=True``): each row
-    holds the kappa > 0 half alone, n/2 points, evaluated in blocks of
-    ``_BUDGET_BLOCK`` = 2^14 points (the remainder joins the last block), and
-    the quadrature pairs every sample with itself, which gives the bits of
-    the mirror grid's paired sum.  The blocks are not made smaller: numpy
-    reuses a temporary of 256 KiB or more in place, swapping the operands of
-    the net row's ``u * np.conj(u)``, and a swapped complex product rounds
-    differently; 2^14 complex points are the shortest block that keeps the rounding of a
-    whole-grid evaluation.  Only on grids of 16384 to 32766 points is the
-    whole grid long enough for that reuse and its positive half not, so there
-    the net row (never P_r, P_gamma or est_error) can move by a rounding
-    residue.
+    even twin of ``grid`` (same cutoff and points, ``even=True``): the rows
+    are evaluated on the kappa > 0 half alone, one quadrature piece of 2^14
+    to 2^15 points at a time, and the quadrature pairs every sample with
+    itself, which gives the bits of the mirror grid's paired sum.  Memory is
+    that of a piece, whatever the grid size.  The pieces are never shorter
+    than 2^14 points (see ``spectral._PIECE``): numpy reuses a temporary of
+    256 KiB or more in place, swapping the operands of the net row's
+    ``u * np.conj(u)``, and a swapped complex product rounds differently.
+    Only on grids of 16384 to 32766 points is the whole grid long enough for
+    that reuse and its positive half not, so there the net row (never P_r,
+    P_gamma or est_error) can move by a rounding residue.
     """
     if r is None:
         r = 100.0 / p.omega
     if not grid.even:
         grid = FrequencyGrid(grid.cutoff, grid.n_points, even=True)
+    full = grid.n_points // 2  # the kappa > 0 points of the full grid, handed over first
+    handed = 0
 
     def integrand(kap):
-        # kap is the kappa > 0 half of the full or the half grid; the net
-        # row's est_error is never read, so the half grid skips it
-        rows = np.empty((3 if 2 * kap.size == grid.n_points else 2, kap.size))
-        edges = [b * _BUDGET_BLOCK for b in range(max(1, kap.size // _BUDGET_BLOCK))] + [kap.size]
-        for lo, hi in zip(edges, edges[1:]):
-            _budget_rows(p, bath, r, kap[lo:hi], rows[:, lo:hi])
+        # the net row's est_error is never read, so the half grid skips it
+        nonlocal handed
+        handed += kap.size
+        rows = np.empty((3 if handed <= full else 2, kap.size))
+        _budget_rows(p, bath, r, kap, rows)
         return rows
 
     res = integrate_spectrum(integrand, grid)
@@ -439,8 +439,6 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("need an odd number of nodes (even number of Filon panels)")
     taus = tau0 + dtau * np.arange(m)
-    theta = h * taus
-    alpha, beta, gamma = _filon_coefficients(theta)
 
     from scipy.fft import fft, ifft, next_fast_len  # imported here: only the oracle needs it
 
@@ -452,24 +450,31 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     k = np.arange(size, dtype=np.min_scalar_type(-(size**2)))
     wk2 = w ** (k**2 / 2.0)
     a_k = a ** -k[: even.size]  # the odd sum's powers are its leading entries
+    del k
 
-    # node sums Sum_j S_j exp(i kappa_j tau_k) over even / odd j
+    # node sums Sum_j S_j exp(i kappa_j tau_k) over even / odd j; each padded
+    # array is dropped once consumed, so at most two are held at a time
     def _node_sum(x):
         n = x.size
         nfft = next_fast_len(n + m - 1)
         awk2 = a_k[:n] * wk2[:n]
         fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
-        return ifft(fwk2 * fft(x * awk2, nfft))[n - 1 : n + m - 1] * wk2[:m]
-
-    even_sum = _node_sum(even)
-    odd_sum = np.exp(1j * h * taus) * _node_sum(odd)
+        product = fwk2 * fft(x * awk2, nfft)
+        del fwk2
+        sums = ifft(product)
+        del product
+        return sums[n - 1 : n + m - 1] * wk2[:m]
 
     lam = (n_nodes - 1) * h
     s_first = svals[0]
     s_last = svals[-1]
     # the kappa = 0 end contributes s_first * cos(0) = s_first and s_first * sin(0) = 0
-    c_even = even_sum.real - 0.5 * (s_first + s_last * np.cos(lam * taus))
-    c_odd = odd_sum.real
+    ends = 0.5 * (s_first + s_last * np.cos(lam * taus))
+    c_even = _node_sum(even).real - ends  # folded at once: the complex sum is not kept
+    del ends
+    c_odd = (np.exp(1j * h * taus) * _node_sum(odd)).real.copy()
+    del wk2, a_k
+    alpha, beta, gamma = _filon_coefficients(h * taus)
     endpoint = s_last * np.sin(lam * taus)
     return h * (alpha * endpoint + beta * c_even + gamma * c_odd)
 

@@ -119,27 +119,35 @@ class FrequencyGrid:
     """Uniform symmetric frequency grid on (-cutoff, cutoff), offset half a step.
 
     The samples are midpoints of ``n_points`` equal cells, so kappa = 0 is never
-    hit.  The kappa > 0 half, ``positive``, is built first; ``values``, the
-    whole grid, mirrors it by negation on first read, so
-    ``values[i] == -values[n-1-i]`` holds exactly.  A grid built with
-    ``even=True`` records that its integrand is even in kappa:
-    ``integrate_spectrum`` then samples ``positive`` alone and never builds
-    ``values``.
+    hit.  The kappa > 0 half is ``positive``; ``values``, the whole grid,
+    mirrors it by negation, so ``values[i] == -values[n-1-i]`` holds exactly.
+    Neither array is built before it is first read: ``positive_slice`` gives
+    any run of ``positive`` with the same bits, so the quadrature and the
+    identity suites walk a grid piece by piece and build neither.  A grid
+    built with ``even=True`` records that its integrand is even in kappa:
+    ``integrate_spectrum`` then samples kappa > 0 alone.
     """
 
     cutoff: float
     n_points: int
     even: bool = False
-    positive: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.cutoff < math.inf:
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if self.n_points < 16 or self.n_points % 2 != 0:
             raise ValueError(f"n_points must be an even integer >= 16, got {self.n_points}")
-        pos = (np.arange(self.n_points // 2) + 0.5) * self.spacing
+
+    def positive_slice(self, lo: int, hi: int) -> np.ndarray:
+        """``positive[lo:hi]``, bit for bit, without building ``positive``."""
+        return (np.arange(lo, hi) + 0.5) * self.spacing
+
+    @cached_property
+    def positive(self) -> np.ndarray:
+        """The n/2 grid points kappa > 0 in ascending order."""
+        pos = self.positive_slice(0, self.n_points // 2)
         pos.setflags(write=False)
-        object.__setattr__(self, "positive", pos)
+        return pos
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -5,15 +5,21 @@ half-step-offset mirror grid with a fourth-order end-corrected midpoint rule.
 Mirrored samples are paired before summation, so odd integrands vanish exactly.
 On a grid built ``even=True`` the integrand is sampled on kappa > 0 alone and
 each sample is paired with itself, which gives the mirror grid's bits for an
-integrand that is bitwise even there at half the samples and memory.  Each
-row's sum is exactly rounded: a few vectorized error-free extraction
-passes leave partial sums that hold the exact total, and ``math.fsum`` rounds
-them once, so the bits equal ``math.fsum`` of the terms by construction, in
-whatever order numpy adds.  Results are run-to-run and worker-count
-deterministic.  An integrand may return several rows at once; each row is
-reduced exactly as if it had been integrated on its own, so one pass over
-shared kernel samples feeds several integrals.  Integrands must vectorize:
-each is called once per grid with the whole array of kappa values.
+integrand that is bitwise even there at half the samples.
+
+The grid is walked in pieces, so memory is bounded by a piece whatever the
+grid size.  The kappa > 0 points are halved where numpy's pairwise summation
+halves a sum, until each piece is shorter than 2 * 2^14 points, and the
+integrand is called once per piece.  Each piece is reduced as soon as it is
+evaluated: its weighted pair terms go through a few vectorized error-free
+extraction passes that leave exact partial sums, and the pairwise sum of the
+terms' magnitudes is kept.  Per row, ``math.fsum`` rounds the partials of all
+pieces once, so the value is the exactly rounded sum of the terms, the bits of
+``math.fsum`` over them; the magnitude sums are joined along numpy's splits,
+into the bits of one ``np.sum`` over the row.  Results are run-to-run and
+worker-count deterministic.  An integrand may return several rows at once;
+each row is reduced exactly as if it had been integrated on its own, so one
+pass over shared kernel samples feeds several integrals.
 ``fit_log_slope`` is the log-divergence diagnostic for integrals taken over a
 sequence of cutoffs.
 """
@@ -34,6 +40,12 @@ TWO_PI = 2.0 * math.pi
 _EDGE_CORRECTIONS = (71.0 / 576.0, -141.0 / 576.0, 93.0 / 576.0, -23.0 / 576.0)
 
 _ERROR_FLOOR_ULPS = 16.0
+
+# the fewest kappa > 0 points in a piece of the grid, unless the grid has fewer:
+# numpy reuses a temporary of 256 KiB or more in place, which may swap the
+# operands of a complex product and move its rounding, and 2^14 complex points
+# are the shortest piece on which an integrand rounds as on the whole grid
+_PIECE = 1 << 14
 
 # error-free extraction passes before the leftovers go to fsum; below the
 # floor eps*sigma could leave the normal range
@@ -59,13 +71,40 @@ class QuadratureResult:
     n_evals: int
 
 
-def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
-    """Samples of ``f`` on the grid, or on its kappa > 0 half if the grid is even.
+def _pairwise(lo: int, hi: int, leaf):
+    """``leaf(lo, hi)`` of each piece of lo..hi-1, joined by ``+`` as numpy joins pairwise sums.
 
-    The shape is ``(m,)``, or ``(k, m)`` for k rows, with m the number of
-    kappa values handed to ``f``.
+    numpy sums n > 128 contiguous floats as the sum over the first n2 plus the
+    sum over the rest, n2 being n/2 rounded down to a multiple of 8, and so on
+    down.  A range is halved the same way until it is shorter than 2 * _PIECE,
+    so each piece's ``np.sum`` is a subtree of that summation, and piece sums
+    joined here have the bits of one ``np.sum`` over lo..hi-1.  A piece is
+    never shorter than _PIECE unless the range is.  The leaves are called in
+    ascending order; a leaf returning ``[(lo, hi)]`` lists the pieces.
     """
-    kappa = grid.positive if grid.even else grid.values
+    n = hi - lo
+    if n < 2 * _PIECE:
+        return leaf(lo, hi)
+    mid = lo + n // 2 - n // 2 % 8
+    return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
+
+
+def pieces(n: int) -> list[tuple[int, int]]:
+    """The pieces (lo, hi) of range(n) the quadrature walks, in ascending order."""
+    return _pairwise(0, n, lambda lo, hi: [(lo, hi)])
+
+
+def _evaluate(f, grid: FrequencyGrid, lo: int, hi: int) -> np.ndarray:
+    """Samples of ``f`` at the kappa > 0 points lo..hi-1, mirrored first unless the grid is even.
+
+    On a mirror grid the kappa values handed to ``f`` are a contiguous run of
+    ``grid.values``: the points negated and reversed, then the points.  The
+    shape is ``(m,)``, or ``(k, m)`` for k rows, with m the number of kappa
+    values handed to ``f``.  A non-finite sample is named by its kappa and its
+    index in ``grid.values``, or in the kappa > 0 half of an even grid.
+    """
+    pos = grid.positive_slice(lo, hi)
+    kappa = pos if grid.even else np.concatenate((-pos[::-1], pos))
     vals = np.asarray(f(kappa))
     if vals.ndim not in (1, 2) or vals.shape[-1] != kappa.size:
         raise IntegrandError(
@@ -75,15 +114,18 @@ def _evaluate(f, grid: FrequencyGrid) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), kappa.size)
         where = f" in row {row}" if vals.ndim == 2 else ""
-        half = " of the kappa > 0 half" if grid.even else ""
+        if grid.even:
+            index, of = lo + bad, " of the kappa > 0 half"
+        else:  # kappa[j] is grid.values[n/2 - hi + j], and past the mirrored run 2 lo further
+            index, of = grid.n_points // 2 - hi + bad + (2 * lo if bad >= hi - lo else 0), ""
         raise IntegrandError(
-            f"integrand is non-finite{where} at kappa={float(kappa[bad])!r} (index {bad}{half})"
+            f"integrand is non-finite{where} at kappa={float(kappa[bad])!r} (index {index}{of})"
         )
     return vals
 
 
-def _exact_sum(p: np.ndarray, top: float, scratch: np.ndarray) -> float:
-    """``math.fsum(p)``, bit for bit, from a few vectorized passes; overwrites p and scratch.
+def _partials(p: np.ndarray, top: float, scratch: np.ndarray) -> np.ndarray:
+    """Floats whose exact sum is the sum of ``p``, few of them; overwrites p and scratch.
 
     ``top`` is max|p| and ``scratch`` a float array of p's length.  Each pass
     is Rump, Ogita and Oishi's error-free extraction ("Accurate floating-point
@@ -91,15 +133,18 @@ def _exact_sum(p: np.ndarray, top: float, scratch: np.ndarray) -> float:
     sigma = 2^(M + e), where 2^e > top, q = (sigma + p) - sigma holds multiples
     of eps*sigma no larger than 2^e, so ``q.sum()`` is exact in any order, and
     p - q is exact and below eps*sigma.  The partial sums and the nonzero
-    leftovers then hold the exact sum, which ``fsum`` rounds correctly once:
-    the bits are those of ``fsum(p)`` by construction.  Rows the premises do
-    not cover go to ``fsum`` whole: non-finite or zero tops (so signed zeros
-    and all-zero rows follow ``fsum``), tops within 53 bits of the subnormal
-    range, and sigma past 2^1023, where ``fsum`` raises its own OverflowError.
+    leftovers then hold the exact sum, which ``math.fsum`` rounds correctly
+    once.  Where the premises fail, the terms themselves are returned, so
+    ``fsum`` sees them whole: non-finite tops, tops within 53 bits of the
+    subnormal range, and sigma past 2^1023, where ``fsum`` raises its own
+    OverflowError.  A zero top returns one zero of each sign p holds, which is
+    all ``fsum`` reads of them.
     """
+    if top == 0.0:
+        return p[np.unique(np.signbit(p), return_index=True)[1]]
     m = (p.size + 1).bit_length()
     if not _EXTRACTION_FLOOR <= top < math.inf or math.frexp(top)[1] + m > 1023:
-        return math.fsum(memoryview(np.ascontiguousarray(p)))
+        return np.array(p)
     partials = []
     for _ in range(_EXTRACTION_PASSES):
         sigma = math.ldexp(1.0, math.frexp(top)[1] + m)
@@ -111,53 +156,85 @@ def _exact_sum(p: np.ndarray, top: float, scratch: np.ndarray) -> float:
         if top < _EXTRACTION_FLOOR:
             break
     leftovers = p[p != 0.0] if top else ()
-    return math.fsum(memoryview(np.concatenate((partials, leftovers))))
+    return np.concatenate((partials, leftovers))
 
 
-def _reduce(vals: np.ndarray, grid: FrequencyGrid):
-    """Edge-corrected paired sum with the 1/(2 pi) measure; returns (value, abs_scale).
+def _fsum(parts: list) -> float:
+    return math.fsum(memoryview(np.concatenate(parts)))
 
-    On an even grid ``vals`` holds the kappa > 0 samples alone, and each pairs
-    with itself: ``pos + pos`` has the bits ``pos + neg`` has on the mirror
-    grid for an integrand that is bitwise even there.  The sum over the
-    weighted pairs is exactly rounded: ``_exact_sum`` gives ``math.fsum``'s
-    bits, and falls back to ``fsum`` itself on zero, non-finite,
-    near-subnormal and near-overflowing rows.
+
+def _reduce(f, grid: FrequencyGrid):
+    """Each row's edge-corrected paired sum with the 1/(2 pi) measure, piece by piece.
+
+    Returns ``(vector, rows)``: whether ``f`` returned a ``(k, m)`` array, and
+    per row ``(value, abs_scale)``.  On an even grid each sample pairs with
+    itself: ``pos + pos`` has the bits ``pos + neg`` has on the mirror grid for
+    an integrand that is bitwise even there.  Each row's terms are summed
+    exactly rounded, the bits of ``math.fsum`` over them (rows whose terms
+    come within 2^M of overflow may raise OverflowError, as ``fsum`` does);
+    ``abs_scale`` has the bits of ``np.sum`` of their magnitudes over the row.
+    A piece of a row contributes its extraction partials, a few floats, unless
+    its terms are non-finite, near-subnormal or near-overflowing.
     """
     half = grid.n_points // 2
-    if grid.even:
-        pos = neg = vals  # the kappa > 0 samples; f(-kappa) == f(kappa)
-    else:
-        neg = vals[:half][::-1]  # neg[j] = f(-pos[j])
-        pos = vals[half:]
-    terms = pos + neg
-    # 1.0 * x == x, so weighting only the four edge pairs keeps every bit
-    terms[-4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
+    shape = None  # the leading shape of the first piece's samples
+    parts = []  # per row: the real and the imaginary partials of each piece
+    complex_rows = False
+
+    def leaf(lo, hi):
+        nonlocal shape, complex_rows
+        vals = _evaluate(f, grid, lo, hi)
+        if shape is None:
+            shape = vals.shape[:-1]
+        elif vals.shape[:-1] != shape:
+            raise IntegrandError(
+                f"integrand returned shape {vals.shape} for {vals.shape[-1]} kappa values "
+                f"after leading shape {shape} on another piece of the grid"
+            )
+        vals = np.atleast_2d(vals)
+        if not parts:
+            parts.extend(([], []) for _ in vals)
+        m = hi - lo
+        terms = vals + vals if grid.even else vals[:, m:] + vals[:, m - 1 :: -1]
+        if hi == half:
+            # 1.0 * x == x, so weighting only the four edge pairs keeps every bit
+            terms[:, -4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
+        complex_rows |= np.iscomplexobj(terms)
+        abs_sums = np.empty(len(terms))
+        scratch = np.empty(m)
+        for i, (row, (re_parts, im_parts)) in enumerate(zip(terms, parts)):
+            if np.iscomplexobj(row):
+                abs_sums[i] = np.sum(np.abs(row))
+                for part, out in ((row.real, re_parts), (row.imag, im_parts)):
+                    out.append(_partials(part, float(np.abs(part, out=scratch).max()), scratch))
+            else:
+                abs_sums[i] = np.sum(np.abs(row, out=scratch))
+                re_parts.append(_partials(row, float(scratch.max()), scratch))
+        return abs_sums
+
+    abs_sums = _pairwise(0, half, leaf)
     h = grid.spacing
-    if np.iscomplexobj(terms):
-        abs_scale = float(np.sum(np.abs(terms)))
-        scratch = np.empty(half)
-        parts = []
-        for part in (terms.real, terms.imag):
-            top = float(np.abs(part, out=scratch).max())
-            parts.append(_exact_sum(part, top, scratch))
-        value = complex(*parts) * h / TWO_PI
-    else:
-        scratch = np.abs(terms)
-        abs_scale = float(np.sum(scratch))
-        value = _exact_sum(terms, float(scratch.max()), scratch) * h / TWO_PI
-    return value, abs_scale * h / TWO_PI
+    rows = []
+    for (re_parts, im_parts), abs_scale in zip(parts, abs_sums):
+        value = complex(_fsum(re_parts), _fsum(im_parts)) if complex_rows else _fsum(re_parts)
+        rows.append((value * h / TWO_PI, float(abs_scale) * h / TWO_PI))
+    return len(shape) == 1, rows
 
 
 def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     """Integrate ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
 
-    ``f`` must vectorize: it is called once with the ndarray of the m kappa
-    values it is sampled at (the n grid values, or on an even grid the n/2
-    values kappa > 0 alone) and returns an ``(m,)`` array, or a ``(k, m)``
-    array for k rows, which gets per-row tuples of ``value`` and ``est_error``, each bitwise equal to
-    integrating that row alone.  Any other shape raises ``IntegrandError``, and
-    an exception raised by ``f`` propagates.
+    ``f`` must vectorize.  It is called once per piece of the grid, with the
+    ndarray of the m kappa values of that piece, and returns an ``(m,)``
+    array, or a ``(k, m)`` array for k rows, which gets per-row tuples of
+    ``value`` and ``est_error``, each bitwise equal to integrating that row
+    alone.  The pieces split the n/2 points kappa > 0 into runs of 2^14 to
+    2^15 points (one run if there are fewer); ``f`` gets a run's points on an
+    even grid, and on a mirror grid those points negated and reversed, then
+    the points themselves.  It gets the pieces of the grid in ascending order,
+    then those of its half grid.  Any other shape, or a shape other than the
+    first piece's, raises ``IntegrandError``, and an exception raised by ``f``
+    propagates.
     ``est_error`` comes from a Richardson comparison against the
     half-resolution grid, floored at a few ulps of the absolute term sum.
     On the half grid ``f`` may return only the leading rows of its full-grid
@@ -165,25 +242,21 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     gets the ulp floor alone.  More rows there than on the full grid raise
     ``IntegrandError``.
     """
-    vals = _evaluate(f, grid)
-    vector = vals.ndim == 2
-    fine = [_reduce(row, grid) for row in np.atleast_2d(vals)]
-    del vals  # the half-grid pass need not hold the full-grid samples
+    vector, fine = _reduce(f, grid)
     ulps = _ERROR_FLOOR_ULPS * float(np.finfo(float).eps)
     values = [value for value, _ in fine]
     est_errors = [ulps * abs_scale for _, abs_scale in fine]
     n_evals = grid.n_points
     coarse = grid.halved()
     if coarse is not None:
-        coarse_rows = np.atleast_2d(_evaluate(f, coarse))
+        _, coarse_rows = _reduce(f, coarse)
         if len(coarse_rows) > len(values):
             raise IntegrandError(
                 f"integrand returned {len(coarse_rows)} rows on the half grid "
                 f"but {len(values)} on the full grid"
             )
         n_evals += coarse.n_points
-        for i, row in enumerate(coarse_rows):
-            coarse_value, _ = _reduce(row, coarse)
+        for i, (coarse_value, _) in enumerate(coarse_rows):
             est_errors[i] += float(abs(values[i] - coarse_value)) / 15.0
     if vector:
         return QuadratureResult(tuple(values), tuple(est_errors), n_evals)

@@ -13,7 +13,7 @@ from atomflux.greens import (
     field_hadamard_ft,
     thermal_factor,
 )
-from atomflux.fdr import check_atom_fdr_reduction, check_field_fdr, check_parity
+from atomflux.fdr import IdentityReport, _report, check_atom_fdr_reduction, check_field_fdr, check_parity
 
 VACUUM = BathSpec.vacuum()
 TOL = dict(rtol=1e-12, atol=1e-15)  # the tolerances.fdr_rtol and fdr_atol defaults
@@ -149,3 +149,146 @@ def test_identity_envelope_extremes():
     for bath in (BathSpec(1e-2), BathSpec(1e3), VACUUM):
         assert check_field_fdr(grid, 2.0, bath, **TOL).max_rel_residual <= 1e-12
         assert check_atom_fdr_reduction(grid, p, bath, **TOL).max_rel_residual <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# streamed reports: the semantics of one report over the laid-out residuals
+# ---------------------------------------------------------------------------
+
+
+def _concatenated_report(name, grid, abs_res, scale, rtol, atol):
+    """The report of residual blocks laid end to end, reduced as whole arrays."""
+    meaningful = scale > atol
+    if np.any(meaningful):
+        rel = abs_res[meaningful] / scale[meaningful]
+        imax = int(np.argmax(rel))
+        max_rel = float(rel[imax])
+        worst_index = int(np.flatnonzero(meaningful)[imax])
+    else:
+        max_rel = 0.0
+        worst_index = int(np.argmax(abs_res))
+    skipped_ok = not np.any(abs_res[~meaningful] > atol)
+    return IdentityReport(
+        name=name,
+        cutoff=grid.cutoff,
+        n_points=grid.n_points,
+        max_abs_residual=float(np.max(abs_res)),
+        max_rel_residual=max_rel,
+        worst_kappa=float(grid.values[worst_index % grid.n_points]),
+        passed=bool(max_rel <= rtol and skipped_ok),
+        rtol=rtol,
+        atol=atol,
+        n_rel_skipped=int(np.size(scale) - np.count_nonzero(meaningful)),
+    )
+
+
+def _crafted(case, size):
+    """Residuals and scales over two grid-length blocks that stress one rule of the report."""
+    abs_res = np.full(size, 1e-17)
+    scale = np.full(size, 1.0)
+    if case == "tie_across_parts":
+        abs_res[[5, 19, 40]] = 3e-13  # the same relative maximum in three parts
+    elif case == "nan_residual":
+        abs_res[[7, 33]] = 2e-13
+        abs_res[[21, 50]] = np.nan  # the first NaN wins, and max_abs is NaN
+    elif case == "all_skipped":
+        scale[:] = 1e-16
+        abs_res[[9, 30]] = 5e-16  # the largest residual names the kappa, tied across parts
+    elif case == "max_rel_zero":
+        abs_res[:] = 0.0
+        scale[:4] = 0.0  # the first meaningful entry names the kappa
+    elif case == "skipped_over_atol":
+        scale[12] = 0.0
+        abs_res[12] = 1e-14  # a skipped entry above atol fails the check
+    return abs_res, scale
+
+
+@pytest.mark.parametrize("case", ["tie_across_parts", "nan_residual", "all_skipped", "max_rel_zero", "skipped_over_atol"])
+def test_streamed_report_equals_the_concatenated_report(case):
+    grid = FrequencyGrid(3.0, 32)
+    abs_res, scale = _crafted(case, 2 * grid.n_points)
+    want = _concatenated_report("crafted", grid, abs_res, scale, **TOL)
+    edges = [0, 3, 16, 20, 37, 50, 64]
+    parts = [(lo, abs_res[lo:hi], scale[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    for order in (parts, parts[::-1], parts[1::2] + parts[::2]):  # parts may come in any order
+        got = _report("crafted", grid, iter(order), **TOL)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("check", ["field_r0", "field_r1", "atom", "parity"])
+def test_suites_memory_is_bounded_by_a_piece(check):
+    # a suite at 2^20 points holds what it holds at 2^16: the arrays of one
+    # piece, never a grid-length array (a grid builds none when it is made)
+    import tracemalloc
+
+    p = AtomParams.from_damping(0.01, 1.0, 1.0)
+    bath = BathSpec(1.0)
+    run = {
+        "field_r0": lambda g: check_field_fdr(g, 0.0, bath, **TOL),
+        "field_r1": lambda g: check_field_fdr(g, 1.0, bath, **TOL),
+        "atom": lambda g: check_atom_fdr_reduction(g, p, bath, **TOL),
+        "parity": lambda g: check_parity(g, p, bath, **TOL),
+    }[check]
+    peaks = []
+    for n in (2**16, 2**20):
+        grid = FrequencyGrid(100.0, n)
+        run(grid)  # warm: first-call allocations stay out
+        tracemalloc.start()
+        try:
+            run(grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert "values" not in vars(grid) and "positive" not in vars(grid)
+    assert peaks[1] <= peaks[0] + 2**20
+
+
+def _whole_grid_reports(grid, p, bath, r):
+    """The three suites' residuals over all of grid.values at once, reduced as whole arrays."""
+    from atomflux import fdr
+
+    kap = grid.values
+    k = np.abs(kap)
+    x = bath.beta * k
+    n_bose = np.exp(-x) / -np.expm1(-x)
+    mode = k / FOUR_PI if r == 0 else np.sin(k * r) / (FOUR_PI * r)
+    field = fdr._compare(fdr.field_hadamard_ft(r, kap, bath), (1.0 + 2.0 * n_bose) * mode)
+    gr = fdr.atom_retarded_ft(kap, p)
+    tf = fdr.thermal_factor(kap, bath)
+    atom = fdr._compare(fdr.field_hadamard_ft(0.0, kap, bath) * np.abs(gr) ** 2, (p.m / p.e**2) * tf * np.imag(gr))
+    im_u = fdr.field_retarded_im(1.0, kap)
+    residuals = [
+        np.abs(np.imag(gr) + np.imag(gr[::-1])),
+        np.abs(np.real(gr) - np.real(gr[::-1])),
+        np.abs(gr[::-1] - np.conj(gr)),
+        np.abs(im_u + fdr.field_retarded_im(1.0, kap[::-1])),
+        np.abs(tf + tf[::-1]),
+    ]
+    scales = [np.abs(np.imag(gr)), np.abs(np.real(gr)), np.abs(gr), np.abs(im_u), np.abs(tf)]
+    parity = np.concatenate(residuals), np.concatenate(scales)
+    names = (f"field_fdr[r={r:g},{bath.describe()}]", f"atom_fdr_reduction[{bath.describe()}]", f"parity[{bath.describe()}]")
+    return [_concatenated_report(name, grid, *pair, **TOL) for name, pair in zip(names, (field, atom, parity))]
+
+
+@pytest.mark.parametrize("n", [4096, 2**17 + 12])  # one piece; four pieces, the last 16390 long
+@pytest.mark.parametrize("broken", [False, True], ids=["kernels", "uneven_thermal_factor"])
+def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch):
+    # each suite, walked piece by piece, reports what the whole-grid arrays
+    # give; a thermal factor that is not odd makes the atom and parity
+    # residuals nonzero and uneven, so the worst kappa depends on every
+    # piece's place in the laid-out order
+    from atomflux import fdr
+
+    if broken:
+        monkeypatch.setattr(fdr, "thermal_factor", lambda kappa, bath: np.exp(np.asarray(kappa) / 40.0))
+    p = AtomParams.from_damping(0.05, 1.0, 1.0)
+    grid = FrequencyGrid(100.0, n)
+    for bath in (VACUUM, BathSpec(1.0)):
+        for r in (0.0, 1.0):
+            got = [
+                check_field_fdr(grid, r, bath, **TOL),
+                check_atom_fdr_reduction(grid, p, bath, **TOL),
+                check_parity(grid, p, bath, **TOL),
+            ]
+            assert [repr(rep) for rep in got] == [repr(rep) for rep in _whole_grid_reports(grid, p, bath, r)]
+            assert all(rep.passed for rep in got) is not broken

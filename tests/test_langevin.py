@@ -374,6 +374,22 @@ def test_predicted_variance_on_even_grid_keeps_mirror_grid_bits(gamma, beta):
         assert predicted_variance(p, bath, cutoff, n).hex() == (mirror.value / p.m).hex()
 
 
+def test_predicted_variance_memory_bounded():
+    # the quadrature reduces each piece as it is evaluated, so 2^20 points
+    # hold what 2^16 hold: the arrays of one piece
+    p = AtomParams.from_damping(0.01, 1.0, 1.0)
+    peaks = []
+    for n in (2**16, 2**20):
+        predicted_variance(p, BathSpec(1.0), 50.0, n)  # warm: first-call allocations stay out
+        tracemalloc.start()
+        try:
+            predicted_variance(p, BathSpec(1.0), 50.0, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
+
+
 # ---------------------------------------------------------------------------
 # ensemble statistics
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, atom_retarded_f
 from atomflux.spectral import (
     _ERROR_FLOOR_ULPS,
     IntegrandError,
-    _exact_sum,
+    _partials,
     _reduce,
     fit_log_slope,
     integrate_spectrum,
+    pieces,
 )
 from atomflux.flux import far_field_flux_integrand, radiated_power_density
 
@@ -155,7 +156,8 @@ def test_fewer_rows_on_half_grid_floor_the_rest():
         assert part.n_evals == full.n_evals
         assert part.est_error[:kept] == full.est_error[:kept]
         for i in range(kept, 4):
-            floor = _ERROR_FLOOR_ULPS * np.finfo(float).eps * _reduce(rows(g.values)[i], g)[1]
+            _, [(_, abs_scale)] = _reduce(lambda k: rows(k)[i], g)
+            floor = _ERROR_FLOOR_ULPS * np.finfo(float).eps * abs_scale
             assert part.est_error[i] == floor < full.est_error[i]
 
 
@@ -223,7 +225,7 @@ def test_determinism_bitwise():
 def _exact_sum_of(terms):
     p = np.array(terms, dtype=float)
     scratch = np.abs(p)
-    return _exact_sum(p, float(scratch.max()), scratch)
+    return math.fsum(_partials(p, float(scratch.max()), scratch))
 
 
 def _assert_fsum_bits(terms):
@@ -337,23 +339,58 @@ def test_exact_sum_matches_fsum_at_short_and_odd_lengths(n):
 
 
 def _weighted_pairs(vals):
-    """The end-corrected pair terms, weighted by a full array as the rule reads."""
+    """The end-corrected pair terms of each row, weighted by a full array as the rule reads."""
     half = vals.shape[-1] // 2
     w = np.ones(half)
     w[-4:] += (-23.0 / 576.0, 93.0 / 576.0, -141.0 / 576.0, 71.0 / 576.0)
-    return w * (vals[half:] + vals[:half][::-1])
+    return w * (vals[..., half:] + vals[..., :half][..., ::-1])
+
+
+def _sampled(g, vals):
+    """An integrand that returns ``vals``, the samples at ``g.values``, at any run of those points."""
+    return lambda k: vals[..., np.searchsorted(g.values, k)]
+
+
+def _rows_of(rng, n):
+    """Four real rows of n samples: cancelling spread terms, exact ties, and signed zeros alone."""
+    return np.stack([
+        _cancelling(rng, n, -12.0, 12.0)[:n],
+        _cancelling(rng, n, -300.0, 300.0)[:n],
+        rng.integers(-3, 4, n) * 2.0 ** rng.integers(-80, 80, n).astype(float),
+        np.where(rng.random(n) < 0.5, 0.0, -0.0),
+    ])
+
+
+def _assert_rows_reduce_exactly(vals, g):
+    # each row's value is math.fsum over all its weighted pairs, and
+    # abs_scale is np.sum of their magnitudes over the whole row, bit for
+    # bit, however many pieces the row came in
+    vector, rows = _reduce(_sampled(g, vals), g)
+    assert vector and len(rows) == len(vals)
+    for (value, abs_scale), terms in zip(rows, _weighted_pairs(vals)):
+        if np.iscomplexobj(terms):
+            want = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * g.spacing / TWO_PI
+            assert type(value) is complex
+            assert value.real.hex() == want.real.hex() and value.imag.hex() == want.imag.hex()
+        else:
+            assert value.hex() == (math.fsum(terms.tolist()) * g.spacing / TWO_PI).hex()
+        assert abs_scale == float(np.sum(np.abs(terms))) * g.spacing / TWO_PI
+
+
+# one piece, then 2^17 + 12 points in four pieces (the last 16390 long) and 2^18 in eight
+SIZES = (16, 62, 2048, 2**17 + 12, 2**18)
 
 
 def test_reduce_complex_rows_match_fsum_of_weighted_pairs():
-    rng = np.random.default_rng(5)
-    for n in (16, 62, 2048):
-        g = FrequencyGrid(10.0, n)
-        vals = _cancelling(rng, n, -12.0, 12.0)[:n] + 1j * _cancelling(rng, n, -300.0, 300.0)[:n]
-        terms = _weighted_pairs(vals)
-        want = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())) * g.spacing / TWO_PI
-        value, _ = _reduce(vals, g)
-        assert type(value) is complex
-        assert value.real.hex() == want.real.hex() and value.imag.hex() == want.imag.hex()
+    for n in SIZES:
+        rows = _rows_of(np.random.default_rng(n), n)
+        _assert_rows_reduce_exactly(rows[:2] + 1j * rows[2:][::-1], FrequencyGrid(10.0, n))
+
+
+def test_reduce_real_rows_match_fsum_and_np_sum_across_pieces():
+    assert [len(pieces(n // 2)) for n in SIZES] == [1, 1, 1, 4, 8]
+    for n in SIZES:
+        _assert_rows_reduce_exactly(_rows_of(np.random.default_rng(n), n), FrequencyGrid(10.0, n))
 
 
 @pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
@@ -361,30 +398,98 @@ def test_reduce_complex_rows_match_fsum_of_weighted_pairs():
 def test_budget_rows_reduce_to_fsum_bits(gamma, beta, monkeypatch):
     # every row power_budget reduces, three on the full grid and two on the
     # half grid, gets the bits of math.fsum over the same weighted pairs, each
-    # kappa > 0 sample paired with itself; the reference is computed in this
-    # process, so the build's SIMD kernels cannot move the comparison
+    # kappa > 0 sample paired with itself, and est_error those of the
+    # reference sums; a 2^17 grid comes in four pieces and its half grid in
+    # two.  The reference is computed in this process from the rows the
+    # quadrature was handed, so the build's SIMD kernels cannot move the comparison
     from atomflux import flux
 
     calls = []
 
     def capture(f, grid):
-        calls.append((f, grid))
-        return integrate_spectrum(f, grid)
+        handed = []
+
+        def recording(k):
+            handed.append(f(k))
+            return handed[-1]
+
+        calls.append((grid, handed, integrate_spectrum(recording, grid)))
+        return calls[-1][2]
+
+    def reference(row, g):
+        terms = _weighted_pairs(np.concatenate([row[::-1], row]))
+        return math.fsum(terms.tolist()) * g.spacing / TWO_PI, float(np.sum(np.abs(terms))) * g.spacing / TWO_PI
 
     monkeypatch.setattr(flux, "integrate_spectrum", capture)
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
+    ulps = _ERROR_FLOOR_ULPS * float(np.finfo(float).eps)
     for lam in (10.0, 100.0, 1000.0):
-        flux.power_budget(p, BathSpec(beta), FrequencyGrid(lam, 2**15))
-        f, grid = calls.pop()
-        assert grid.even
-        for g, n_rows in ((grid, 3), (grid.halved(), 2)):
-            rows = f(g.positive)
-            assert rows.shape == (n_rows, g.n_points // 2)
-            for row in rows:
-                terms = _weighted_pairs(np.concatenate([row[::-1], row]))
-                value, abs_scale = _reduce(row, g)
-                assert value.hex() == (math.fsum(terms.tolist()) * g.spacing / TWO_PI).hex()
-                assert abs_scale == float(np.sum(np.abs(terms))) * g.spacing / TWO_PI
+        flux.power_budget(p, BathSpec(beta), FrequencyGrid(lam, 2**17))
+        grid, handed, res = calls.pop()
+        coarse = grid.halved()
+        assert grid.even and len(handed) == 4 + 2
+        fine_rows, coarse_rows = np.hstack(handed[:4]), np.hstack(handed[4:])
+        assert fine_rows.shape == (3, grid.n_points // 2)
+        assert coarse_rows.shape == (2, coarse.n_points // 2)
+        for i, row in enumerate(fine_rows):
+            value, abs_scale = reference(row, grid)
+            est_error = ulps * abs_scale
+            if i < len(coarse_rows):
+                est_error += abs(value - reference(coarse_rows[i], coarse)[0]) / 15.0
+            assert res.value[i].hex() == value.hex()
+            assert res.est_error[i] == est_error
+
+
+def test_nonfinite_sample_in_the_last_piece_names_its_global_index():
+    import re
+
+    # kappa > 0 points 49152 to 65541 are the last of four pieces; on the
+    # mirror grid they are grid.values[114694:] and, mirrored, [:16390]
+    n = 2**17 + 12
+    assert pieces(n // 2)[-1] == (49152, 65542)
+    for even in (False, True):
+        g = FrequencyGrid(50.0, n, even)
+        for index in ((49152, 65541, 0) if even else (114694, n - 1, 16389, 3, 16390)):
+            bad_kappa = float(g.positive[index] if even else g.values[index])
+
+            def f(k, bad_kappa=bad_kappa):
+                out = np.stack([np.cos(k), k**2])
+                out[1, k == bad_kappa] = np.inf
+                return out
+
+            where = " of the kappa > 0 half" if even else ""
+            match = f"row 1 at kappa={re.escape(repr(bad_kappa))} \\(index {index}{where}\\)"
+            with pytest.raises(IntegrandError, match=match):
+                integrate_spectrum(f, g)
+
+
+def test_integrand_sees_pieces_in_ascending_order_then_the_half_grid():
+    seen = []
+
+    def f(k):
+        seen.append(k.copy())
+        return np.exp(-(k**2))
+
+    for even in (False, True):
+        g = FrequencyGrid(8.0, 2**17 + 12, even)
+        seen.clear()
+        integrate_spectrum(f, g)
+        runs = [(lo, hi) for grid in (g, g.halved()) for lo, hi in pieces(grid.n_points // 2)]
+        assert [k.size for k in seen] == [(hi - lo) * (1 if even else 2) for lo, hi in runs]
+        for k, (lo, hi), grid in zip(seen, runs, [g] * 4 + [g.halved()] * 2):
+            pos = grid.positive[lo:hi]
+            assert np.array_equal(k, pos if even else np.concatenate([-pos[::-1], pos]))
+        assert all(min(hi - lo for lo, hi in pieces(grid.n_points // 2)) >= 2**14 for grid in (g, g.halved()))
+
+
+def test_a_piece_with_another_row_count_raises():
+    g = FrequencyGrid(2.0, 2**17)
+
+    def f(k):
+        return np.stack([np.cos(k)] * (3 if k.max() < 1.9 else 2))  # the last piece drops a row
+
+    with pytest.raises(IntegrandError, match="shape \\(2, 32768\\) .* after leading shape \\(3,\\)"):
+        integrate_spectrum(f, g)
 
 
 # ---------------------------------------------------------------------------
