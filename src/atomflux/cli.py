@@ -309,9 +309,7 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
     cutoffs = sweep if sweep else [cfg.cutoff]
     budgets = []
     for lam in cutoffs:
-        # power_budget integrates on an even grid; given one, it builds no twin
-        grid = FrequencyGrid(lam, cfg.n_points, even=True)
-        budgets.append(flux.power_budget(cfg.atom, cfg.bath, grid))
+        budgets.append(flux.power_budget(cfg.atom, cfg.bath, FrequencyGrid(lam, cfg.n_points)))
     header = ",".join(flux.PowerBudget.CSV_COLUMNS)
     path = _out_path(cfg, "budget.csv")
     with open(path, "w") as fh:

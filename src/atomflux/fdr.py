@@ -14,9 +14,10 @@ Residuals are reported absolutely and relative to the larger of the two
 compared magnitudes; points where both magnitudes sit below the absolute
 tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
 
-The suites walk the mirror grid in the quadrature's pieces (``spectral.pieces``
-of its kappa > 0 half, each also negated and reversed), so they hold a few
-arrays of one piece, whatever the grid size, and never build ``grid.values``.
+The suites walk the mirror grid, all n points in ascending order, in the
+quadrature's pieces (``spectral.pieces`` of its kappa > 0 half, each also
+negated and reversed), so they hold a few arrays of one piece, whatever the
+grid size, and never build a grid-length array.
 Each piece's residuals are reduced as they come, with the semantics of one
 report over the whole grid.
 """
@@ -76,8 +77,9 @@ def _compare(lhs, rhs):
 def _mirror_parts(grid: FrequencyGrid, residual):
     """``(start, *residual(kappa))`` for each piece of the mirror grid, in ascending order.
 
-    ``kappa`` is ``grid.values[start:start + kappa.size]``, built from the
-    kappa > 0 points alone: a piece of them negated and reversed, or itself.
+    ``kappa`` is the mirror grid's points start .. start + kappa.size - 1,
+    built from the kappa > 0 points alone: a piece of them negated and
+    reversed, or itself.
     """
     half = grid.n_points // 2
     runs = pieces(half)
@@ -88,7 +90,7 @@ def _mirror_parts(grid: FrequencyGrid, residual):
 
 
 def _kappa_at(grid: FrequencyGrid, i: int) -> float:
-    """``grid.values[i]``, without building ``grid.values``."""
+    """Point i of the mirror grid, all n points of ``grid`` in ascending order."""
     half = grid.n_points // 2
     if i >= half:
         return float(grid.positive_slice(i - half, i - half + 1)[0])
@@ -100,8 +102,8 @@ def _report(name, grid, parts, rtol, atol) -> IdentityReport:
 
     ``parts`` yields ``(start, abs_res, scale)``, one part at a time and in
     any order: the residuals at entries start, start + 1, ... of one or more
-    grid-length blocks laid end to end, where entry i belongs to kappa =
-    grid.values[i % n_points].  The report is that of the whole laid-out
+    grid-length blocks laid end to end, where entry i belongs to point
+    i % n_points of the mirror grid.  The report is that of the whole laid-out
     arrays: the first entry wins a tie, a NaN wins over every number, and if
     every entry is skipped the worst kappa is that of the largest residual.
     Each part leaves only its maxima and their entries.
@@ -232,7 +234,7 @@ def check_parity(
             at_neg = _parity_residuals(gr_neg, gr, im_u_neg, im_u, tf_neg, tf)
             at_pos = _parity_residuals(gr, gr_neg, im_u, im_u_neg, tf, tf_neg)
             for block, ((res_n, scale_n), (res_p, scale_p)) in enumerate(zip(at_neg, at_pos)):
-                # grid.values[half - hi:half - lo] is neg reversed
+                # the mirror grid's points half - hi .. half - lo - 1 are neg reversed
                 yield block * n + half - hi, res_n[::-1], scale_n[::-1]
                 yield block * n + half + lo, res_p, scale_p
 

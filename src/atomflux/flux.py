@@ -18,13 +18,13 @@ integrand.  The net flux integrand cancels identically point by point, so the
 budget's net flow is assembled from that cancelled integrand rather than as a
 difference of two cutoff-dependent numbers.
 
-The budget's three integrands (the P_r and P_gamma densities and the cancelled
-net integrand) are even in kappa, so ``power_budget`` integrates them on an
-even grid: they are evaluated on the kappa > 0 half of each grid only, one
-quadrature piece at a time, so its memory does not grow with the grid, and
-never copied onto kappa < 0.  The net integrand is evaluated on the full grid
-alone: its half-grid error estimate would go unread.  The late-time value
-``interacting_hadamard_late`` streams the same way.
+Every integrand handed to the quadrature is real and bitwise even in kappa:
+the budget's three (the P_r and P_gamma densities and the cancelled net
+integrand) and the late-time ``corrected_hadamard_spectrum * cos(kappa dt)``.
+So each is evaluated on the kappa > 0 half of each grid only, one quadrature
+piece at a time, and its memory does not grow with the grid.  The net
+integrand is evaluated on the full grid alone: its half-grid error estimate
+would go unread.
 
 Sign convention for the recorded flows (the magnitude balances are the
 physical statements): P_r >= 0 is the outward pure-radiation flow, P_cross =
@@ -279,23 +279,17 @@ def power_budget(
     grid, and it sums the P_r and P_gamma rows' errors, so the half grid
     evaluates those two rows and not the far-field terms.
 
-    All three rows are bitwise even in kappa, so they are integrated on the
-    even twin of ``grid`` (same cutoff and points, ``even=True``): the rows
-    are evaluated on the kappa > 0 half alone, one quadrature piece of 2^14
-    to 2^15 points at a time, and the quadrature pairs every sample with
-    itself, which gives the bits of the mirror grid's paired sum.  Memory is
-    that of a piece, whatever the grid size.  The pieces are never shorter
-    than 2^14 points (see ``spectral._PIECE``): numpy reuses a temporary of
-    256 KiB or more in place, swapping the operands of the net row's
-    ``u * np.conj(u)``, and a swapped complex product rounds differently.
-    Only on grids of 16384 to 32766 points is the whole grid long enough for
-    that reuse and its positive half not, so there the net row (never P_r,
-    P_gamma or est_error) can move by a rounding residue.
+    All three rows are bitwise even in kappa, which the quadrature's
+    one-sided rule needs: they are evaluated on the kappa > 0 half alone, one
+    quadrature piece of 2^14 to 2^15 points at a time, and every sample is
+    paired with itself.  Memory is that of a piece, whatever the grid size.
+    The pieces are never shorter than 2^14 points (see ``spectral._PIECE``):
+    numpy reuses a temporary of 256 KiB or more in place, swapping the
+    operands of the net row's ``u * np.conj(u)``, and a swapped complex
+    product rounds differently.
     """
     if r is None:
         r = 100.0 / p.omega
-    if not grid.even:
-        grid = FrequencyGrid(grid.cutoff, grid.n_points, even=True)
     full = grid.n_points // 2  # the kappa > 0 points of the full grid, handed over first
     handed = 0
 
@@ -354,24 +348,20 @@ def interacting_hadamard_late(
 ) -> float:
     """GH - G0H at late times from the frequency-domain correction terms.
 
-    Stationary in the two times separately; only t - t' enters.  The result is
-    real (the imaginary part cancels pairwise on the mirror grid and is checked
-    against a 1e-10 relative residue).  It is evaluated for any frame;
-    ``frame.late_time_ok`` says whether the frame is late enough for it to hold.
+    Stationary in the two times separately; only t - t' enters.  The density
+    ``corrected_hadamard_spectrum`` is real and even in kappa, so its Fourier
+    integral against exp(-i kappa (t - t')) is real: the sine part is odd and
+    vanishes, and the quadrature integrates the real, even
+    ``corrected_hadamard_spectrum(r, kappa) * cos(kappa (t - t'))``.  It is
+    evaluated for any frame; ``frame.late_time_ok`` says whether the frame is
+    late enough for it to hold.
     """
     dt_obs = frame.dt_obs
 
     def integrand(kap):
-        return corrected_hadamard_spectrum(frame.r, kap, p, bath) * np.exp(-1j * kap * dt_obs)
+        return corrected_hadamard_spectrum(frame.r, kap, p, bath) * np.cos(kap * dt_obs)
 
-    res = integrate_spectrum(integrand, grid)
-    value = res.value
-    scale = max(abs(value), 1e-300)
-    if abs(value.imag) > 1e-10 * scale:
-        raise RuntimeError(
-            f"imaginary residue {value.imag:.3e} exceeds 1e-10 of magnitude {scale:.3e}"
-        )
-    return (p.e**2 / p.m) * value.real
+    return (p.e**2 / p.m) * integrate_spectrum(integrand, grid).value
 
 
 # ---------------------------------------------------------------------------

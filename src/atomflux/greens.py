@@ -10,13 +10,15 @@ retarded oscillator transform reads ``1 / (omega**2 - kappa**2 - 2i gamma kappa)
 and the retarded field kernel at distance r is ``exp(i kappa r) / (4 pi r)``.
 
 All kernel functions accept a scalar or ndarray ``kappa`` and vectorize over it.
+``FrequencyGrid`` is the half-step-offset grid on (-cutoff, cutoff) that the
+quadrature and the identity suites walk, a run of its kappa > 0 points at a
+time: every spectrum the quadrature integrates is even in kappa.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -114,23 +116,21 @@ class BathSpec:
         return "vacuum" if self.is_vacuum else f"beta={self.beta!r}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform symmetric frequency grid on (-cutoff, cutoff), offset half a step.
 
-    The samples are midpoints of ``n_points`` equal cells, so kappa = 0 is never
-    hit.  The kappa > 0 half is ``positive``; ``values``, the whole grid,
-    mirrors it by negation, so ``values[i] == -values[n-1-i]`` holds exactly.
-    Neither array is built before it is first read: ``positive_slice`` gives
-    any run of ``positive`` with the same bits, so the quadrature and the
-    identity suites walk a grid piece by piece and build neither.  A grid
-    built with ``even=True`` records that its integrand is even in kappa:
-    ``integrate_spectrum`` then samples kappa > 0 alone.
+    The points are midpoints of ``n_points`` equal cells, so kappa = 0 is never
+    hit, and they mirror by negation: the kappa < 0 half is the kappa > 0 half
+    negated.  No grid-length array is ever built.  ``positive_slice`` gives
+    any run of the kappa > 0 points, with the same bits however the run is
+    cut, so the quadrature, which samples kappa > 0 alone, and the identity
+    suites, which negate those points for the kappa < 0 half, walk a grid
+    piece by piece.
     """
 
     cutoff: float
     n_points: int
-    even: bool = False
 
     def __post_init__(self):
         if not 0 < self.cutoff < math.inf:
@@ -139,31 +139,17 @@ class FrequencyGrid:
             raise ValueError(f"n_points must be an even integer >= 16, got {self.n_points}")
 
     def positive_slice(self, lo: int, hi: int) -> np.ndarray:
-        """``positive[lo:hi]``, bit for bit, without building ``positive``."""
+        """The kappa > 0 points lo..hi-1, counted from the innermost, in ascending order."""
         return (np.arange(lo, hi) + 0.5) * self.spacing
-
-    @cached_property
-    def positive(self) -> np.ndarray:
-        """The n/2 grid points kappa > 0 in ascending order."""
-        pos = self.positive_slice(0, self.n_points // 2)
-        pos.setflags(write=False)
-        return pos
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        """All n grid points in ascending order: ``positive`` mirrored, then itself."""
-        vals = np.concatenate([-self.positive[::-1], self.positive])
-        vals.setflags(write=False)
-        return vals
 
     @property
     def spacing(self) -> float:
         return 2.0 * self.cutoff / self.n_points
 
     def halved(self):
-        """Grid with half the resolution at the same cutoff and parity, or None if too coarse."""
+        """Grid with half the resolution at the same cutoff, or None if too coarse."""
         if self.n_points % 4 == 0 and self.n_points // 2 >= 16:
-            return FrequencyGrid(self.cutoff, self.n_points // 2, self.even)
+            return FrequencyGrid(self.cutoff, self.n_points // 2)
         return None
 
 

@@ -461,9 +461,9 @@ def predicted_variance(p: AtomParams, bath: BathSpec, cutoff: float, n_points: i
 
     (1/m) \\int dkappa/2pi coth(beta kappa/2) Im GR(kappa) over (-cutoff, cutoff);
     use the synthesis cutoff here, never a different one.  The integrand is
-    bitwise even, so it is sampled on kappa > 0 alone.
+    bitwise even, as the quadrature, which samples kappa > 0 alone, needs.
     """
-    grid = FrequencyGrid(cutoff, n_points, even=True)
+    grid = FrequencyGrid(cutoff, n_points)
     res = integrate_spectrum(lambda k: atom_hadamard_ft(k, p, bath), grid)
     return res.value / p.m
 

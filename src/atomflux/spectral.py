@@ -1,11 +1,12 @@
-"""Deterministic quadrature for frequency integrals over a symmetric cutoff window.
+"""Deterministic quadrature for frequency integrals of even spectra over a cutoff window.
 
-``integrate_spectrum`` evaluates ``(1/2 pi) \\int_{-L}^{L} f(kappa) dkappa`` on a
-half-step-offset mirror grid with a fourth-order end-corrected midpoint rule.
-Mirrored samples are paired before summation, so odd integrands vanish exactly.
-On a grid built ``even=True`` the integrand is sampled on kappa > 0 alone and
-each sample is paired with itself, which gives the mirror grid's bits for an
-integrand that is bitwise even there at half the samples.
+``integrate_spectrum`` evaluates ``(1/2 pi) \\int_{-L}^{L} f(kappa) dkappa`` for an
+integrand even in kappa, which is ``(1/pi) \\int_0^L f(kappa) dkappa``, with a
+fourth-order end-corrected midpoint rule.  The integrand is sampled at the
+kappa > 0 midpoints of the grid alone, and each sample is paired with itself:
+``f + f`` has the bits of the pair ``f(kappa) + f(-kappa)`` of a symmetric
+grid for an integrand that is bitwise even, so a spectrum is integrated as
+over (-L, L) at half the samples.  Integrands are real; a complex one raises.
 
 The grid is walked in pieces, so memory is bounded by a piece whatever the
 grid size.  The kappa > 0 points are halved where numpy's pairwise summation
@@ -36,15 +37,17 @@ from .greens import FrequencyGrid
 TWO_PI = 2.0 * math.pi
 
 # Fourth-order end correction (h^2/24)*f' with f' from a cubic fit through the
-# outermost four midpoints; applied symmetrically at both ends of the grid.
+# outermost four midpoints, at kappa = cutoff (and so, for an even integrand,
+# at both ends of (-cutoff, cutoff)).
 _EDGE_CORRECTIONS = (71.0 / 576.0, -141.0 / 576.0, 93.0 / 576.0, -23.0 / 576.0)
 
 _ERROR_FLOOR_ULPS = 16.0
 
 # the fewest kappa > 0 points in a piece of the grid, unless the grid has fewer:
 # numpy reuses a temporary of 256 KiB or more in place, which may swap the
-# operands of a complex product and move its rounding, and 2^14 complex points
-# are the shortest piece on which an integrand rounds as on the whole grid
+# operands of a complex product inside an integrand and move its rounding, and
+# 2^14 complex points are the shortest piece on which an integrand rounds as
+# on the whole kappa > 0 half
 _PIECE = 1 << 14
 
 # error-free extraction passes before the leftovers go to fsum; below the
@@ -54,19 +57,19 @@ _EXTRACTION_FLOOR = 2.0**-969
 
 
 class IntegrandError(ValueError):
-    """Raised when an integrand returns a non-finite value or an array of the wrong shape."""
+    """Raised when an integrand returns a complex or non-finite value or an array of the wrong shape."""
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """One integral, or per-row tuples of them for a vector-valued integrand.
 
-    ``n_evals`` counts the grid points handed to the integrand (fine plus half
-    grid), whatever the number of rows it returned for them; on an even grid
-    that is twice the number of samples the integrand computed.
+    ``n_evals`` counts the points of the grid and of its half grid, whatever
+    the number of rows the integrand returned: twice the number of kappa > 0
+    samples it computed, since each stands for itself and its mirror image.
     """
 
-    value: float | complex | tuple
+    value: float | tuple
     est_error: float | tuple
     n_evals: int
 
@@ -95,31 +98,30 @@ def pieces(n: int) -> list[tuple[int, int]]:
 
 
 def _evaluate(f, grid: FrequencyGrid, lo: int, hi: int) -> np.ndarray:
-    """Samples of ``f`` at the kappa > 0 points lo..hi-1, mirrored first unless the grid is even.
+    """Samples of ``f`` at the kappa > 0 points lo..hi-1 of ``grid``.
 
-    On a mirror grid the kappa values handed to ``f`` are a contiguous run of
-    ``grid.values``: the points negated and reversed, then the points.  The
-    shape is ``(m,)``, or ``(k, m)`` for k rows, with m the number of kappa
-    values handed to ``f``.  A non-finite sample is named by its kappa and its
-    index in ``grid.values``, or in the kappa > 0 half of an even grid.
+    The shape is ``(m,)``, or ``(k, m)`` for k rows, with m = hi - lo.  A
+    complex sample raises, and a non-finite one is named by its kappa and its
+    index among the kappa > 0 points.
     """
-    pos = grid.positive_slice(lo, hi)
-    kappa = pos if grid.even else np.concatenate((-pos[::-1], pos))
+    kappa = grid.positive_slice(lo, hi)
     vals = np.asarray(f(kappa))
     if vals.ndim not in (1, 2) or vals.shape[-1] != kappa.size:
         raise IntegrandError(
             f"integrand returned shape {vals.shape} for {kappa.size} kappa values; "
             f"expected ({kappa.size},) or (rows, {kappa.size})"
         )
+    if np.iscomplexobj(vals):
+        raise IntegrandError(
+            f"integrand returned {vals.dtype} samples; integrate a real function that is "
+            f"even in kappa, such as S(kappa) * cos(kappa * t) for S(kappa) * exp(-1j * kappa * t)"
+        )
     if not np.all(np.isfinite(vals)):
         row, bad = divmod(int(np.flatnonzero(~np.isfinite(vals))[0]), kappa.size)
         where = f" in row {row}" if vals.ndim == 2 else ""
-        if grid.even:
-            index, of = lo + bad, " of the kappa > 0 half"
-        else:  # kappa[j] is grid.values[n/2 - hi + j], and past the mirrored run 2 lo further
-            index, of = grid.n_points // 2 - hi + bad + (2 * lo if bad >= hi - lo else 0), ""
         raise IntegrandError(
-            f"integrand is non-finite{where} at kappa={float(kappa[bad])!r} (index {index}{of})"
+            f"integrand is non-finite{where} at kappa={float(kappa[bad])!r} "
+            f"(index {lo + bad} of the kappa > 0 half)"
         )
     return vals
 
@@ -167,22 +169,21 @@ def _reduce(f, grid: FrequencyGrid):
     """Each row's edge-corrected paired sum with the 1/(2 pi) measure, piece by piece.
 
     Returns ``(vector, rows)``: whether ``f`` returned a ``(k, m)`` array, and
-    per row ``(value, abs_scale)``.  On an even grid each sample pairs with
-    itself: ``pos + pos`` has the bits ``pos + neg`` has on the mirror grid for
-    an integrand that is bitwise even there.  Each row's terms are summed
-    exactly rounded, the bits of ``math.fsum`` over them (rows whose terms
-    come within 2^M of overflow may raise OverflowError, as ``fsum`` does);
-    ``abs_scale`` has the bits of ``np.sum`` of their magnitudes over the row.
-    A piece of a row contributes its extraction partials, a few floats, unless
-    its terms are non-finite, near-subnormal or near-overflowing.
+    per row ``(value, abs_scale)``.  Each sample pairs with itself: ``pos +
+    pos`` has the bits ``pos + neg`` has on a symmetric grid for an integrand
+    that is bitwise even.  Each row's terms are summed exactly rounded, the
+    bits of ``math.fsum`` over them (rows whose terms come within 2^M of
+    overflow may raise OverflowError, as ``fsum`` does); ``abs_scale`` has the
+    bits of ``np.sum`` of their magnitudes over the row.  A piece of a row
+    contributes its extraction partials, a few floats, unless its terms are
+    non-finite, near-subnormal or near-overflowing.
     """
     half = grid.n_points // 2
     shape = None  # the leading shape of the first piece's samples
-    parts = []  # per row: the real and the imaginary partials of each piece
-    complex_rows = False
+    parts = []  # per row: the partials of each piece
 
     def leaf(lo, hi):
-        nonlocal shape, complex_rows
+        nonlocal shape
         vals = _evaluate(f, grid, lo, hi)
         if shape is None:
             shape = vals.shape[:-1]
@@ -193,48 +194,39 @@ def _reduce(f, grid: FrequencyGrid):
             )
         vals = np.atleast_2d(vals)
         if not parts:
-            parts.extend(([], []) for _ in vals)
-        m = hi - lo
-        terms = vals + vals if grid.even else vals[:, m:] + vals[:, m - 1 :: -1]
+            parts.extend([] for _ in vals)
+        terms = vals + vals
         if hi == half:
             # 1.0 * x == x, so weighting only the four edge pairs keeps every bit
             terms[:, -4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
-        complex_rows |= np.iscomplexobj(terms)
         abs_sums = np.empty(len(terms))
-        scratch = np.empty(m)
-        for i, (row, (re_parts, im_parts)) in enumerate(zip(terms, parts)):
-            if np.iscomplexobj(row):
-                abs_sums[i] = np.sum(np.abs(row))
-                for part, out in ((row.real, re_parts), (row.imag, im_parts)):
-                    out.append(_partials(part, float(np.abs(part, out=scratch).max()), scratch))
-            else:
-                abs_sums[i] = np.sum(np.abs(row, out=scratch))
-                re_parts.append(_partials(row, float(scratch.max()), scratch))
+        scratch = np.empty(hi - lo)
+        for i, (row, row_parts) in enumerate(zip(terms, parts)):
+            abs_sums[i] = np.sum(np.abs(row, out=scratch))
+            row_parts.append(_partials(row, float(scratch.max()), scratch))
         return abs_sums
 
     abs_sums = _pairwise(0, half, leaf)
     h = grid.spacing
-    rows = []
-    for (re_parts, im_parts), abs_scale in zip(parts, abs_sums):
-        value = complex(_fsum(re_parts), _fsum(im_parts)) if complex_rows else _fsum(re_parts)
-        rows.append((value * h / TWO_PI, float(abs_scale) * h / TWO_PI))
+    rows = [(_fsum(p) * h / TWO_PI, float(a) * h / TWO_PI) for p, a in zip(parts, abs_sums)]
     return len(shape) == 1, rows
 
 
 def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
-    """Integrate ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
+    """Integrate an even ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
 
-    ``f`` must vectorize.  It is called once per piece of the grid, with the
-    ndarray of the m kappa values of that piece, and returns an ``(m,)``
-    array, or a ``(k, m)`` array for k rows, which gets per-row tuples of
-    ``value`` and ``est_error``, each bitwise equal to integrating that row
-    alone.  The pieces split the n/2 points kappa > 0 into runs of 2^14 to
-    2^15 points (one run if there are fewer); ``f`` gets a run's points on an
-    even grid, and on a mirror grid those points negated and reversed, then
-    the points themselves.  It gets the pieces of the grid in ascending order,
-    then those of its half grid.  Any other shape, or a shape other than the
-    first piece's, raises ``IntegrandError``, and an exception raised by ``f``
-    propagates.
+    The result is ``(1/pi) \\int_0^cutoff f(kappa) dkappa``: ``f`` is sampled
+    at kappa > 0 alone, and each sample stands for itself and its mirror
+    image.  ``f`` must vectorize and return real samples.  It is called once
+    per piece of the grid, with the ndarray of the m kappa values of that
+    piece, and returns an ``(m,)`` array, or a ``(k, m)`` array for k rows,
+    which gets per-row tuples of ``value`` and ``est_error``, each bitwise
+    equal to integrating that row alone.  The pieces split the n/2 points
+    kappa > 0 into runs of 2^14 to 2^15 points (one run if there are fewer).
+    ``f`` gets the pieces of the grid in ascending order, then those of its
+    half grid.  Any other shape, or a shape other than the first piece's, or
+    complex samples raise ``IntegrandError``, and an exception raised by
+    ``f`` propagates.
     ``est_error`` comes from a Richardson comparison against the
     half-resolution grid, floored at a few ulps of the absolute term sum.
     On the half grid ``f`` may return only the leading rows of its full-grid
@@ -257,7 +249,7 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
             )
         n_evals += coarse.n_points
         for i, (coarse_value, _) in enumerate(coarse_rows):
-            est_errors[i] += float(abs(values[i] - coarse_value)) / 15.0
+            est_errors[i] += abs(values[i] - coarse_value) / 15.0
     if vector:
         return QuadratureResult(tuple(values), tuple(est_errors), n_evals)
     return QuadratureResult(values[0], est_errors[0], n_evals)

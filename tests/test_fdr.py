@@ -47,7 +47,7 @@ def test_field_fdr_catches_a_wrong_thermal_factor(monkeypatch):
     assert rep.format_line().startswith("FAIL field_fdr")
 
 
-def test_field_fdr_mollified_kernel_cross_check():
+def test_field_fdr_mollified_kernel_cross_check(mirror_values):
     # rebuild Im G0R(r; kappa) by quadrature of the mollified time-domain
     # retarded kernel and compare the Hadamard kernel against it
     r, sigma, beta = 0.7, 5e-4, 5.0
@@ -56,7 +56,7 @@ def test_field_fdr_mollified_kernel_cross_check():
     moll = np.exp(-((t - r) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
     bath = BathSpec(beta)
     worst = 0.0
-    for kappa in grid.values:
+    for kappa in mirror_values(grid):
         ft = np.trapezoid(moll * np.exp(1j * kappa * t), t) / (FOUR_PI * r)
         im_numeric = ft.imag / math.exp(-(kappa * sigma) ** 2 / 2.0)
         lhs = field_hadamard_ft(r, kappa, bath)
@@ -156,8 +156,8 @@ def test_identity_envelope_extremes():
 # ---------------------------------------------------------------------------
 
 
-def _concatenated_report(name, grid, abs_res, scale, rtol, atol):
-    """The report of residual blocks laid end to end, reduced as whole arrays."""
+def _concatenated_report(name, grid, kap, abs_res, scale, rtol, atol):
+    """The report of residual blocks laid end to end over the mirror grid ``kap``, reduced as whole arrays."""
     meaningful = scale > atol
     if np.any(meaningful):
         rel = abs_res[meaningful] / scale[meaningful]
@@ -174,7 +174,7 @@ def _concatenated_report(name, grid, abs_res, scale, rtol, atol):
         n_points=grid.n_points,
         max_abs_residual=float(np.max(abs_res)),
         max_rel_residual=max_rel,
-        worst_kappa=float(grid.values[worst_index % grid.n_points]),
+        worst_kappa=float(kap[worst_index % grid.n_points]),
         passed=bool(max_rel <= rtol and skipped_ok),
         rtol=rtol,
         atol=atol,
@@ -204,10 +204,10 @@ def _crafted(case, size):
 
 
 @pytest.mark.parametrize("case", ["tie_across_parts", "nan_residual", "all_skipped", "max_rel_zero", "skipped_over_atol"])
-def test_streamed_report_equals_the_concatenated_report(case):
+def test_streamed_report_equals_the_concatenated_report(case, mirror_values):
     grid = FrequencyGrid(3.0, 32)
     abs_res, scale = _crafted(case, 2 * grid.n_points)
-    want = _concatenated_report("crafted", grid, abs_res, scale, **TOL)
+    want = _concatenated_report("crafted", grid, mirror_values(grid), abs_res, scale, **TOL)
     edges = [0, 3, 16, 20, 37, 50, 64]
     parts = [(lo, abs_res[lo:hi], scale[lo:hi]) for lo, hi in zip(edges, edges[1:])]
     for order in (parts, parts[::-1], parts[1::2] + parts[::2]):  # parts may come in any order
@@ -239,15 +239,13 @@ def test_suites_memory_is_bounded_by_a_piece(check):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert "values" not in vars(grid) and "positive" not in vars(grid)
     assert peaks[1] <= peaks[0] + 2**20
 
 
-def _whole_grid_reports(grid, p, bath, r):
-    """The three suites' residuals over all of grid.values at once, reduced as whole arrays."""
+def _whole_grid_reports(grid, kap, p, bath, r):
+    """The three suites' residuals over all of the mirror grid ``kap`` at once, reduced as whole arrays."""
     from atomflux import fdr
 
-    kap = grid.values
     k = np.abs(kap)
     x = bath.beta * k
     n_bose = np.exp(-x) / -np.expm1(-x)
@@ -267,12 +265,12 @@ def _whole_grid_reports(grid, p, bath, r):
     scales = [np.abs(np.imag(gr)), np.abs(np.real(gr)), np.abs(gr), np.abs(im_u), np.abs(tf)]
     parity = np.concatenate(residuals), np.concatenate(scales)
     names = (f"field_fdr[r={r:g},{bath.describe()}]", f"atom_fdr_reduction[{bath.describe()}]", f"parity[{bath.describe()}]")
-    return [_concatenated_report(name, grid, *pair, **TOL) for name, pair in zip(names, (field, atom, parity))]
+    return [_concatenated_report(name, grid, kap, *pair, **TOL) for name, pair in zip(names, (field, atom, parity))]
 
 
 @pytest.mark.parametrize("n", [4096, 2**17 + 12])  # one piece; four pieces, the last 16390 long
 @pytest.mark.parametrize("broken", [False, True], ids=["kernels", "uneven_thermal_factor"])
-def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch):
+def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch, mirror_values):
     # each suite, walked piece by piece, reports what the whole-grid arrays
     # give; a thermal factor that is not odd makes the atom and parity
     # residuals nonzero and uneven, so the worst kappa depends on every
@@ -290,5 +288,6 @@ def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch):
                 check_atom_fdr_reduction(grid, p, bath, **TOL),
                 check_parity(grid, p, bath, **TOL),
             ]
-            assert [repr(rep) for rep in got] == [repr(rep) for rep in _whole_grid_reports(grid, p, bath, r)]
+            want = _whole_grid_reports(grid, mirror_values(grid), p, bath, r)
+            assert [repr(rep) for rep in got] == [repr(rep) for rep in want]
             assert all(rep.passed for rep in got) is not broken

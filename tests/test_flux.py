@@ -182,15 +182,16 @@ def _reference_power_budget(p, bath, grid, r=None):
 
 @pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
-def test_budget_densities_bitwise_even_on_mirror_grid(gamma, beta):
-    # power_budget evaluates its rows on kappa > 0 only and pairs each sample
-    # with itself, which is exact only because every density, and every row
-    # _budget_rows writes, is bitwise even on the mirror grid
+def test_budget_densities_bitwise_even_on_mirror_grid(gamma, beta, mirror_values):
+    # the quadrature evaluates every integrand on kappa > 0 only and pairs each
+    # sample with itself, which is exact only because every density, every
+    # row _budget_rows writes, the predicted-variance integrand and the
+    # late-time integrand are bitwise even on the mirror grid
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
     bath = BathSpec(beta)
     r = 100.0 / p.omega
     for lam, n in ((10.0, 2**12), (1000.0, 2**15)):
-        kap = FrequencyGrid(lam, n).values
+        kap = mirror_values(FrequencyGrid(lam, n))
         rows = np.empty((3, n))
         _budget_rows(p, bath, r, kap, rows)
         for vals in (
@@ -198,6 +199,12 @@ def test_budget_densities_bitwise_even_on_mirror_grid(gamma, beta):
             dissipated_power_density(kap, p, bath),
             far_field_flux_integrand(r, kap, p, bath),
             *rows,
+            atom_hadamard_ft(kap, p, bath),
+            *(
+                corrected_hadamard_spectrum(r_obs, kap, p, bath) * np.cos(kap * dt)
+                for r_obs in (0.5, 30.0)
+                for dt in (0.0, 1.7, -7.25)
+            ),
         ):
             assert np.array_equal(vals, vals[::-1])
 
@@ -207,19 +214,13 @@ def test_budget_densities_bitwise_even_on_mirror_grid(gamma, beta):
 def test_power_budget_matches_four_quadrature_reference(gamma, beta):
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
     bath = BathSpec(beta)
-    # 2^16 spans whole evaluation blocks; 65540 ends in a block with a
-    # remainder on the full grid and is one block on its half grid
-    for lam, n in ((10.0, 2**12), (100.0, 2**12), (1000.0, 2**12), (100.0, 2**16), (1000.0, 65540)):
+    # the reference evaluates its densities on the same kappa > 0 pieces, so
+    # every flow keeps its bits: 2^14 points are one piece shorter than 2^14,
+    # 2^16 two whole pieces, and 65540 two pieces, the second 16386 long
+    grids = ((10.0, 2**12), (100.0, 2**12), (1000.0, 2**12), (100.0, 2**14), (100.0, 2**16), (1000.0, 65540))
+    for lam, n in grids:
         grid = FrequencyGrid(lam, n)
         assert power_budget(p, bath, grid).to_dict() == _reference_power_budget(p, bath, grid).to_dict()
-    # at 16384 <= n <= 32766 the whole grid is long enough for numpy to elide
-    # the net row's complex temporaries but its positive half is not, so only
-    # the net row's rounding residue may move
-    grid = FrequencyGrid(100.0, 2**14)
-    fused = power_budget(p, bath, grid)
-    ref = _reference_power_budget(p, bath, grid)
-    assert (fused.p_r, fused.p_gamma, fused.est_error) == (ref.p_r, ref.p_gamma, ref.est_error)
-    assert abs(fused.net_far_field) <= 1e-10 * abs(fused.p_r)
     # n = 30 has no half grid: est_error is the rounding floor alone
     grid = FrequencyGrid(20.0, 30)
     assert grid.halved() is None
@@ -243,7 +244,7 @@ def test_power_budget_far_field_terms_on_full_grid_only(monkeypatch):
     grid = FrequencyGrid(100.0, 65540)
     budget = power_budget(p, BathSpec(1.0), grid)
     assert [k.size for k in seen] == [16384, 16386]
-    assert np.array_equal(np.concatenate(seen), grid.values[grid.n_points // 2 :])
+    assert np.array_equal(np.concatenate(seen), grid.positive_slice(0, grid.n_points // 2))
     assert budget.to_dict() == _reference_power_budget(p, BathSpec(1.0), grid).to_dict()
 
 
@@ -254,7 +255,7 @@ def test_power_budget_memory_bounded():
     p = AtomParams.from_damping(0.01, 1.0, 1.0)
     peaks = []
     for n in (2**16, 2**20):
-        grid = FrequencyGrid(100.0, n, even=True)
+        grid = FrequencyGrid(100.0, n)
         power_budget(p, BathSpec(1.0), grid)  # warm: first-call allocations stay out
         tracemalloc.start()
         try:
@@ -286,6 +287,19 @@ def test_late_hadamard_is_real_and_finite():
     val = interacting_hadamard_late(frame, p, BathSpec(1.0), FrequencyGrid(20.0, 4096))
     assert isinstance(val, float)
     assert math.isfinite(val)
+
+
+@pytest.mark.parametrize("dt_obs", [0.0, 1.7, -7.25])
+def test_late_hadamard_is_the_mirror_pair_sum_of_the_cosine_form(dt_obs, mirror_values, mirror_pair_sums):
+    # the value is (e^2/m) times the mirror-grid pair sum of the real, even
+    # corrected_hadamard_spectrum(r, kappa) * cos(kappa dt_obs), bit for bit
+    p = AtomParams.from_damping(0.05, 1.0, 1.0)
+    bath = BathSpec(1.0)
+    grid = FrequencyGrid(20.0, 4096)
+    frame = ObservationFrame(r=30.0, t=900.0, t_prime=900.0 - dt_obs)
+    kap = mirror_values(grid)
+    [(value, _)] = mirror_pair_sums(corrected_hadamard_spectrum(30.0, kap, p, bath) * np.cos(kap * dt_obs), grid)
+    assert interacting_hadamard_late(frame, p, bath, grid).hex() == ((p.e**2 / p.m) * value).hex()
 
 
 def test_late_hadamard_equal_time_symmetric():

@@ -237,9 +237,9 @@ def _masked_thermal_factor(kap, beta):
     "cutoff, beta, straddles",
     [(1.0, 1.0, True), (10.0, 0.01, True), (10.0, 0.5, True), (1000.0, 1.0, False), (1000.0, 30.0, False)],
 )
-def test_thermal_factor_bitwise_equal_to_masked_evaluation(cutoff, beta, straddles):
+def test_thermal_factor_bitwise_equal_to_masked_evaluation(cutoff, beta, straddles, mirror_values):
     # the 2^16 grid's innermost points sit at beta * kappa = beta * cutoff / 2^16
-    kap = FrequencyGrid(cutoff, 2**16).values
+    kap = mirror_values(FrequencyGrid(cutoff, 2**16))
     assert (beta * np.abs(kap).min() < 1e-4) == straddles
     got = thermal_factor(kap, BathSpec(beta))
     assert np.array_equal(got, _masked_thermal_factor(kap, beta))
@@ -291,12 +291,15 @@ def test_bath_spec():
         BathSpec(-1.0)
 
 
-def test_frequency_grid_mirror_symmetry_exact():
+def test_frequency_grid_mirror_symmetry_exact(mirror_values):
     g = FrequencyGrid(10.0, 48)
-    assert np.array_equal(g.values, -g.values[::-1])
-    assert np.array_equal(g.values[24:], g.positive)
-    assert np.max(np.abs(g.values)) <= g.cutoff
-    assert 0.0 not in g.values
+    vals = mirror_values(g)
+    assert np.array_equal(vals, -vals[::-1])
+    # any run of the kappa > 0 points has the bits of the whole half, however it is cut
+    runs = [g.positive_slice(lo, hi) for lo, hi in ((0, 5), (5, 17), (17, 24))]
+    assert np.array_equal(np.concatenate(runs), g.positive_slice(0, 24))
+    assert np.max(np.abs(vals)) <= g.cutoff
+    assert 0.0 not in vals
     assert g.spacing == pytest.approx(20.0 / 48)
 
 

@@ -364,14 +364,15 @@ def test_predicted_variance_monotone_in_temperature():
 
 @pytest.mark.parametrize("gamma", [0.001, 0.1, 1.0, 10.0])
 @pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
-def test_predicted_variance_on_even_grid_keeps_mirror_grid_bits(gamma, beta):
+def test_predicted_variance_on_even_grid_keeps_mirror_grid_bits(gamma, beta, mirror_values, mirror_pair_sums):
     # atom_hadamard_ft is bitwise even, so sampling kappa > 0 alone keeps
-    # every bit of the mirror-grid integration
+    # every bit of math.fsum over the mirror grid's end-corrected pairs
     p = AtomParams.from_damping(gamma, 1.0, 1.0)
     bath = BathSpec(beta)
     for cutoff, n in itertools.product((20.0, 50.0), (32768, 65536)):
-        mirror = integrate_spectrum(lambda k: atom_hadamard_ft(k, p, bath), FrequencyGrid(cutoff, n))
-        assert predicted_variance(p, bath, cutoff, n).hex() == (mirror.value / p.m).hex()
+        grid = FrequencyGrid(cutoff, n)
+        [(value, _)] = mirror_pair_sums(atom_hadamard_ft(mirror_values(grid), p, bath), grid)
+        assert predicted_variance(p, bath, cutoff, n).hex() == (value / p.m).hex()
 
 
 def test_predicted_variance_memory_bounded():

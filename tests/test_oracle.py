@@ -251,6 +251,19 @@ def test_direct_oracle_transient_regime_reported():
     assert math.isfinite(res.total)
 
 
+@pytest.mark.parametrize("dt_obs", [1.7, -7.25])
+def test_late_time_value_matches_the_history_at_nonzero_dt_obs(dt_obs):
+    # C8's atom, distance, cutoff and grid with t' = t - dt_obs: the late-time
+    # integrand's cos(kappa dt_obs) factor is not 1, and the value still
+    # matches the brute-force history within C8's 1%
+    p = AtomParams.from_damping(0.05, 1.0, 1.0)
+    t = 40.0 / p.gamma
+    frame = ObservationFrame(r=30.0, t=t, t_prime=t - dt_obs)
+    late = interacting_hadamard_late(frame, p, VACUUM, FrequencyGrid(20.0, 2**14))
+    direct = interacting_hadamard_direct(frame, p, VACUUM, time_step=0.02, cutoff=20.0)
+    assert abs(late - direct.total) <= 0.01 * abs(direct.total)
+
+
 def test_direct_oracle_result_breakdown():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     frame = ObservationFrame(r=10.0, t=300.0, t_prime=299.5)
