@@ -14,12 +14,11 @@ Residuals are reported absolutely and relative to the larger of the two
 compared magnitudes; points where both magnitudes sit below the absolute
 tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
 
-The suites walk the mirror grid, all n points in ascending order, in the
-quadrature's pieces (``spectral.pieces`` of its kappa > 0 half, each also
-negated and reversed), so they hold a few arrays of one piece, whatever the
-grid size, and never build a grid-length array.
-Each piece's residuals are reduced as they come, with the semantics of one
-report over the whole grid.
+The suites walk the quadrature's pieces of the kappa > 0 half
+(``spectral.pieces``), each also negated, so they hold a few arrays of one
+piece, whatever the grid size, and never build a grid-length array.  Each
+piece's residuals are reduced as they come, with their kappa, and the worst
+kappa is that of the first maximum met in the order they are visited.
 """
 
 from __future__ import annotations
@@ -75,60 +74,48 @@ def _compare(lhs, rhs):
 
 
 def _mirror_parts(grid: FrequencyGrid, residual):
-    """``(start, *residual(kappa))`` for each piece of the mirror grid, in ascending order.
+    """``(kappa, *residual(kappa))`` for each piece of the mirror grid, all n points in ascending order.
 
-    ``kappa`` is the mirror grid's points start .. start + kappa.size - 1,
-    built from the kappa > 0 points alone: a piece of them negated and
-    reversed, or itself.
+    ``kappa`` is built from the kappa > 0 points alone: a piece of them
+    negated and reversed, or itself.
     """
-    half = grid.n_points // 2
-    runs = pieces(half)
+    runs = pieces(grid.n_points // 2)
     for lo, hi in reversed(runs):
-        yield half - hi, *residual(-grid.positive_slice(lo, hi)[::-1])
+        kap = -grid.positive_slice(lo, hi)[::-1]
+        yield kap, *residual(kap)
     for lo, hi in runs:
-        yield half + lo, *residual(grid.positive_slice(lo, hi))
-
-
-def _kappa_at(grid: FrequencyGrid, i: int) -> float:
-    """Point i of the mirror grid, all n points of ``grid`` in ascending order."""
-    half = grid.n_points // 2
-    if i >= half:
-        return float(grid.positive_slice(i - half, i - half + 1)[0])
-    return -float(grid.positive_slice(half - 1 - i, half - i)[0])
+        kap = grid.positive_slice(lo, hi)
+        yield kap, *residual(kap)
 
 
 def _report(name, grid, parts, rtol, atol) -> IdentityReport:
     """Reduce residual parts to a report.
 
-    ``parts`` yields ``(start, abs_res, scale)``, one part at a time and in
-    any order: the residuals at entries start, start + 1, ... of one or more
-    grid-length blocks laid end to end, where entry i belongs to point
-    i % n_points of the mirror grid.  The report is that of the whole laid-out
-    arrays: the first entry wins a tie, a NaN wins over every number, and if
-    every entry is skipped the worst kappa is that of the largest residual.
-    Each part leaves only its maxima and their entries.
+    ``parts`` yields ``(kappa, abs_res, scale)``, one part at a time: the
+    residuals at the points ``kappa``.  The report is that of the parts laid
+    end to end in the order they arrive: the first maximum wins a tie, a NaN
+    wins over every number, and if every point is skipped the worst kappa is
+    that of the largest residual.  Each part leaves only its maxima and their
+    kappa.
     """
     n_skipped = 0
     skipped_ok = True
-    rel_max, abs_max = [], []  # per part: (entry, value) of its first maximum
-    for start, abs_res, scale in parts:
+    rel_max, abs_max = [], []  # per part: (kappa, value) of its first maximum
+    for kap, abs_res, scale in parts:
         meaningful = scale > atol
         n_skipped += abs_res.size - int(np.count_nonzero(meaningful))
         skipped_ok = skipped_ok and not np.any(abs_res[~meaningful] > atol)
         i = int(np.argmax(abs_res))
-        abs_max.append((start + i, abs_res[i]))
+        abs_max.append((kap[i], abs_res[i]))
         if np.any(meaningful):
             rel = abs_res[meaningful] / scale[meaningful]
             j = int(np.argmax(rel))
-            rel_max.append((start + int(np.flatnonzero(meaningful)[j]), rel[j]))
-    # parts never overlap, so their maxima sorted by entry are in laid-out
-    # order, and np.argmax picks the first tied maximum, or the first NaN
-    rel_max.sort()
-    abs_max.sort()
+            rel_max.append((kap[np.flatnonzero(meaningful)[j]], rel[j]))
+    # np.argmax picks the first tied maximum, or the first NaN
     if rel_max:
-        worst_index, max_rel = rel_max[int(np.argmax([value for _, value in rel_max]))]
+        worst_kappa, max_rel = rel_max[int(np.argmax([value for _, value in rel_max]))]
     else:
-        worst_index, max_rel = abs_max[int(np.argmax([value for _, value in abs_max]))][0], 0.0
+        worst_kappa, max_rel = abs_max[int(np.argmax([value for _, value in abs_max]))][0], 0.0
     passed = bool(max_rel <= rtol and skipped_ok)
     return IdentityReport(
         name=name,
@@ -136,7 +123,7 @@ def _report(name, grid, parts, rtol, atol) -> IdentityReport:
         n_points=grid.n_points,
         max_abs_residual=float(np.max([value for _, value in abs_max])),
         max_rel_residual=float(max_rel),
-        worst_kappa=_kappa_at(grid, worst_index % grid.n_points),
+        worst_kappa=float(worst_kappa),
         passed=passed,
         rtol=rtol,
         atol=atol,
@@ -217,15 +204,15 @@ def check_parity(
     oddness of the field kernel's imaginary part at unit separation, and
     oddness of the thermal factor.  All residuals are exact zeros in floating
     point because mirrored points run through sign-symmetric operations.
-    The report is that of the five residuals laid end to end over the grid,
-    but they are yielded lazily: the kernels are sampled once per piece of
-    the kappa > 0 half and once at its mirror image, and each of the two
-    samplings is the other's mirror.
+    The kernels are sampled once per piece of the kappa > 0 half and once at
+    its mirror image, and each of the two samplings is the other's mirror.
+    The pieces are visited from the outermost in, and each residual at a
+    piece's negated points, in ascending order, before the piece itself: the
+    first point visited is the lowest of the grid, as in the other suites.
     """
-    n, half = grid.n_points, grid.n_points // 2
 
     def parts():
-        for lo, hi in pieces(half):
+        for lo, hi in reversed(pieces(grid.n_points // 2)):
             pos = grid.positive_slice(lo, hi)
             neg = -pos
             gr, gr_neg = atom_retarded_ft(pos, p), atom_retarded_ft(neg, p)
@@ -233,9 +220,8 @@ def check_parity(
             tf, tf_neg = thermal_factor(pos, bath), thermal_factor(neg, bath)
             at_neg = _parity_residuals(gr_neg, gr, im_u_neg, im_u, tf_neg, tf)
             at_pos = _parity_residuals(gr, gr_neg, im_u, im_u_neg, tf, tf_neg)
-            for block, ((res_n, scale_n), (res_p, scale_p)) in enumerate(zip(at_neg, at_pos)):
-                # the mirror grid's points half - hi .. half - lo - 1 are neg reversed
-                yield block * n + half - hi, res_n[::-1], scale_n[::-1]
-                yield block * n + half + lo, res_p, scale_p
+            for (res_n, scale_n), (res_p, scale_p) in zip(at_neg, at_pos):
+                yield neg[::-1], res_n[::-1], scale_n[::-1]
+                yield pos, res_p, scale_p
 
     return _report(f"parity[{bath.describe()}]", grid, parts(), rtol, atol)

@@ -279,10 +279,10 @@ def power_budget(
     grid, and it sums the P_r and P_gamma rows' errors, so the half grid
     evaluates those two rows and not the far-field terms.
 
-    All three rows are bitwise even in kappa, which the quadrature's
-    one-sided rule needs: they are evaluated on the kappa > 0 half alone, one
-    quadrature piece of 2^14 to 2^15 points at a time, and every sample is
-    paired with itself.  Memory is that of a piece, whatever the grid size.
+    All three rows are bitwise even in kappa, so the quadrature's h/pi rule
+    on [0, cutoff] integrates them over (-cutoff, cutoff): they are evaluated
+    on the kappa > 0 half alone, one quadrature piece of 2^14 to 2^15 - 1
+    points at a time.  Memory is that of a piece, whatever the grid size.
     The pieces are never shorter than 2^14 points (see ``spectral._PIECE``):
     numpy reuses a temporary of 256 KiB or more in place, swapping the
     operands of the net row's ``u * np.conj(u)``, and a swapped complex

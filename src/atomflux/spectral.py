@@ -1,26 +1,24 @@
 """Deterministic quadrature for frequency integrals of even spectra over a cutoff window.
 
 ``integrate_spectrum`` evaluates ``(1/2 pi) \\int_{-L}^{L} f(kappa) dkappa`` for an
-integrand even in kappa, which is ``(1/pi) \\int_0^L f(kappa) dkappa``, with a
-fourth-order end-corrected midpoint rule.  The integrand is sampled at the
-kappa > 0 midpoints of the grid alone, and each sample is paired with itself:
-``f + f`` has the bits of the pair ``f(kappa) + f(-kappa)`` of a symmetric
-grid for an integrand that is bitwise even, so a spectrum is integrated as
-over (-L, L) at half the samples.  Integrands are real; a complex one raises.
+integrand even in kappa as ``(1/pi) \\int_0^L f(kappa) dkappa``, with a
+fourth-order end-corrected midpoint rule on [0, L]: the integrand is sampled
+at the kappa > 0 midpoints of the grid alone, the samples are end-corrected
+at L, and their sum is weighted by h/pi.  Integrands are real; a complex one
+raises.
 
 The grid is walked in pieces, so memory is bounded by a piece whatever the
-grid size.  The kappa > 0 points are halved where numpy's pairwise summation
-halves a sum, until each piece is shorter than 2 * 2^14 points, and the
-integrand is called once per piece.  Each piece is reduced as soon as it is
-evaluated: its weighted pair terms go through a few vectorized error-free
-extraction passes that leave exact partial sums, and the pairwise sum of the
-terms' magnitudes is kept.  Per row, ``math.fsum`` rounds the partials of all
-pieces once, so the value is the exactly rounded sum of the terms, the bits of
-``math.fsum`` over them; the magnitude sums are joined along numpy's splits,
-into the bits of one ``np.sum`` over the row.  Results are run-to-run and
-worker-count deterministic.  An integrand may return several rows at once;
-each row is reduced exactly as if it had been integrated on its own, so one
-pass over shared kernel samples feeds several integrals.
+grid size.  The kappa > 0 points are split into equal runs of 2^14 to
+2^15 - 1 points (one run if there are fewer than 2^15), and the integrand is
+called once per piece.  Each piece is reduced as soon as it is evaluated: its
+weighted terms go through a few vectorized error-free extraction passes that
+leave exact partial sums, and the ``np.sum`` of the terms' magnitudes is
+kept.  Per row, ``math.fsum`` rounds the partials of all pieces once, so the
+value is the exactly rounded sum of the terms, the bits of ``math.fsum`` over
+them; the pieces' magnitude sums are added in order.  Results are run-to-run
+and worker-count deterministic.  An integrand may return several rows at
+once; each row is reduced exactly as if it had been integrated on its own, so
+one pass over shared kernel samples feeds several integrals.
 ``fit_log_slope`` is the log-divergence diagnostic for integrals taken over a
 sequence of cutoffs.
 """
@@ -34,20 +32,17 @@ import numpy as np
 
 from .greens import FrequencyGrid
 
-TWO_PI = 2.0 * math.pi
-
 # Fourth-order end correction (h^2/24)*f' with f' from a cubic fit through the
-# outermost four midpoints, at kappa = cutoff (and so, for an even integrand,
-# at both ends of (-cutoff, cutoff)).
+# outermost four midpoints, at kappa = cutoff.
 _EDGE_CORRECTIONS = (71.0 / 576.0, -141.0 / 576.0, 93.0 / 576.0, -23.0 / 576.0)
 
 _ERROR_FLOOR_ULPS = 16.0
 
-# the fewest kappa > 0 points in a piece of the grid, unless the grid has fewer:
-# numpy reuses a temporary of 256 KiB or more in place, which may swap the
-# operands of a complex product inside an integrand and move its rounding, and
-# 2^14 complex points are the shortest piece on which an integrand rounds as
-# on the whole kappa > 0 half
+# the fewest kappa > 0 points in a piece of the grid, unless the grid has
+# fewer, and a piece is shorter than 2 * _PIECE: numpy reuses a temporary of
+# 256 KiB or more in place, which may swap the operands of a complex product
+# inside an integrand and move its rounding, and 2^14 complex points are the
+# shortest piece on which an integrand rounds as on the whole kappa > 0 half
 _PIECE = 1 << 14
 
 # error-free extraction passes before the leftovers go to fsum; below the
@@ -64,9 +59,8 @@ class IntegrandError(ValueError):
 class QuadratureResult:
     """One integral, or per-row tuples of them for a vector-valued integrand.
 
-    ``n_evals`` counts the points of the grid and of its half grid, whatever
-    the number of rows the integrand returned: twice the number of kappa > 0
-    samples it computed, since each stands for itself and its mirror image.
+    ``n_evals`` counts the kappa > 0 points handed to the integrand on the
+    grid and on its half grid, whatever the number of rows it returned.
     """
 
     value: float | tuple
@@ -74,27 +68,10 @@ class QuadratureResult:
     n_evals: int
 
 
-def _pairwise(lo: int, hi: int, leaf):
-    """``leaf(lo, hi)`` of each piece of lo..hi-1, joined by ``+`` as numpy joins pairwise sums.
-
-    numpy sums n > 128 contiguous floats as the sum over the first n2 plus the
-    sum over the rest, n2 being n/2 rounded down to a multiple of 8, and so on
-    down.  A range is halved the same way until it is shorter than 2 * _PIECE,
-    so each piece's ``np.sum`` is a subtree of that summation, and piece sums
-    joined here have the bits of one ``np.sum`` over lo..hi-1.  A piece is
-    never shorter than _PIECE unless the range is.  The leaves are called in
-    ascending order; a leaf returning ``[(lo, hi)]`` lists the pieces.
-    """
-    n = hi - lo
-    if n < 2 * _PIECE:
-        return leaf(lo, hi)
-    mid = lo + n // 2 - n // 2 % 8
-    return _pairwise(lo, mid, leaf) + _pairwise(mid, hi, leaf)
-
-
 def pieces(n: int) -> list[tuple[int, int]]:
-    """The pieces (lo, hi) of range(n) the quadrature walks, in ascending order."""
-    return _pairwise(0, n, lambda lo, hi: [(lo, hi)])
+    """range(n) in max(1, n // _PIECE) runs (lo, hi) as equal as can be, in ascending order."""
+    k = max(1, n // _PIECE)
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def _evaluate(f, grid: FrequencyGrid, lo: int, hi: int) -> np.ndarray:
@@ -166,24 +143,22 @@ def _fsum(parts: list) -> float:
 
 
 def _reduce(f, grid: FrequencyGrid):
-    """Each row's edge-corrected paired sum with the 1/(2 pi) measure, piece by piece.
+    """Each row's end-corrected sum with the h/pi measure of [0, cutoff], piece by piece.
 
     Returns ``(vector, rows)``: whether ``f`` returned a ``(k, m)`` array, and
-    per row ``(value, abs_scale)``.  Each sample pairs with itself: ``pos +
-    pos`` has the bits ``pos + neg`` has on a symmetric grid for an integrand
-    that is bitwise even.  Each row's terms are summed exactly rounded, the
-    bits of ``math.fsum`` over them (rows whose terms come within 2^M of
-    overflow may raise OverflowError, as ``fsum`` does); ``abs_scale`` has the
-    bits of ``np.sum`` of their magnitudes over the row.  A piece of a row
-    contributes its extraction partials, a few floats, unless its terms are
-    non-finite, near-subnormal or near-overflowing.
+    per row ``(value, abs_scale)``.  The terms are a float64 copy of the
+    samples with the four next to the cutoff end-corrected.  Each row's terms
+    are summed exactly rounded, the bits of ``math.fsum`` over them (rows
+    whose terms come within 2^M of overflow may raise OverflowError, as
+    ``fsum`` does); ``abs_scale`` is the in-order sum of each piece's
+    ``np.sum`` of their magnitudes.  A piece of a row contributes its
+    extraction partials, a few floats, unless its terms are non-finite,
+    near-subnormal or near-overflowing.
     """
     half = grid.n_points // 2
     shape = None  # the leading shape of the first piece's samples
     parts = []  # per row: the partials of each piece
-
-    def leaf(lo, hi):
-        nonlocal shape
+    for lo, hi in pieces(half):
         vals = _evaluate(f, grid, lo, hi)
         if shape is None:
             shape = vals.shape[:-1]
@@ -192,37 +167,34 @@ def _reduce(f, grid: FrequencyGrid):
                 f"integrand returned shape {vals.shape} for {vals.shape[-1]} kappa values "
                 f"after leading shape {shape} on another piece of the grid"
             )
-        vals = np.atleast_2d(vals)
+        terms = np.atleast_2d(vals).astype(float)
         if not parts:
-            parts.extend([] for _ in vals)
-        terms = vals + vals
+            parts = [[] for _ in terms]
+            abs_sums = np.zeros(len(terms))
         if hi == half:
-            # 1.0 * x == x, so weighting only the four edge pairs keeps every bit
+            # 1.0 * x == x, so weighting only the four edge terms keeps every bit
             terms[:, -4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
-        abs_sums = np.empty(len(terms))
         scratch = np.empty(hi - lo)
         for i, (row, row_parts) in enumerate(zip(terms, parts)):
-            abs_sums[i] = np.sum(np.abs(row, out=scratch))
+            abs_sums[i] += np.sum(np.abs(row, out=scratch))
             row_parts.append(_partials(row, float(scratch.max()), scratch))
-        return abs_sums
-
-    abs_sums = _pairwise(0, half, leaf)
     h = grid.spacing
-    rows = [(_fsum(p) * h / TWO_PI, float(a) * h / TWO_PI) for p, a in zip(parts, abs_sums)]
+    rows = [(_fsum(p) * h / math.pi, float(a) * h / math.pi) for p, a in zip(parts, abs_sums)]
     return len(shape) == 1, rows
 
 
 def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     """Integrate an even ``f`` over (-cutoff, cutoff) with the 1/(2 pi) measure applied.
 
-    The result is ``(1/pi) \\int_0^cutoff f(kappa) dkappa``: ``f`` is sampled
-    at kappa > 0 alone, and each sample stands for itself and its mirror
-    image.  ``f`` must vectorize and return real samples.  It is called once
-    per piece of the grid, with the ndarray of the m kappa values of that
-    piece, and returns an ``(m,)`` array, or a ``(k, m)`` array for k rows,
-    which gets per-row tuples of ``value`` and ``est_error``, each bitwise
-    equal to integrating that row alone.  The pieces split the n/2 points
-    kappa > 0 into runs of 2^14 to 2^15 points (one run if there are fewer).
+    The result is ``(1/pi) \\int_0^cutoff f(kappa) dkappa``, from samples of
+    ``f`` at kappa > 0 alone and the h/pi rule of [0, cutoff].  ``f`` must
+    vectorize and return real samples.  It is called once per piece of the
+    grid, with the ndarray of the m kappa values of that piece, and returns
+    an ``(m,)`` array, or a ``(k, m)`` array for k rows, which gets per-row
+    tuples of ``value`` and ``est_error``, each bitwise equal to integrating
+    that row alone.  Integer and boolean samples integrate as their float
+    values.  The pieces split the n/2 points kappa > 0 into equal runs of
+    2^14 to 2^15 - 1 points (one run if there are fewer than 2^15).
     ``f`` gets the pieces of the grid in ascending order, then those of its
     half grid.  Any other shape, or a shape other than the first piece's, or
     complex samples raise ``IntegrandError``, and an exception raised by
@@ -238,7 +210,7 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     ulps = _ERROR_FLOOR_ULPS * float(np.finfo(float).eps)
     values = [value for value, _ in fine]
     est_errors = [ulps * abs_scale for _, abs_scale in fine]
-    n_evals = grid.n_points
+    n_evals = grid.n_points // 2
     coarse = grid.halved()
     if coarse is not None:
         _, coarse_rows = _reduce(f, coarse)
@@ -247,7 +219,7 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
                 f"integrand returned {len(coarse_rows)} rows on the half grid "
                 f"but {len(values)} on the full grid"
             )
-        n_evals += coarse.n_points
+        n_evals += coarse.n_points // 2
         for i, (coarse_value, _) in enumerate(coarse_rows):
             est_errors[i] += abs(values[i] - coarse_value) / 15.0
     if vector:

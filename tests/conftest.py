@@ -17,16 +17,25 @@ def _mirror_pair_sums(samples, grid):
 
     Each kappa > 0 sample is added to its mirror image's, and the four pairs
     next to the cutoff are end-corrected.  ``value`` is ``math.fsum`` over
-    those pairs and ``abs_scale`` ``np.sum`` over their magnitudes, each
-    times h/(2 pi): the bits the quadrature must give an integrand that is
-    bitwise even on the grid.
+    those pairs and ``abs_scale`` the in-order sum of ``np.sum`` over their
+    magnitudes on each piece of the kappa > 0 half, each times h/(2 pi): the
+    bits the quadrature must give an integrand that is bitwise even on the
+    grid.
     """
+    from atomflux.spectral import pieces
+
     half = grid.n_points // 2
     w = np.ones(half)
     w[-4:] += (-23.0 / 576.0, 93.0 / 576.0, -141.0 / 576.0, 71.0 / 576.0)
     terms = np.atleast_2d(w * (samples[..., half:] + samples[..., :half][..., ::-1]))
     h = grid.spacing
-    return [(math.fsum(t.tolist()) * h / TWO_PI, float(np.sum(np.abs(t))) * h / TWO_PI) for t in terms]
+    sums = []
+    for t in terms:
+        abs_sum = 0.0
+        for lo, hi in pieces(half):
+            abs_sum += float(np.sum(np.abs(t[lo:hi])))
+        sums.append((math.fsum(t.tolist()) * h / TWO_PI, abs_sum * h / TWO_PI))
+    return sums
 
 
 @pytest.fixture

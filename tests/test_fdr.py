@@ -152,12 +152,13 @@ def test_identity_envelope_extremes():
 
 
 # ---------------------------------------------------------------------------
-# streamed reports: the semantics of one report over the laid-out residuals
+# streamed reports: the semantics of one report over the residuals laid end
+# to end in the order they are visited
 # ---------------------------------------------------------------------------
 
 
 def _concatenated_report(name, grid, kap, abs_res, scale, rtol, atol):
-    """The report of residual blocks laid end to end over the mirror grid ``kap``, reduced as whole arrays."""
+    """The report of residuals at the points ``kap``, one each, reduced as whole arrays."""
     meaningful = scale > atol
     if np.any(meaningful):
         rel = abs_res[meaningful] / scale[meaningful]
@@ -174,7 +175,7 @@ def _concatenated_report(name, grid, kap, abs_res, scale, rtol, atol):
         n_points=grid.n_points,
         max_abs_residual=float(np.max(abs_res)),
         max_rel_residual=max_rel,
-        worst_kappa=float(kap[worst_index % grid.n_points]),
+        worst_kappa=float(kap[worst_index]),
         passed=bool(max_rel <= rtol and skipped_ok),
         rtol=rtol,
         atol=atol,
@@ -205,12 +206,15 @@ def _crafted(case, size):
 
 @pytest.mark.parametrize("case", ["tie_across_parts", "nan_residual", "all_skipped", "max_rel_zero", "skipped_over_atol"])
 def test_streamed_report_equals_the_concatenated_report(case, mirror_values):
+    # whatever order the parts come in, the report is that of their residuals
+    # laid end to end in that order: the first maximum visited names the kappa
     grid = FrequencyGrid(3.0, 32)
     abs_res, scale = _crafted(case, 2 * grid.n_points)
-    want = _concatenated_report("crafted", grid, mirror_values(grid), abs_res, scale, **TOL)
+    kap = np.tile(mirror_values(grid), 2)
     edges = [0, 3, 16, 20, 37, 50, 64]
-    parts = [(lo, abs_res[lo:hi], scale[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    for order in (parts, parts[::-1], parts[1::2] + parts[::2]):  # parts may come in any order
+    parts = [(kap[lo:hi], abs_res[lo:hi], scale[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    for order in (parts, parts[::-1], parts[1::2] + parts[::2]):
+        want = _concatenated_report("crafted", grid, *(np.concatenate(column) for column in zip(*order)), **TOL)
         got = _report("crafted", grid, iter(order), **TOL)
         assert repr(got) == repr(want)
 
@@ -265,10 +269,11 @@ def _whole_grid_reports(grid, kap, p, bath, r):
     scales = [np.abs(np.imag(gr)), np.abs(np.real(gr)), np.abs(gr), np.abs(im_u), np.abs(tf)]
     parity = np.concatenate(residuals), np.concatenate(scales)
     names = (f"field_fdr[r={r:g},{bath.describe()}]", f"atom_fdr_reduction[{bath.describe()}]", f"parity[{bath.describe()}]")
-    return [_concatenated_report(name, grid, kap, *pair, **TOL) for name, pair in zip(names, (field, atom, parity))]
+    kaps = (kap, kap, np.tile(kap, len(residuals)))
+    return [_concatenated_report(name, grid, k, *pair, **TOL) for name, k, pair in zip(names, kaps, (field, atom, parity))]
 
 
-@pytest.mark.parametrize("n", [4096, 2**17 + 12])  # one piece; four pieces, the last 16390 long
+@pytest.mark.parametrize("n", [4096, 2**17 + 12])  # one piece; four pieces of 16385 and 16386 points
 @pytest.mark.parametrize("broken", [False, True], ids=["kernels", "uneven_thermal_factor"])
 def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch, mirror_values):
     # each suite, walked piece by piece, reports what the whole-grid arrays

@@ -216,7 +216,7 @@ def test_power_budget_matches_four_quadrature_reference(gamma, beta):
     bath = BathSpec(beta)
     # the reference evaluates its densities on the same kappa > 0 pieces, so
     # every flow keeps its bits: 2^14 points are one piece shorter than 2^14,
-    # 2^16 two whole pieces, and 65540 two pieces, the second 16386 long
+    # 2^16 two whole pieces, and 65540 two pieces of 16385 points
     grids = ((10.0, 2**12), (100.0, 2**12), (1000.0, 2**12), (100.0, 2**14), (100.0, 2**16), (1000.0, 65540))
     for lam, n in grids:
         grid = FrequencyGrid(lam, n)
@@ -243,7 +243,7 @@ def test_power_budget_far_field_terms_on_full_grid_only(monkeypatch):
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     grid = FrequencyGrid(100.0, 65540)
     budget = power_budget(p, BathSpec(1.0), grid)
-    assert [k.size for k in seen] == [16384, 16386]
+    assert [k.size for k in seen] == [16385, 16385]
     assert np.array_equal(np.concatenate(seen), grid.positive_slice(0, grid.n_points // 2))
     assert budget.to_dict() == _reference_power_budget(p, BathSpec(1.0), grid).to_dict()
 

@@ -24,7 +24,7 @@ def test_gaussian_reference():
     g = FrequencyGrid(10.0, 256)
     res = integrate_spectrum(lambda k: np.exp(-(k**2)), g)
     assert res.value == pytest.approx(math.sqrt(math.pi) / TWO_PI, abs=1e-10)
-    assert res.n_evals == 256 + 128
+    assert res.n_evals == 128 + 64  # the kappa > 0 points of the grid and of its half grid
     assert res.est_error >= 0.0
 
 
@@ -96,7 +96,7 @@ def test_vector_rows_match_separate_integrations_bitwise():
         vec = integrate_spectrum(lambda k: np.stack([f(k) for f in rows]), g)
         singles = [integrate_spectrum(f, g) for f in rows]
         assert len(vec.value) == len(vec.est_error) == len(rows)
-        assert vec.n_evals == singles[0].n_evals
+        assert vec.n_evals == singles[0].n_evals == g.n_points // 2 + (g.n_points // 4 if g.halved() else 0)
         for i, single in enumerate(singles):
             assert type(vec.value[i]) is type(single.value)
             assert vec.value[i] == single.value
@@ -142,7 +142,7 @@ def test_fewer_rows_on_half_grid_floor_the_rest():
     for kept in (0, 1, 3):
         part = integrate_spectrum(lambda k: rows(k) if k.size == g.n_points // 2 else rows(k)[:kept], g)
         assert part.value == full.value
-        assert part.n_evals == full.n_evals
+        assert part.n_evals == full.n_evals == 128 + 64
         assert part.est_error[:kept] == full.est_error[:kept]
         for i in range(kept, 4):
             _, [(_, abs_scale)] = _reduce(lambda k: rows(k)[i], g)
@@ -340,7 +340,7 @@ def _mirrored(vals):
     return np.concatenate([vals[..., ::-1], vals], axis=-1)
 
 
-# one piece, then 2^17 + 12 points in four pieces (the last 16390 long) and 2^18 in eight
+# one piece, then 2^17 + 12 points in four pieces (16385 and 16386 long) and 2^18 in eight
 SIZES = (16, 62, 2048, 2**17 + 12, 2**18)
 
 
@@ -355,9 +355,9 @@ def _rows_of(rng, n):
 
 
 def test_reduce_real_rows_match_fsum_and_np_sum_across_pieces(mirror_pair_sums):
-    # each row's value is math.fsum over all its weighted mirror pairs, and
-    # abs_scale is np.sum of their magnitudes over the whole row, bit for
-    # bit, however many pieces the row came in
+    # each row's value is math.fsum over all its weighted mirror pairs, bit
+    # for bit, however many pieces the row came in, and abs_scale the
+    # in-order sum of each piece's np.sum of their magnitudes
     assert [len(pieces(n // 2)) for n in SIZES] == [1, 1, 1, 4, 8]
     for n in SIZES:
         g = FrequencyGrid(10.0, n)
@@ -375,8 +375,8 @@ def test_reduce_real_rows_match_fsum_and_np_sum_across_pieces(mirror_pair_sums):
 @pytest.mark.parametrize("beta", [math.inf, 0.1, 1.0, 100.0])
 def test_budget_rows_reduce_to_fsum_bits(gamma, beta, monkeypatch, mirror_pair_sums):
     # every row power_budget reduces, three on the full grid and two on the
-    # half grid, gets the bits of math.fsum over the same weighted pairs, each
-    # kappa > 0 sample paired with itself, and est_error those of the
+    # half grid, gets the bits of math.fsum over the weighted mirror pairs of
+    # its kappa > 0 samples, and est_error those of the
     # reference sums; a 2^17 grid comes in four pieces and its half grid in
     # two.  The reference is computed in this process from the rows the
     # quadrature was handed, so the build's SIMD kernels cannot move the comparison
@@ -421,11 +421,11 @@ def test_budget_rows_reduce_to_fsum_bits(gamma, beta, monkeypatch, mirror_pair_s
 def test_nonfinite_sample_in_the_last_piece_names_its_global_index():
     import re
 
-    # kappa > 0 points 49152 to 65541 are the last of four pieces
+    # kappa > 0 points 49156 to 65541 are the last of four pieces
     n = 2**17 + 12
-    assert pieces(n // 2)[-1] == (49152, 65542)
+    assert pieces(n // 2)[-1] == (49156, 65542)
     g = FrequencyGrid(50.0, n)
-    for index in (49152, 65541, 0):
+    for index in (49156, 65541, 0):
         bad_kappa = float(g.positive_slice(index, index + 1)[0])
 
         def f(k, bad_kappa=bad_kappa):
@@ -436,6 +436,30 @@ def test_nonfinite_sample_in_the_last_piece_names_its_global_index():
         match = f"row 1 at kappa={re.escape(repr(bad_kappa))} \\(index {index} of the kappa > 0 half\\)"
         with pytest.raises(IntegrandError, match=match):
             integrate_spectrum(f, g)
+
+
+@pytest.mark.parametrize("n", [1, 8, 2**14 - 1, 2**14, 2**15 - 1, 2**17 + 6, 2**19])
+def test_pieces_split_a_range_evenly(n):
+    # contiguous ascending runs covering range(n), each 2^14 to 2^15 - 1
+    # points long, or a single run when n is shorter than 2^14
+    runs = pieces(n)
+    assert runs[0][0] == 0 and runs[-1][1] == n and all(lo < hi for lo, hi in runs)
+    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(runs, runs[1:]))
+    if n >= 2**14:
+        assert all(2**14 <= hi - lo <= 2**15 - 1 for lo, hi in runs)
+    else:
+        assert runs == [(0, n)]
+
+
+def test_integer_and_boolean_samples_integrate_as_floats():
+    g = FrequencyGrid(2.0, 64)
+    for f, as_float in (
+        (lambda k: k > 1.0, lambda k: np.where(k > 1.0, 1.0, 0.0)),
+        (lambda k: np.ones(k.size, dtype=int), lambda k: np.ones(k.size)),
+    ):
+        got, want = integrate_spectrum(f, g), integrate_spectrum(as_float, g)
+        assert got.value.hex() == want.value.hex()
+        assert got.est_error == want.est_error
 
 
 def test_integrand_sees_pieces_in_ascending_order_then_the_half_grid():
@@ -477,10 +501,10 @@ def _late_time(dt):
 
 @pytest.mark.parametrize("n", [16, 30, 4096, 65540])  # n = 30 has no half grid
 def test_even_grid_matches_mirror_grid_bitwise(n, mirror_values, mirror_pair_sums):
-    # each integrand is bitwise even on the whole symmetric grid, so sampling
-    # kappa > 0 alone and pairing each sample with itself gives the bits of
-    # math.fsum over the mirror grid's weighted pairs, and est_error those of
-    # the same reference on the half grid
+    # each integrand is bitwise even on the whole symmetric grid, so the h/pi
+    # rule on its kappa > 0 samples alone gives the bits of math.fsum over the
+    # mirror grid's weighted pairs, and est_error those of the same reference
+    # on the half grid
     def reference(f, grid):
         samples = f(mirror_values(grid))
         assert np.array_equal(samples, samples[..., ::-1])  # bitwise even on the mirror grid
@@ -497,7 +521,7 @@ def test_even_grid_matches_mirror_grid_bitwise(n, mirror_values, mirror_pair_sum
         fine = reference(f, g)
         coarse = reference(f, g.halved()) if g.halved() else []
         got = integrate_spectrum(f, g)
-        assert got.n_evals == n + (n // 2 if coarse else 0)
+        assert got.n_evals == n // 2 + (n // 4 if coarse else 0)
         values = np.atleast_1d(got.value)
         est_errors = np.atleast_1d(got.est_error)
         for i, (value, abs_scale) in enumerate(fine):
