@@ -286,14 +286,14 @@ def _write_json(cfg: RunConfig, name: str, payload: dict):
 
 def cmd_fdr_check(cfg: RunConfig) -> int:
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
+    tol = dict(rtol=cfg.fdr_rtol, atol=cfg.fdr_atol)
     reports = [
-        fdr.check_field_fdr(grid, 0.0, cfg.bath, rtol=cfg.fdr_rtol, atol=cfg.fdr_atol),
-        fdr.check_atom_fdr_reduction(grid, cfg.atom, cfg.bath, rtol=cfg.fdr_rtol, atol=cfg.fdr_atol),
-        fdr.check_parity(grid, cfg.atom, cfg.bath, rtol=cfg.fdr_rtol, atol=cfg.fdr_atol),
+        fdr.check_field_fdr(grid, 0.0, cfg.bath, **tol),
+        # a second separation exercises the finite-r kernel nodes; parity checks its kernel's mirror
+        fdr.check_field_fdr(grid, 1.0 / cfg.atom.omega, cfg.bath, **tol),
+        fdr.check_atom_fdr_reduction(grid, cfg.atom, cfg.bath, **tol),
+        fdr.check_parity(grid, cfg.atom, cfg.bath, **tol),
     ]
-    # a second field-FDR separation exercises the finite-r kernel nodes
-    reports.insert(1, fdr.check_field_fdr(grid, 1.0 / cfg.atom.omega, cfg.bath,
-                                          rtol=cfg.fdr_rtol, atol=cfg.fdr_atol))
     for rep in reports:
         print(rep.format_line())
     all_passed = all(rep.passed for rep in reports)

@@ -8,15 +8,19 @@ compact report:
 * the algebraic reduction that collapses the radiation term of the interacting
   Hadamard function, ``G0H(0;kappa) |GR(kappa)|^2 == (m/e^2) coth(beta kappa/2)
   Im GR(kappa)`` (it holds because Im GR = (e^2/m) Im G0R(0) |GR|^2);
-* parity and conjugate-reflection symmetries of all kernels on a mirror grid.
+* parity and conjugate-reflection symmetries of the kernels those identities
+  read: each is sampled at kappa > 0 and at -kappa.
 
 Residuals are reported absolutely and relative to the larger of the two
 compared magnitudes; points where both magnitudes sit below the absolute
 tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
 
 The suites walk the quadrature's pieces of the kappa > 0 half
-(``spectral.pieces``), each also negated, so they hold a few arrays of one
-piece, whatever the grid size, and never build a grid-length array.  Each
+(``spectral.pieces``) in ascending order, so they hold a few arrays of one
+piece, whatever the grid size, and never build a grid-length array.  The
+field and atom identities are checked at kappa > 0 alone: both sides of each
+are even in kappa as long as the kernels keep their parity, and the parity
+suite, the only one that samples kappa < 0, checks that they do.  Each
 piece's residuals are reduced as they come, with their kappa, and the worst
 kappa is that of the first maximum met in the order they are visited.
 """
@@ -39,9 +43,14 @@ from .greens import (
 )
 from .spectral import pieces
 
+
 @dataclass
 class IdentityReport:
-    """Outcome of one identity check on one grid."""
+    """Outcome of one identity check on one grid.
+
+    ``n_points`` is the grid's, although the residuals are taken at its
+    kappa > 0 points; ``worst_kappa`` and ``n_rel_skipped`` are of those points.
+    """
 
     name: str
     cutoff: float
@@ -73,19 +82,16 @@ def _compare(lhs, rhs):
     return np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))
 
 
-def _mirror_parts(grid: FrequencyGrid, residual):
-    """``(kappa, *residual(kappa))`` for each piece of the mirror grid, all n points in ascending order.
+def _positive_parts(grid: FrequencyGrid, residuals):
+    """``(kappa, abs_res, scale)`` for each pair ``residuals(kappa)`` yields, piece by piece of the kappa > 0 points.
 
-    ``kappa`` is built from the kappa > 0 points alone: a piece of them
-    negated and reversed, or itself.
+    The pieces come in ascending order, and a piece's pairs in the order
+    ``residuals`` yields them.
     """
-    runs = pieces(grid.n_points // 2)
-    for lo, hi in reversed(runs):
-        kap = -grid.positive_slice(lo, hi)[::-1]
-        yield kap, *residual(kap)
-    for lo, hi in runs:
+    for lo, hi in pieces(grid.n_points // 2):
         kap = grid.positive_slice(lo, hi)
-        yield kap, *residual(kap)
+        for abs_res, scale in residuals(kap):
+            yield kap, abs_res, scale
 
 
 def _report(name, grid, parts, rtol, atol) -> IdentityReport:
@@ -146,16 +152,16 @@ def check_field_fdr(
     coth(beta kappa/2) Im G0R(r;kappa) instead, so the two routes share no
     thermal arithmetic.  n_B is written through e^{-beta |kappa|}, which
     underflows to the vacuum's 0 where e^{beta |kappa|} would overflow.
+    Both sides are even in kappa, so the residual is taken at kappa > 0.
     """
 
-    def residual(kap):
-        k = np.abs(kap)
-        x = bath.beta * k
+    def residuals(kap):
+        x = bath.beta * kap
         n_bose = np.exp(-x) / -np.expm1(-x)
-        mode = k / FOUR_PI if r == 0 else np.sin(k * r) / (FOUR_PI * r)
-        return _compare(field_hadamard_ft(r, kap, bath), (1.0 + 2.0 * n_bose) * mode)
+        mode = kap / FOUR_PI if r == 0 else np.sin(kap * r) / (FOUR_PI * r)
+        yield _compare(field_hadamard_ft(r, kap, bath), (1.0 + 2.0 * n_bose) * mode)
 
-    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, _mirror_parts(grid, residual), rtol, atol)
+    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, _positive_parts(grid, residuals), rtol, atol)
 
 
 def check_atom_fdr_reduction(
@@ -171,24 +177,16 @@ def check_atom_fdr_reduction(
     Exact algebraically, so the residual is pure rounding; this identity is
     what makes the far-field flux cancel at the integrand level, and any change
     to the kernels must keep it passing before flux results are trusted.
+    Both sides are even in kappa, so the residual is taken at kappa > 0.
     """
 
-    def residual(kap):
+    def residuals(kap):
         gr = atom_retarded_ft(kap, p)
         lhs = field_hadamard_ft(0.0, kap, bath) * np.abs(gr) ** 2
         rhs = (p.m / p.e**2) * thermal_factor(kap, bath) * np.imag(gr)
-        return _compare(lhs, rhs)
+        yield _compare(lhs, rhs)
 
-    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, _mirror_parts(grid, residual), rtol, atol)
-
-
-def _parity_residuals(gr, gr_mirror, im_u, im_u_mirror, tf, tf_mirror):
-    """Yield the five parity residuals and their scales, from kernel samples and their mirror images'."""
-    yield np.abs(np.imag(gr) + np.imag(gr_mirror)), np.abs(np.imag(gr))  # Im odd
-    yield np.abs(np.real(gr) - np.real(gr_mirror)), np.abs(np.real(gr))  # Re even
-    yield np.abs(gr_mirror - np.conj(gr)), np.abs(gr)  # conjugate reflection
-    yield np.abs(im_u + im_u_mirror), np.abs(im_u)
-    yield np.abs(tf + tf_mirror), np.abs(tf)
+    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, _positive_parts(grid, residuals), rtol, atol)
 
 
 def check_parity(
@@ -198,30 +196,29 @@ def check_parity(
     rtol: float,
     atol: float,
 ) -> IdentityReport:
-    """Parity and conjugate-reflection residuals on the mirror grid.
+    """Parity and conjugate-reflection residuals of the kernels at kappa > 0 against their mirror images.
 
     Checks Im GR odd / Re GR even / GR(-kappa) = conj GR(kappa) for the atom,
-    oddness of the field kernel's imaginary part at unit separation, and
-    oddness of the thermal factor.  All residuals are exact zeros in floating
-    point because mirrored points run through sign-symmetric operations.
-    The kernels are sampled once per piece of the kappa > 0 half and once at
-    its mirror image, and each of the two samplings is the other's mirror.
-    The pieces are visited from the outermost in, and each residual at a
-    piece's negated points, in ascending order, before the piece itself: the
-    first point visited is the lowest of the grid, as in the other suites.
+    oddness of the field kernel's imaginary part at the separation 1/omega
+    that ``fdr-check`` also gives the field FDR, and oddness of the thermal
+    factor.  (At r = 0 that kernel is kappa/(4 pi), odd by negation.)  These
+    are the symmetries that make the field and atom identities even in
+    kappa, so those suites check kappa > 0 alone.  All residuals are exact
+    zeros in floating point because mirrored points run through
+    sign-symmetric operations.  Each piece of the kappa > 0 half is sampled
+    once at kappa and once at -kappa, and its five residuals are visited in
+    turn, at kappa, before the next piece.
     """
+    r = 1.0 / p.omega
 
-    def parts():
-        for lo, hi in reversed(pieces(grid.n_points // 2)):
-            pos = grid.positive_slice(lo, hi)
-            neg = -pos
-            gr, gr_neg = atom_retarded_ft(pos, p), atom_retarded_ft(neg, p)
-            im_u, im_u_neg = field_retarded_im(1.0, pos), field_retarded_im(1.0, neg)
-            tf, tf_neg = thermal_factor(pos, bath), thermal_factor(neg, bath)
-            at_neg = _parity_residuals(gr_neg, gr, im_u_neg, im_u, tf_neg, tf)
-            at_pos = _parity_residuals(gr, gr_neg, im_u, im_u_neg, tf, tf_neg)
-            for (res_n, scale_n), (res_p, scale_p) in zip(at_neg, at_pos):
-                yield neg[::-1], res_n[::-1], scale_n[::-1]
-                yield pos, res_p, scale_p
+    def residuals(kap):
+        gr, gr_m = atom_retarded_ft(kap, p), atom_retarded_ft(-kap, p)
+        im_u, im_u_m = field_retarded_im(r, kap), field_retarded_im(r, -kap)
+        tf, tf_m = thermal_factor(kap, bath), thermal_factor(-kap, bath)
+        yield np.abs(np.imag(gr) + np.imag(gr_m)), np.abs(np.imag(gr))  # Im odd
+        yield np.abs(np.real(gr) - np.real(gr_m)), np.abs(np.real(gr))  # Re even
+        yield np.abs(gr_m - np.conj(gr)), np.abs(gr)  # conjugate reflection
+        yield np.abs(im_u + im_u_m), np.abs(im_u)
+        yield np.abs(tf + tf_m), np.abs(tf)
 
-    return _report(f"parity[{bath.describe()}]", grid, parts(), rtol, atol)
+    return _report(f"parity[{bath.describe()}]", grid, _positive_parts(grid, residuals), rtol, atol)

@@ -124,9 +124,9 @@ class FrequencyGrid:
     hit, and they mirror by negation: the kappa < 0 half is the kappa > 0 half
     negated.  No grid-length array is ever built.  ``positive_slice`` gives
     any run of the kappa > 0 points, with the same bits however the run is
-    cut, so the quadrature, which samples kappa > 0 alone, and the identity
-    suites, which negate those points for the kappa < 0 half, walk a grid
-    piece by piece.
+    cut, so the quadrature and the identity suites, which all sample kappa > 0
+    (the parity suite at each point's negation too), walk a grid piece by
+    piece.
     """
 
     cutoff: float

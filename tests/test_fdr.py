@@ -47,7 +47,7 @@ def test_field_fdr_catches_a_wrong_thermal_factor(monkeypatch):
     assert rep.format_line().startswith("FAIL field_fdr")
 
 
-def test_field_fdr_mollified_kernel_cross_check(mirror_values):
+def test_field_fdr_mollified_kernel_cross_check():
     # rebuild Im G0R(r; kappa) by quadrature of the mollified time-domain
     # retarded kernel and compare the Hadamard kernel against it
     r, sigma, beta = 0.7, 5e-4, 5.0
@@ -56,7 +56,7 @@ def test_field_fdr_mollified_kernel_cross_check(mirror_values):
     moll = np.exp(-((t - r) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
     bath = BathSpec(beta)
     worst = 0.0
-    for kappa in mirror_values(grid):
+    for kappa in grid.positive_slice(0, grid.n_points // 2):
         ft = np.trapezoid(moll * np.exp(1j * kappa * t), t) / (FOUR_PI * r)
         im_numeric = ft.imag / math.exp(-(kappa * sigma) ** 2 / 2.0)
         lhs = field_hadamard_ft(r, kappa, bath)
@@ -112,6 +112,27 @@ def test_parity_with_thermal_factor():
     assert "beta=4.0" in rep.name
 
 
+def test_parity_checks_the_field_kernel_at_the_field_fdr_separation(monkeypatch):
+    # fdr-check gives the field FDR the separation 1/omega, so parity checks
+    # the field kernel's mirror there: one ulp off at kappa < 0 for r = 1/2
+    # fails at omega = 2, where the exact kernels leave exact zeros
+    from atomflux import fdr, greens
+
+    p = AtomParams.from_damping(0.1, 1.0, 2.0)
+    grid = FrequencyGrid(40.0, 4096)
+    exact = dict(rtol=0.0, atol=TOL["atol"])
+    assert check_parity(grid, p, VACUUM, **exact).passed
+
+    def skewed(r, kappa):
+        out = greens.field_retarded_im(r, kappa)
+        return np.where((r == 0.5) & (kappa < 0), np.nextafter(out, np.inf), out)
+
+    monkeypatch.setattr(fdr, "field_retarded_im", skewed)
+    rep = check_parity(grid, p, VACUUM, **exact)
+    assert not rep.passed
+    assert 0.0 < rep.max_rel_residual < 1e-15
+
+
 def test_forced_failure_with_impossible_tolerance():
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     rep = check_atom_fdr_reduction(FrequencyGrid(50.0, 1024), p, VACUUM, rtol=1e-30, atol=1e-300)
@@ -137,9 +158,12 @@ def test_identity_matrix_spot_cells():
         p = AtomParams.from_damping(gamma_ratio, 1.0, 1.0)
         for bath in (VACUUM, BathSpec(0.1), BathSpec(100.0)):
             grid = FrequencyGrid(80.0, 4096)
-            assert check_field_fdr(grid, 0.5, bath, **TOL).max_rel_residual <= 1e-12
-            assert check_atom_fdr_reduction(grid, p, bath, **TOL).max_rel_residual <= 1e-12
-            assert check_parity(grid, p, bath, **TOL).max_rel_residual <= 1e-12
+            reports = [
+                check_field_fdr(grid, 0.5, bath, **TOL),
+                check_atom_fdr_reduction(grid, p, bath, **TOL),
+                check_parity(grid, p, bath, **TOL),
+            ]
+            assert all(rep.max_rel_residual <= 1e-12 and rep.worst_kappa > 0 for rep in reports)
 
 
 def test_identity_envelope_extremes():
@@ -247,39 +271,44 @@ def test_suites_memory_is_bounded_by_a_piece(check):
 
 
 def _whole_grid_reports(grid, kap, p, bath, r):
-    """The three suites' residuals over all of the mirror grid ``kap`` at once, reduced as whole arrays."""
+    """The three suites' residuals at all of the kappa > 0 points of the mirror grid ``kap`` at once, reduced as whole arrays.
+
+    The parity residuals compare the kernels there with their mirror images,
+    read off ``kap`` reversed.
+    """
     from atomflux import fdr
 
-    k = np.abs(kap)
+    pos = slice(grid.n_points // 2, None)
+    k = kap[pos]
     x = bath.beta * k
     n_bose = np.exp(-x) / -np.expm1(-x)
     mode = k / FOUR_PI if r == 0 else np.sin(k * r) / (FOUR_PI * r)
-    field = fdr._compare(fdr.field_hadamard_ft(r, kap, bath), (1.0 + 2.0 * n_bose) * mode)
+    field = fdr._compare(fdr.field_hadamard_ft(r, k, bath), (1.0 + 2.0 * n_bose) * mode)
     gr = fdr.atom_retarded_ft(kap, p)
     tf = fdr.thermal_factor(kap, bath)
-    atom = fdr._compare(fdr.field_hadamard_ft(0.0, kap, bath) * np.abs(gr) ** 2, (p.m / p.e**2) * tf * np.imag(gr))
-    im_u = fdr.field_retarded_im(1.0, kap)
+    atom = fdr._compare(fdr.field_hadamard_ft(0.0, k, bath) * np.abs(gr[pos]) ** 2, (p.m / p.e**2) * tf[pos] * np.imag(gr[pos]))
+    im_u = fdr.field_retarded_im(1.0 / p.omega, kap)
     residuals = [
         np.abs(np.imag(gr) + np.imag(gr[::-1])),
         np.abs(np.real(gr) - np.real(gr[::-1])),
         np.abs(gr[::-1] - np.conj(gr)),
-        np.abs(im_u + fdr.field_retarded_im(1.0, kap[::-1])),
+        np.abs(im_u + im_u[::-1]),
         np.abs(tf + tf[::-1]),
     ]
     scales = [np.abs(np.imag(gr)), np.abs(np.real(gr)), np.abs(gr), np.abs(im_u), np.abs(tf)]
-    parity = np.concatenate(residuals), np.concatenate(scales)
+    parity = np.concatenate([a[pos] for a in residuals]), np.concatenate([a[pos] for a in scales])
     names = (f"field_fdr[r={r:g},{bath.describe()}]", f"atom_fdr_reduction[{bath.describe()}]", f"parity[{bath.describe()}]")
-    kaps = (kap, kap, np.tile(kap, len(residuals)))
-    return [_concatenated_report(name, grid, k, *pair, **TOL) for name, k, pair in zip(names, kaps, (field, atom, parity))]
+    kaps = (k, k, np.tile(k, len(residuals)))
+    return [_concatenated_report(name, grid, kk, *pair, **TOL) for name, kk, pair in zip(names, kaps, (field, atom, parity))]
 
 
 @pytest.mark.parametrize("n", [4096, 2**17 + 12])  # one piece; four pieces of 16385 and 16386 points
 @pytest.mark.parametrize("broken", [False, True], ids=["kernels", "uneven_thermal_factor"])
 def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch, mirror_values):
-    # each suite, walked piece by piece, reports what the whole-grid arrays
-    # give; a thermal factor that is not odd makes the atom and parity
-    # residuals nonzero and uneven, so the worst kappa depends on every
-    # piece's place in the laid-out order
+    # each suite, walked piece by piece over the kappa > 0 points, reports
+    # what the whole-grid arrays give; a thermal factor that is not odd makes
+    # the atom and parity residuals nonzero and uneven, so the worst kappa
+    # depends on every piece's place in the laid-out order
     from atomflux import fdr
 
     if broken:
@@ -295,4 +324,5 @@ def test_streamed_suites_equal_whole_grid_reports(n, broken, monkeypatch, mirror
             ]
             want = _whole_grid_reports(grid, mirror_values(grid), p, bath, r)
             assert [repr(rep) for rep in got] == [repr(rep) for rep in want]
+            assert all(rep.worst_kappa > 0 for rep in got)
             assert all(rep.passed for rep in got) is not broken
