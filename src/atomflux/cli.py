@@ -274,12 +274,24 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return directory / name
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(cfg: RunConfig, name: str, payload: dict):
-    payload = dict(payload)
+    """Write ``payload`` and the config hash as strict JSON: a non-finite float becomes ``null``."""
+    payload = _finite_or_null(payload)
     payload["config_sha256"] = cfg.config_hash()
     path = _out_path(cfg, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 

@@ -19,13 +19,12 @@ damping-regime branch (``_step_coefficients``).
 Determinism contract: every trajectory is a pure function of
 (master_seed, trajectory_index) and all reductions run in a fixed order, so
 ensembles are bit-identical for any worker count.  Trajectory i draws from the
-counter-based Philox stream that ``SeedSequence(master_seed, spawn_key=(i,))``
-keys.  That 128-bit key is a fixed integer hash of the seed and the index,
-and up to the index it is the hash that ``SeedSequence(master_seed)`` computes:
-``_spawn_keys`` takes that pool from numpy and hashes the index for a whole
-batch at once, with nothing cached between batches, and one generator per
-batch is re-keyed row by row to the exact state a freshly seeded Philox has:
-the streams are those of one generator built per trajectory.
+counter-based stream of ``Philox(master_seed).advance(i << 64)``: one 128-bit
+key for the whole ensemble, with counter word 1 set to i, so each trajectory
+owns 2^64 counter blocks and no two streams meet (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  One generator per batch is
+re-keyed row by row to the start of the row's stream, with nothing cached
+between batches: the streams are those of one generator built per trajectory.
 
 Engine layout: the trajectories are reduced in chunks of ``_CHUNK_SIZE``,
 and a pool task (one ``_ensemble_chunk`` call) covers a contiguous run of
@@ -63,7 +62,6 @@ before the next task runs.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -179,82 +177,16 @@ def noise_spectrum(kappa, p: AtomParams, bath: BathSpec):
     return (p.e / p.m) ** 2 * field_hadamard_ft(0.0, kappa, bath)
 
 
-def _noise_generator(seed, spawn_key):
-    """The generator of the stream (seed, spawn_key): Philox keyed by ``SeedSequence(seed, spawn_key)``.
+def _noise_generator(seed, index):
+    """The generator of trajectory ``index``'s stream: ``Philox(seed).advance(index << 64)``.
 
-    Trajectory i's stream is ``_noise_generator(seed, (i,))``; the engine
-    builds one generator per batch here and re-keys it to each row's stream.
+    ``Philox(seed)`` derives one 128-bit key from the seed, of any size, and
+    trajectory i starts with counter word 1 equal to i, so it owns the counter
+    blocks i 2^64 .. (i + 1) 2^64 - 1 of that key: two trajectories never
+    share a block while each draws fewer than 2^64.  The engine builds one
+    generator per batch here and re-keys it to each row's stream.
     """
-    seq = np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
-    return np.random.Generator(np.random.Philox(seq))
-
-
-# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _hash_constants(init: int, mult: int, n: int) -> list[int]:
-    """init, init * mult, ..., init * mult^n mod 2^32: a hash-constant sequence."""
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
-
-
-def _hashmix(value, xor_const, mult_const):
-    """SeedSequence's hashmix of 32-bit words in uint64 arrays, given the hash constant before and after the step.
-
-    Every product of two 32-bit words stays below 2^64.
-    """
-    value = (value ^ xor_const) * mult_const & _MASK32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (uint64 arrays wrap mod 2^64, then mask)."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _spawn_keys(seed, indices) -> np.ndarray:
-    """Philox keys of the streams (seed, (i,)) for i in ``indices``, shape (k, 2) uint64.
-
-    Row j equals ``SeedSequence(seed, spawn_key=(indices[j],)).generate_state(2,
-    np.uint64)``, following SeedSequence's algorithm.  Until the spawn words,
-    the spawned sequence hashes what ``SeedSequence(seed)`` hashes: the seed's
-    n 32-bit words, zero-padded to the pool size (numpy hashes a 0 into each
-    pool word beyond the seed), so its pool is ``SeedSequence(seed).pool``,
-    reached after 4 max(4, n) hash steps.  Only the spawn words of i (one below
-    2^32, two from there to 2^64) and the four output words run per row, on
-    (k, 4) uint64 arrays: the hash constants do not depend on the data, so the
-    four pool words of one step are hashed at once.
-    """
-    seed = operator.index(seed)
-    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
-    # hashmix number m uses the constants m (xor) and m + 1 (multiply); the
-    # first spawn word starts at m = 4 max(4, n), and each spawn word takes 4
-    n_words = -(-seed.bit_length() // 32)
-    start = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, n_words), 1 << 32) & _MASK32
-    consts = np.array(_hash_constants(start, _MULT_A, 2 * _POOL_SIZE), dtype=np.uint64)
-    # the xor and multiply constants of the first and second spawn word, (2, 4) each
-    xor_consts, mult_consts = consts[:-1].reshape(2, _POOL_SIZE), consts[1:].reshape(2, _POOL_SIZE)
-    index = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
-    high = index >> 32
-    spawn_words = [index & _MASK32]
-    if high.any():  # indices from 2^32 on have a second word
-        spawn_words.append(high)
-    for n, (word, xor_const, mult_const) in enumerate(zip(spawn_words, xor_consts, mult_consts)):
-        mixed = _mix(pool, _hashmix(word, xor_const, mult_const))
-        pool = np.where(high > 0, mixed, pool) if n else mixed
-
-    # generate_state(2, np.uint64): four output words, then little-endian word pairs
-    out_consts = np.array(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE), dtype=np.uint64)
-    state = _hashmix(pool, out_consts[:-1], out_consts[1:])
-    return state[:, 0::2] | (state[:, 1::2] << 32)
+    return np.random.Generator(np.random.Philox(seed).advance(index << 64))
 
 
 def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
@@ -278,16 +210,17 @@ def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
     return n_fft, amp, amp_real
 
 
-def _fresh_philox_state(key) -> dict:
-    """The state of ``Philox(SeedSequence)`` right after seeding with the 128-bit ``key``.
+def _fresh_philox_state(key, index) -> dict:
+    """The state of ``_noise_generator(seed, index)`` for the 128-bit key that ``Philox(seed)`` holds.
 
-    Counter 0 and an empty buffer (``buffer_pos`` 4), no cached 32-bit half:
-    assigning it to ``bit_generator.state`` restarts that generator on the
-    stream a new Philox with this key would give.
+    Counter ``[0, index, 0, 0]``, an empty buffer (``buffer_pos`` 4) and no
+    cached 32-bit half: assigning it to ``bit_generator.state`` restarts that
+    generator at the first block of trajectory ``index``'s stream, whatever it
+    drew before.
     """
     return {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": [0, index, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
@@ -299,26 +232,27 @@ def _synthesize_rows(amplitudes, n_samples, seed, indices) -> np.ndarray:
     """Forcing records of shape (len(indices), n_samples); row j is trajectory indices[j]'s.
 
     ``amplitudes`` is the ``_synthesis_amplitudes`` triple for ``n_samples``.
-    Row j draws from the stream of ``_noise_generator(seed, (indices[j],))``:
-    the batch builds one generator and, for each row, sets its state to that
-    of a fresh Philox with the row's ``_spawn_keys`` key.  Each row draws 2
-    n_band normals, its n_band ``a`` normals and then its n_band ``b``
-    normals, so a row does not depend on which other rows share the batch.
-    Mode k gets amp_k (a_k + i b_k); the zero mode is real, and so is the
-    Nyquist mode, set only when it lies in the band.  The spectrum holds the
-    band only: one batched inverse FFT of length n_fft zero-pads the modes
-    above it, the same zeros a full-length spectrum would hold, and shapes
-    every row.
+    Row j draws from the stream of ``_noise_generator(seed, indices[j])``:
+    the batch builds one generator, reads its key once and, for each row, sets
+    its state to the start of the row's stream (``_fresh_philox_state``).
+    Each row draws 2 n_band normals, its n_band ``a`` normals and then its
+    n_band ``b`` normals, so a row does not depend on which other rows share
+    the batch.  Mode k gets amp_k (a_k + i b_k); the zero mode is real, and
+    so is the Nyquist mode, set only when it lies in the band.  The spectrum
+    holds the band only: one batched inverse FFT of length n_fft zero-pads
+    the modes above it, the same zeros a full-length spectrum would hold, and
+    shapes every row.
     """
     n_fft, amp, amp_real = amplitudes
     n_band = amp.size
     nyquist_in_band = n_band == n_fft // 2 + 1 and n_fft % 2 == 0
     ab = np.empty((2, n_band))
     y = np.empty((len(indices), n_band), dtype=complex)
-    rng = _noise_generator(seed, ())  # re-keyed below before every draw
+    rng = _noise_generator(seed, indices[0])  # re-keyed below before every draw
     bit_generator = rng.bit_generator
-    for j, key in enumerate(_spawn_keys(seed, indices).tolist()):
-        bit_generator.state = _fresh_philox_state(key)
+    key = bit_generator.state["state"]["key"]
+    for j, index in enumerate(indices):
+        bit_generator.state = _fresh_philox_state(key, index)
         rng.standard_normal(out=ab)
         # amp * (a + 1j * b), written one real part at a time
         np.multiply(amp, ab[0], out=y.real[j])
@@ -574,8 +508,8 @@ def run_ensemble(
     """Simulate an ensemble of independent trajectories and reduce it deterministically.
 
     Every trajectory starts at rest, q = qdot = 0, and the statistics are taken
-    after ``t_burn``.  The trajectory with index ``i`` is seeded by
-    (master_seed, spawn_key=(i,)); chunking and the reduction order are fixed,
+    after ``t_burn``.  The trajectory with index ``i`` draws from the stream
+    ``Philox(master_seed).advance(i << 64)``; chunking and the reduction order are fixed,
     so the result is bit-identical for any ``workers`` count.  The chunks are
     split into min(chunks, 4 workers) tasks of contiguous whole chunks, run in
     a pool of at most ``workers`` processes, one per task at most, or in this

@@ -394,6 +394,37 @@ def test_cmd_relax_low_power_warns_but_passes(tmp_path, capsys):
     assert stats["warned_low_power"] is True
 
 
+def _strict_json(path):
+    """Parse ``path`` as standard JSON: NaN, Infinity and -Infinity are refused."""
+
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_relax_stats_of_one_trajectory_write_undefined_errors_as_null(tmp_path, capsys):
+    # one trajectory has no scatter, so its standard errors are undefined
+    argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "1", "--t-total", "300"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_PASS
+    assert "WARN relax" in capsys.readouterr().out
+    stats = _strict_json(tmp_path / "relax_stats.json")
+    assert stats["passed"] is True and stats["warned_low_power"] is True
+    assert [stats["stats"][k] for k in ("se_mean_q", "se_var_q", "se_var_qdot")] == [None] * 3
+    assert math.isfinite(stats["n_sigma"]) and math.isfinite(stats["stats"]["var_q"])
+
+
+def test_relax_stats_of_a_zero_mode_band_write_undefined_n_sigma_as_null(tmp_path, capsys):
+    # below one mode spacing the vacuum band holds only its zero mode, whose
+    # spectrum vanishes: every trajectory is at rest, so the scatter is 0
+    argv = ["relax", "--vacuum", "--gamma", "0.1", "--cutoff", "0.0001", "--n-traj", "60", "--t-total", "300"]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_PHYSICS_FAIL
+    assert "FAIL relax" in capsys.readouterr().out
+    stats = _strict_json(tmp_path / "relax_stats.json")
+    assert stats["passed"] is False and stats["n_sigma"] is None
+    assert stats["stats"]["se_var_q"] == 0.0
+
+
 def test_cmd_relax_seed_reproducible(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):

@@ -52,6 +52,11 @@ def test_noise_same_seed_bit_identical():
     assert not np.array_equal(a, c)
 
 
+def _trajectory_stream(seed, index):
+    """Trajectory ``index``'s generator, from public numpy: counter word 1 of ``Philox(seed)`` set to index."""
+    return np.random.Generator(np.random.Philox(seed).advance(index << 64))
+
+
 def _band_limited_row(amplitudes, seed, index):
     """One forcing record drawn in the band-limited layout, independently of _synthesize_rows.
 
@@ -61,7 +66,7 @@ def _band_limited_row(amplitudes, seed, index):
     """
     n_fft, amp, amp_real = amplitudes
     n_band = amp.size
-    rng = langevin._noise_generator(seed, (index,))
+    rng = _trajectory_stream(seed, index)
     a = rng.standard_normal(n_band)
     b = rng.standard_normal(n_band)
     y = np.zeros(n_fft // 2 + 1, dtype=complex)
@@ -86,10 +91,13 @@ def test_synthesized_rows_match_complex_spectrum_reference(n_samples):
         assert n_fft == n_samples and amp_real[0] > 0 and (amp.size == n_fft // 2 + 1) == full
         if full:
             assert amp_real[-1] > 0
-        for seed in (0, 7, 20240):
-            rows = langevin._synthesize_rows(amplitudes, n_samples, seed, range(3))
-            for i, row in enumerate(rows):
-                assert np.array_equal(row, _band_limited_row(amplitudes, seed, i))
+        # each row is its trajectory's public Philox stream: a five-word seed
+        # too, and indices on both sides of a chunk edge and past 2^32, batched
+        for seed in (0, 7, 20240, 2**128 + 1):
+            indices = [0, 31, 32, 2**32 + 1]
+            rows = langevin._synthesize_rows(amplitudes, n_samples, seed, indices)
+            for index, row in zip(indices, rows):
+                assert np.array_equal(row, _band_limited_row(amplitudes, seed, index))
 
 
 def _full_length_rows(bath, p, cutoff, dt, n_samples, seed, indices):
@@ -101,7 +109,7 @@ def _full_length_rows(bath, p, cutoff, dt, n_samples, seed, indices):
     amp, amp_real = np.sqrt(n_fft * spec / (2.0 * dt)), np.sqrt(n_fft * spec / dt)
     a, b = np.empty((2, len(indices), n_fft // 2 + 1))
     for j, index in enumerate(indices):
-        rng = langevin._noise_generator(seed, (index,))
+        rng = _trajectory_stream(seed, index)
         rng.standard_normal(out=a[j])
         rng.standard_normal(out=b[j])
     y = np.empty(a.shape, dtype=complex)
@@ -149,7 +157,7 @@ def test_cutoff_below_one_mode_spacing_leaves_the_zero_mode():
     n_fft, amp, amp_real = amplitudes
     assert amp.size == 1 and amp_real[0] > 0
     row = langevin._synthesize_rows(amplitudes, n_samples, 5, [2])[0]
-    level = amp_real[0] * langevin._noise_generator(5, (2,)).standard_normal() / n_fft
+    level = amp_real[0] * _trajectory_stream(5, 2).standard_normal() / n_fft
     assert np.max(np.abs(row - level)) <= 1e-14 * abs(level)
 
 
@@ -183,30 +191,6 @@ def test_each_trajectory_draws_two_normals_per_band_mode(monkeypatch):
     assert [g.draws for g in generators] == [[2 * n_band] * 7]
 
 
-_SEEDS = [0, 1, 991, 20240, 2**32 + 5, 2**70 + 3, 2**96, 2**128 - 1, 2**128, 2**200 + 7]
-_INDICES = [0, 1, 31, 32, 2**32 - 1, 2**32, 2**40 + 17]
-
-
-def _seed_sequence_key(seed, index):
-    return np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
-
-
-@pytest.mark.parametrize("seed", _SEEDS)
-def test_spawn_keys_equal_seed_sequence_state(seed):
-    # one- to seven-word seeds (2^96 and 2^128 - 1 the first and last four-word
-    # seeds, 2^128 the first five-word one), one- and two-word indices, alone
-    # and batched
-    want = np.array([_seed_sequence_key(seed, i) for i in _INDICES])
-    got = langevin._spawn_keys(seed, _INDICES)
-    assert got.dtype == np.uint64 and got.shape == (len(_INDICES), 2)
-    assert np.array_equal(got, want)
-    for i, row in zip(_INDICES, want):
-        assert np.array_equal(langevin._spawn_keys(seed, [i]), row[None, :])
-    straddle = range(2**32 - 3, 2**32 + 3)  # one batch of one- and two-word indices
-    want = np.array([_seed_sequence_key(seed, i) for i in straddle])
-    assert np.array_equal(langevin._spawn_keys(seed, straddle), want)
-
-
 @pytest.mark.parametrize("seed", [0, 20240, 2**128 + 1])
 def test_rekeyed_generator_draws_each_trajectory_stream(seed):
     # one generator, re-keyed row after row, gives each trajectory's first
@@ -214,14 +198,17 @@ def test_rekeyed_generator_draws_each_trajectory_stream(seed):
     # used and a 32-bit half cached, which the re-keying must clear
     n_band = 317
     indices = [0, 5, 2**32 + 1, 3]
-    rng = langevin._noise_generator(seed, ())
-    for index, key in zip(indices, langevin._spawn_keys(seed, indices).tolist()):
+    rng = langevin._noise_generator(seed, indices[0])
+    key = rng.bit_generator.state["state"]["key"]
+    for index in indices:
         rng.bit_generator.random_raw(3)
         rng.integers(2**32, dtype=np.uint32)
-        rng.bit_generator.state = langevin._fresh_philox_state(key)
+        rng.bit_generator.state = langevin._fresh_philox_state(key, index)
         got = rng.standard_normal((2, n_band))
-        want = langevin._noise_generator(seed, (index,)).standard_normal((2, n_band))
+        want = _trajectory_stream(seed, index).standard_normal((2, n_band))
         assert np.array_equal(got, want)
+        # the draws stay inside the trajectory's own 2^64 counter blocks
+        assert rng.bit_generator.state["state"]["counter"][1] == index
 
 
 def test_noise_nyquist_guard():
