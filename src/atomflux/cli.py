@@ -274,24 +274,12 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return directory / name
 
 
-def _finite_or_null(value):
-    """``value`` with every non-finite float in it, at any depth, replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_null(v) for v in value]
-    return value
-
-
 def _write_json(cfg: RunConfig, name: str, payload: dict):
-    """Write ``payload`` and the config hash as strict JSON: a non-finite float becomes ``null``."""
-    payload = _finite_or_null(payload)
+    payload = dict(payload)
     payload["config_sha256"] = cfg.config_hash()
     path = _out_path(cfg, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
 
@@ -374,7 +362,7 @@ def cmd_relax(cfg: RunConfig) -> int:
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
     rel_dev = abs(stats.var_q - predicted) / predicted
-    n_sigma = abs(stats.var_q - predicted) / stats.se_var_q if stats.se_var_q > 0 else math.inf
+    n_sigma = abs(stats.var_q - predicted) / stats.se_var_q if stats.se_var_q != 0 else math.inf
     warned = cfg.n_traj < _MIN_TRAJ_FOR_POWER
     passed = warned or n_sigma <= 3.0
 
@@ -389,11 +377,16 @@ def cmd_relax(cfg: RunConfig) -> int:
         for t, v in zip(times.tolist(), series.tolist()):
             fh.write(f"{t!r},{v!r}\n")
 
+    # statistics that are undefined, rather than non-finite, are written as
+    # null so the file stays strict JSON; a NaN still reads back as NaN
+    stats_out = stats.to_dict()
+    if stats.n_traj < 2:  # one trajectory has no scatter to take an error from
+        stats_out.update(se_mean_q=None, se_var_q=None, se_var_qdot=None)
     payload = {
-        "stats": stats.to_dict(),
+        "stats": stats_out,
         "predicted_var_q": predicted,
         "rel_deviation": rel_dev,
-        "n_sigma": n_sigma,
+        "n_sigma": n_sigma if stats.se_var_q != 0 else None,  # zero scatter
         "warned_low_power": warned,
         "passed": passed,
     }

@@ -418,11 +418,35 @@ def test_relax_stats_of_a_zero_mode_band_write_undefined_n_sigma_as_null(tmp_pat
     # below one mode spacing the vacuum band holds only its zero mode, whose
     # spectrum vanishes: every trajectory is at rest, so the scatter is 0
     argv = ["relax", "--vacuum", "--gamma", "0.1", "--cutoff", "0.0001", "--n-traj", "60", "--t-total", "300"]
+    # the exit code is pinned only until a cutoff below one mode spacing is
+    # refused as a config error (exit 2 naming grid.cutoff)
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_PHYSICS_FAIL
     assert "FAIL relax" in capsys.readouterr().out
     stats = _strict_json(tmp_path / "relax_stats.json")
     assert stats["passed"] is False and stats["n_sigma"] is None
     assert stats["stats"]["se_var_q"] == 0.0
+
+
+def test_relax_stats_write_a_nan_statistic_as_nan_not_null(tmp_path, capsys, monkeypatch):
+    # null is kept for undefined statistics; a NaN from a faulty ensemble must
+    # read back as non-finite, not as a null a finiteness check would pass
+    from dataclasses import replace
+
+    from atomflux import langevin
+
+    run_ensemble = langevin.run_ensemble
+
+    def nan_stats(*args, **kwargs):
+        result = run_ensemble(*args, **kwargs)
+        result.stats = replace(result.stats, var_q=math.nan, se_var_q=math.nan)
+        return result
+
+    monkeypatch.setattr(langevin, "run_ensemble", nan_stats)
+    argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "2", "--t-total", "300"]
+    main(argv + ["--out", str(tmp_path)])
+    stats = json.loads((tmp_path / "relax_stats.json").read_text())
+    values = (stats["stats"]["var_q"], stats["stats"]["se_var_q"], stats["rel_deviation"], stats["n_sigma"])
+    assert all(isinstance(v, float) and math.isnan(v) for v in values)
 
 
 def test_cmd_relax_seed_reproducible(tmp_path):
