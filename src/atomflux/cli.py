@@ -324,7 +324,9 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
         for b in budgets:
             print(b.csv_row())
     else:
-        print(json.dumps({"budgets": [b.to_dict() for b in budgets], "passed": ok}, sort_keys=True))
+        # strict JSON: the vacuum's beta = inf is null here, and stays inf in budget.csv
+        rows = [dict(b.to_dict(), beta=None if math.isinf(b.beta) else b.beta) for b in budgets]
+        print(json.dumps({"budgets": rows, "passed": ok}, sort_keys=True))
     for lam, v in violations.items():
         for line in v:
             print(f"FAIL budget[Lambda={lam}]: {line}", file=sys.stderr)
@@ -357,14 +359,18 @@ def cmd_relax(cfg: RunConfig) -> int:
         )
     except langevin.BurnInError as exc:
         raise ConfigError("langevin.t_burn", str(exc)) from None
+    except langevin.BandError as exc:
+        raise ConfigError("grid.cutoff", str(exc)) from None
     except MemoryError as exc:
         raise ConfigError(length_key, f"the record is too long to hold: {exc}") from None
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
     rel_dev = abs(stats.var_q - predicted) / predicted
-    n_sigma = abs(stats.var_q - predicted) / stats.se_var_q if stats.se_var_q != 0 else math.inf
+    # undefined without a finite, nonzero scatter (one trajectory, or none);
+    # a NaN standard error gives a NaN n_sigma, which stays visible
+    n_sigma = None if stats.se_var_q in (0.0, math.inf) else abs(stats.var_q - predicted) / stats.se_var_q
     warned = cfg.n_traj < _MIN_TRAJ_FOR_POWER
-    passed = warned or n_sigma <= 3.0
+    passed = warned or (n_sigma is not None and n_sigma <= 3.0)
 
     # decimated series so the file stays plot-sized whatever the step count
     stride = max(1, (result.n_steps + 1) // 2000)
@@ -386,15 +392,16 @@ def cmd_relax(cfg: RunConfig) -> int:
         "stats": stats_out,
         "predicted_var_q": predicted,
         "rel_deviation": rel_dev,
-        "n_sigma": n_sigma if stats.se_var_q != 0 else None,  # zero scatter
+        "n_sigma": n_sigma,
         "warned_low_power": warned,
         "passed": passed,
     }
     _write_json(cfg, "relax_stats.json", payload)
     status = "WARN" if warned else ("PASS" if passed else "FAIL")
+    sigma_text = "undefined" if n_sigma is None else f"{n_sigma:.2f}"
     print(
         f"{status} relax: var_q={stats.var_q:.6e} +- {stats.se_var_q:.1e} "
-        f"predicted={predicted:.6e} rel_dev={rel_dev:.2%} n_sigma={n_sigma:.2f}"
+        f"predicted={predicted:.6e} rel_dev={rel_dev:.2%} n_sigma={sigma_text}"
     )
     if warned:
         print(f"WARN statistical power insufficient (n_traj={cfg.n_traj} < {_MIN_TRAJ_FOR_POWER})")

@@ -15,9 +15,9 @@ Residuals are reported absolutely and relative to the larger of the two
 compared magnitudes; points where both magnitudes sit below the absolute
 tolerance (kernel nodes) are excluded from the relative maximum to avoid 0/0.
 
-The suites walk the quadrature's pieces of the kappa > 0 half
-(``spectral.pieces``) in ascending order, so they hold a few arrays of one
-piece, whatever the grid size, and never build a grid-length array.  The
+The suites walk the kappa > 0 half in the quadrature's pieces
+(``FrequencyGrid.pieces``), in ascending order, so they hold a few arrays of
+one piece, whatever the grid size, and never build a grid-length array.  The
 field and atom identities are checked at kappa > 0 alone: both sides of each
 are even in kappa as long as the kernels keep their parity, and the parity
 suite, the only one that samples kappa < 0, checks that they do.  Each
@@ -41,7 +41,6 @@ from .greens import (
     field_retarded_im,
     thermal_factor,
 )
-from .spectral import pieces
 
 
 @dataclass
@@ -82,47 +81,35 @@ def _compare(lhs, rhs):
     return np.abs(lhs - rhs), np.maximum(np.abs(lhs), np.abs(rhs))
 
 
-def _positive_parts(grid: FrequencyGrid, residuals):
-    """``(kappa, abs_res, scale)`` for each pair ``residuals(kappa)`` yields, piece by piece of the kappa > 0 points.
+def _report(name, grid: FrequencyGrid, residuals, rtol, atol) -> IdentityReport:
+    """Reduce the residuals at the kappa > 0 points of ``grid`` to a report.
 
-    The pieces come in ascending order, and a piece's pairs in the order
-    ``residuals`` yields them.
-    """
-    for lo, hi in pieces(grid.n_points // 2):
-        kap = grid.positive_slice(lo, hi)
-        for abs_res, scale in residuals(kap):
-            yield kap, abs_res, scale
-
-
-def _report(name, grid, parts, rtol, atol) -> IdentityReport:
-    """Reduce residual parts to a report.
-
-    ``parts`` yields ``(kappa, abs_res, scale)``, one part at a time: the
-    residuals at the points ``kappa``.  The report is that of the parts laid
-    end to end in the order they arrive: the first maximum wins a tie, a NaN
-    wins over every number, and if every point is skipped the worst kappa is
-    that of the largest residual.  Each part leaves only its maxima and their
-    kappa.
+    ``residuals(kappa)`` yields ``(abs_res, scale)`` pairs at the points
+    ``kappa`` of one piece of the grid, and the pieces come in ascending
+    order.  The report is that of the pairs laid end to end in the order they
+    are visited: the first maximum wins a tie, a NaN wins over every number,
+    and if every point is skipped the worst kappa is that of the largest
+    residual.  Each pair leaves only its maxima and their kappa.
     """
     n_skipped = 0
     skipped_ok = True
-    rel_max, abs_max = [], []  # per part: (kappa, value) of its first maximum
-    for kap, abs_res, scale in parts:
-        meaningful = scale > atol
-        n_skipped += abs_res.size - int(np.count_nonzero(meaningful))
-        skipped_ok = skipped_ok and not np.any(abs_res[~meaningful] > atol)
-        i = int(np.argmax(abs_res))
-        abs_max.append((kap[i], abs_res[i]))
-        if np.any(meaningful):
-            rel = abs_res[meaningful] / scale[meaningful]
-            j = int(np.argmax(rel))
-            rel_max.append((kap[np.flatnonzero(meaningful)[j]], rel[j]))
+    rel_max, abs_max = [], []  # per pair: (kappa, value) of its first maximum
+    for _, kap in grid.pieces():
+        for abs_res, scale in residuals(kap):
+            meaningful = scale > atol
+            n_skipped += abs_res.size - int(np.count_nonzero(meaningful))
+            skipped_ok = skipped_ok and not np.any(abs_res[~meaningful] > atol)
+            i = int(np.argmax(abs_res))
+            abs_max.append((kap[i], abs_res[i]))
+            if np.any(meaningful):
+                rel = abs_res[meaningful] / scale[meaningful]
+                j = int(np.argmax(rel))
+                rel_max.append((kap[np.flatnonzero(meaningful)[j]], rel[j]))
     # np.argmax picks the first tied maximum, or the first NaN
     if rel_max:
         worst_kappa, max_rel = rel_max[int(np.argmax([value for _, value in rel_max]))]
     else:
         worst_kappa, max_rel = abs_max[int(np.argmax([value for _, value in abs_max]))][0], 0.0
-    passed = bool(max_rel <= rtol and skipped_ok)
     return IdentityReport(
         name=name,
         cutoff=grid.cutoff,
@@ -130,7 +117,7 @@ def _report(name, grid, parts, rtol, atol) -> IdentityReport:
         max_abs_residual=float(np.max([value for _, value in abs_max])),
         max_rel_residual=float(max_rel),
         worst_kappa=float(worst_kappa),
-        passed=passed,
+        passed=bool(max_rel <= rtol and skipped_ok),
         rtol=rtol,
         atol=atol,
         n_rel_skipped=n_skipped,
@@ -161,7 +148,7 @@ def check_field_fdr(
         mode = kap / FOUR_PI if r == 0 else np.sin(kap * r) / (FOUR_PI * r)
         yield _compare(field_hadamard_ft(r, kap, bath), (1.0 + 2.0 * n_bose) * mode)
 
-    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, _positive_parts(grid, residuals), rtol, atol)
+    return _report(f"field_fdr[r={r:g},{bath.describe()}]", grid, residuals, rtol, atol)
 
 
 def check_atom_fdr_reduction(
@@ -186,7 +173,7 @@ def check_atom_fdr_reduction(
         rhs = (p.m / p.e**2) * thermal_factor(kap, bath) * np.imag(gr)
         yield _compare(lhs, rhs)
 
-    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, _positive_parts(grid, residuals), rtol, atol)
+    return _report(f"atom_fdr_reduction[{bath.describe()}]", grid, residuals, rtol, atol)
 
 
 def check_parity(
@@ -221,4 +208,4 @@ def check_parity(
         yield np.abs(im_u + im_u_m), np.abs(im_u)
         yield np.abs(tf + tf_m), np.abs(tf)
 
-    return _report(f"parity[{bath.describe()}]", grid, _positive_parts(grid, residuals), rtol, atol)
+    return _report(f"parity[{bath.describe()}]", grid, residuals, rtol, atol)

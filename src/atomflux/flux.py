@@ -281,12 +281,10 @@ def power_budget(
 
     All three rows are bitwise even in kappa, so the quadrature's h/pi rule
     on [0, cutoff] integrates them over (-cutoff, cutoff): they are evaluated
-    on the kappa > 0 half alone, one quadrature piece of 2^14 to 2^15 - 1
-    points at a time.  Memory is that of a piece, whatever the grid size.
-    The pieces are never shorter than 2^14 points (see ``spectral._PIECE``):
-    numpy reuses a temporary of 256 KiB or more in place, swapping the
-    operands of the net row's ``u * np.conj(u)``, and a swapped complex
-    product rounds differently.
+    on the kappa > 0 half alone, one quadrature piece at a time
+    (``FrequencyGrid.pieces``).  Memory is that of a piece, whatever the grid
+    size.  The piece layout keeps the net row's ``u * np.conj(u)`` rounding as
+    on the whole half (see ``greens._PIECE``).
     """
     if r is None:
         r = 100.0 / p.omega

@@ -12,7 +12,8 @@ and the retarded field kernel at distance r is ``exp(i kappa r) / (4 pi r)``.
 All kernel functions accept a scalar or ndarray ``kappa`` and vectorize over it.
 ``FrequencyGrid`` is the half-step-offset grid on (-cutoff, cutoff) that the
 quadrature and the identity suites walk, a run of its kappa > 0 points at a
-time: every spectrum the quadrature integrates is even in kappa.
+time (``FrequencyGrid.pieces``): every spectrum the quadrature integrates is
+even in kappa.
 """
 
 from __future__ import annotations
@@ -26,6 +27,13 @@ FOUR_PI = 4.0 * math.pi
 
 # |beta*kappa| below which coth(beta*kappa/2) switches to its Laurent series.
 COTH_SERIES_CUTOFF = 1e-4
+
+# the fewest kappa > 0 points in a piece of a grid, unless the grid has
+# fewer, and a piece is shorter than 2 * _PIECE: numpy reuses a temporary of
+# 256 KiB or more in place, which may swap the operands of a complex product
+# inside an integrand and move its rounding, and 2^14 complex points are the
+# shortest piece on which an integrand rounds as on the whole kappa > 0 half
+_PIECE = 1 << 14
 
 
 class OriginRealPartError(ValueError):
@@ -122,11 +130,10 @@ class FrequencyGrid:
 
     The points are midpoints of ``n_points`` equal cells, so kappa = 0 is never
     hit, and they mirror by negation: the kappa < 0 half is the kappa > 0 half
-    negated.  No grid-length array is ever built.  ``positive_slice`` gives
-    any run of the kappa > 0 points, with the same bits however the run is
-    cut, so the quadrature and the identity suites, which all sample kappa > 0
-    (the parity suite at each point's negation too), walk a grid piece by
-    piece.
+    negated.  No grid-length array is ever built: ``pieces`` walks the
+    kappa > 0 points a run at a time, and the quadrature and the identity
+    suites, which all sample kappa > 0 (the parity suite at each point's
+    negation too), take their points from it alone.
     """
 
     cutoff: float
@@ -138,9 +145,19 @@ class FrequencyGrid:
         if self.n_points < 16 or self.n_points % 2 != 0:
             raise ValueError(f"n_points must be an even integer >= 16, got {self.n_points}")
 
-    def positive_slice(self, lo: int, hi: int) -> np.ndarray:
-        """The kappa > 0 points lo..hi-1, counted from the innermost, in ascending order."""
-        return (np.arange(lo, hi) + 0.5) * self.spacing
+    def pieces(self):
+        """Yield ``(lo, kappa)`` for each run of the kappa > 0 points, in ascending order.
+
+        ``kappa`` holds the points lo, lo + 1, ..., counted from the innermost.
+        The n/2 points come in max(1, n/2 // ``_PIECE``) runs as equal as can
+        be: 2^14 to 2^15 - 1 points each, or one run if there are fewer than
+        2^15.  A point has the same bits whichever run holds it.
+        """
+        half = self.n_points // 2
+        k = max(1, half // _PIECE)
+        for i in range(k):
+            lo, hi = i * half // k, (i + 1) * half // k
+            yield lo, (np.arange(lo, hi) + 0.5) * self.spacing
 
     @property
     def spacing(self) -> float:

@@ -35,16 +35,15 @@ block, so r blocks never exceed ``_ROW_SAMPLES`` samples, however short the
 record.
 Each batch is synthesized trajectory-major as one (r, n) record and stays
 trajectory-major: each eigenmode is one first-order filter section over the
-forcing rows, its two taps folding in the piecewise-linear drive (complex taps
-run through ``sosfilt``, real ones through ``lfilter``, with the same bits),
-run in blocks of ``_BLOCK_STEPS`` steps with the filter state carried from
-block to block, and each (r, block) block is reduced along its rows as soon as
-it is made.  A worker therefore holds one batch, O(r n) memory, plus the
-task's (chunks, n) series, however many trajectories the task has.  Every
-reduction runs in an order that depends on neither r nor the task: the
-per-trajectory sums block by block in time order, each chunk's series over
-its own rows in trajectory order, and the ensemble series over the chunk
-series in chunk order.
+forcing rows, its two taps folding in the piecewise-linear drive (run
+through ``sosfilt``, with ``lfilter``'s bits), run in blocks of
+``_BLOCK_STEPS`` steps with the filter state carried from block to block, and
+each (r, block) block is reduced along its rows as soon as it is made.  A
+worker therefore holds one batch, O(r n) memory, plus the task's (chunks, n)
+series, however many trajectories the task has.  Every reduction runs in an
+order that depends on neither r nor the task: the per-trajectory sums block
+by block in time order, each chunk's series over its own rows in trajectory
+order, and the ensemble series over the chunk series in chunk order.
 
 The q and qdot blocks and their squares live in one workspace per process
 (per thread), sized for the largest batch of a task and reused by every later
@@ -69,7 +68,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.fft import next_fast_len as _next_fast_len
 from scipy.linalg import expm as _expm
-from scipy.signal import lfilter as _scipy_lfilter
 from scipy.signal import sosfilt as _sosfilt
 
 from .greens import (
@@ -128,24 +126,14 @@ _WORKSPACE = _Workspace()
 
 
 def _lfilter(b, a, x, zi):
-    """``scipy.signal.lfilter(b, a, x, zi=zi)`` for one first-order section, complex taps through ``sosfilt``.
+    """``scipy.signal.lfilter(b, a, x, zi=zi)`` for one first-order section, run through ``sosfilt``.
 
-    ``b`` and ``a`` hold two taps each, with ``a[0] == 1``; time runs along the
-    last axis of ``x``, and ``zi`` and ``zf`` have lfilter's layout.  Complex
-    taps run as the section ``[b0, b1, 0, 1, a1, 0]``: that is lfilter's
-    transposed direct form with its second state entry held at zero, so ``y``
-    and ``zf`` carry lfilter's bits.  ``sosfilt`` makes one copy of ``x``, in
-    the output dtype, which becomes ``y``, where lfilter copies a real ``x``
-    to complex, allocates ``y`` besides and runs a generic complex loop,
-    1.6-2.9x slower on the engine's blocks.  Real taps stay on lfilter, with
-    the same bits as sosfilt but faster: an overdamped ensemble (gamma = 2,
-    32 trajectories x 400k steps, cutoff 20, one worker) ran in 0.62 s
-    (median of 14, quartiles 0.58-0.68) against 0.70 s (0.64-0.75) with the
-    real taps through sosfilt, lfilter faster in 10 of 14 alternating pairs
-    (2-core Xeon); at 320 x 6000 steps the two were within noise.
+    ``b`` and ``a`` hold two taps each, real or complex, with ``a[0] == 1``;
+    time runs along the last axis of ``x``, and ``zi`` and ``zf`` have
+    lfilter's layout.  The taps run as the section ``[b0, b1, 0, 1, a1, 0]``:
+    that is lfilter's transposed direct form with its second state entry held
+    at zero, so ``y`` and ``zf`` carry lfilter's bits.
     """
-    if not (np.iscomplexobj(b) or np.iscomplexobj(a)):
-        return _scipy_lfilter(b, a, x, zi=zi)
     sos = np.concatenate((b, [0.0], a, [0.0]))[None, :]
     y, zf = _sosfilt(sos, x, zi=np.concatenate((zi, np.zeros_like(zi)), axis=-1)[None])
     return y, zf[0, ..., :1]
@@ -153,6 +141,10 @@ def _lfilter(b, a, x, zi):
 
 class BurnInError(ValueError):
     """Raised when the record leaves too few samples after the burn-in."""
+
+
+class BandError(ValueError):
+    """Raised when the cutoff is below one mode spacing, so the band holds only the zero mode."""
 
 
 @dataclass
@@ -296,8 +288,7 @@ def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, q, v, 
     alone, and the state it returns after z_m is ``lam z_m + c0 xi_m``, which
     is the ``zi`` that continues the recursion from sample m: one first-order
     section ``[c1, c0, 0, 1, -lam, 0]``.  A real pair of eigenvalues gives real
-    taps, a complex pair complex ones, which ``_lfilter`` runs through
-    ``sosfilt``.
+    taps, a complex pair complex ones.
     """
     f0q, f0v, f1q, f1v = coefficients
     denom = mu - mu_other
@@ -527,6 +518,12 @@ def run_ensemble(
         raise BurnInError(
             f"insufficient post-burn-in samples: t_total={t_total:g} must exceed "
             f"t_burn={t_burn:g} by at least 16 steps of dt={dt:g}; increase t_total or reduce t_burn"
+        )
+    spacing = 2.0 * math.pi / (_next_fast_len(n_steps + 1, real=True) * dt)  # as in _synthesis_amplitudes
+    if spacing > cutoff:
+        raise BandError(
+            f"cutoff={cutoff:g} is below the mode spacing 2 pi/(n_fft dt)={spacing:g} of the record, "
+            "so the band holds only the zero mode; raise cutoff or t_total"
         )
     # min(chunks, 4 workers) tasks of contiguous whole chunks: four per worker
     # even out the load, and each task pays its fixed costs once

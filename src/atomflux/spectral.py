@@ -7,15 +7,15 @@ at the kappa > 0 midpoints of the grid alone, the samples are end-corrected
 at L, and their sum is weighted by h/pi.  Integrands are real; a complex one
 raises.
 
-The grid is walked in pieces, so memory is bounded by a piece whatever the
-grid size.  The kappa > 0 points are split into equal runs of 2^14 to
-2^15 - 1 points (one run if there are fewer than 2^15), and the integrand is
-called once per piece.  Each piece is reduced as soon as it is evaluated: its
-weighted terms go through a few vectorized error-free extraction passes that
-leave exact partial sums, and the ``np.sum`` of the terms' magnitudes is
-kept.  Per row, ``math.fsum`` rounds the partials of all pieces once, so the
-value is the exactly rounded sum of the terms, the bits of ``math.fsum`` over
-them; the pieces' magnitude sums are added in order.  Results are run-to-run
+The grid is walked in the runs of its kappa > 0 points that
+``FrequencyGrid.pieces`` yields, so memory is bounded by a piece whatever the
+grid size, and the integrand is called once per piece.  Each piece is
+reduced as soon as it is evaluated: its weighted terms go through a few
+vectorized error-free extraction passes that leave exact partial sums, and
+the ``np.sum`` of the terms' magnitudes is kept.  Per row, ``math.fsum``
+rounds the partials of all pieces once, so the value is the exactly rounded
+sum of the terms, the bits of ``math.fsum`` over them; the pieces' magnitude
+sums are added in order.  Results are run-to-run
 and worker-count deterministic.  An integrand may return several rows at
 once; each row is reduced exactly as if it had been integrated on its own, so
 one pass over shared kernel samples feeds several integrals.
@@ -37,13 +37,6 @@ from .greens import FrequencyGrid
 _EDGE_CORRECTIONS = (71.0 / 576.0, -141.0 / 576.0, 93.0 / 576.0, -23.0 / 576.0)
 
 _ERROR_FLOOR_ULPS = 16.0
-
-# the fewest kappa > 0 points in a piece of the grid, unless the grid has
-# fewer, and a piece is shorter than 2 * _PIECE: numpy reuses a temporary of
-# 256 KiB or more in place, which may swap the operands of a complex product
-# inside an integrand and move its rounding, and 2^14 complex points are the
-# shortest piece on which an integrand rounds as on the whole kappa > 0 half
-_PIECE = 1 << 14
 
 # error-free extraction passes before the leftovers go to fsum; below the
 # floor eps*sigma could leave the normal range
@@ -68,20 +61,13 @@ class QuadratureResult:
     n_evals: int
 
 
-def pieces(n: int) -> list[tuple[int, int]]:
-    """range(n) in max(1, n // _PIECE) runs (lo, hi) as equal as can be, in ascending order."""
-    k = max(1, n // _PIECE)
-    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
+def _evaluate(f, lo: int, kappa: np.ndarray) -> np.ndarray:
+    """Samples of ``f`` at ``kappa``, the kappa > 0 points of a grid from index ``lo`` on.
 
-
-def _evaluate(f, grid: FrequencyGrid, lo: int, hi: int) -> np.ndarray:
-    """Samples of ``f`` at the kappa > 0 points lo..hi-1 of ``grid``.
-
-    The shape is ``(m,)``, or ``(k, m)`` for k rows, with m = hi - lo.  A
+    The shape is ``(m,)``, or ``(k, m)`` for k rows, with m = kappa.size.  A
     complex sample raises, and a non-finite one is named by its kappa and its
     index among the kappa > 0 points.
     """
-    kappa = grid.positive_slice(lo, hi)
     vals = np.asarray(f(kappa))
     if vals.ndim not in (1, 2) or vals.shape[-1] != kappa.size:
         raise IntegrandError(
@@ -155,26 +141,23 @@ def _reduce(f, grid: FrequencyGrid):
     extraction partials, a few floats, unless its terms are non-finite,
     near-subnormal or near-overflowing.
     """
-    half = grid.n_points // 2
     shape = None  # the leading shape of the first piece's samples
-    parts = []  # per row: the partials of each piece
-    for lo, hi in pieces(half):
-        vals = _evaluate(f, grid, lo, hi)
+    for lo, kappa in grid.pieces():
+        vals = _evaluate(f, lo, kappa)
+        terms = np.atleast_2d(vals).astype(float)
         if shape is None:
             shape = vals.shape[:-1]
+            parts = [[] for _ in terms]  # per row: the partials of each piece
+            abs_sums = np.zeros(len(terms))
         elif vals.shape[:-1] != shape:
             raise IntegrandError(
                 f"integrand returned shape {vals.shape} for {vals.shape[-1]} kappa values "
                 f"after leading shape {shape} on another piece of the grid"
             )
-        terms = np.atleast_2d(vals).astype(float)
-        if not parts:
-            parts = [[] for _ in terms]
-            abs_sums = np.zeros(len(terms))
-        if hi == half:
+        if lo + kappa.size == grid.n_points // 2:
             # 1.0 * x == x, so weighting only the four edge terms keeps every bit
             terms[:, -4:] *= np.array([1.0 + c for c in _EDGE_CORRECTIONS[::-1]])
-        scratch = np.empty(hi - lo)
+        scratch = np.empty(kappa.size)
         for i, (row, row_parts) in enumerate(zip(terms, parts)):
             abs_sums[i] += np.sum(np.abs(row, out=scratch))
             row_parts.append(_partials(row, float(scratch.max()), scratch))
@@ -193,12 +176,10 @@ def integrate_spectrum(f, grid: FrequencyGrid) -> QuadratureResult:
     an ``(m,)`` array, or a ``(k, m)`` array for k rows, which gets per-row
     tuples of ``value`` and ``est_error``, each bitwise equal to integrating
     that row alone.  Integer and boolean samples integrate as their float
-    values.  The pieces split the n/2 points kappa > 0 into equal runs of
-    2^14 to 2^15 - 1 points (one run if there are fewer than 2^15).
-    ``f`` gets the pieces of the grid in ascending order, then those of its
-    half grid.  Any other shape, or a shape other than the first piece's, or
-    complex samples raise ``IntegrandError``, and an exception raised by
-    ``f`` propagates.
+    values.  ``f`` gets the pieces of the grid (``FrequencyGrid.pieces``) in
+    ascending order, then those of its half grid.  Any other shape, or a
+    shape other than the first piece's, or complex samples raise
+    ``IntegrandError``, and an exception raised by ``f`` propagates.
     ``est_error`` comes from a Richardson comparison against the
     half-resolution grid, floored at a few ulps of the absolute term sum.
     On the half grid ``f`` may return only the leading rows of its full-grid

@@ -8,7 +8,7 @@ TWO_PI = 2.0 * math.pi
 
 def _mirror_values(grid):
     """All n points of ``grid`` in ascending order: its kappa > 0 points negated and reversed, then themselves."""
-    pos = grid.positive_slice(0, grid.n_points // 2)
+    pos = np.concatenate([kappa for _, kappa in grid.pieces()])
     return np.concatenate([-pos[::-1], pos])
 
 
@@ -22,8 +22,6 @@ def _mirror_pair_sums(samples, grid):
     bits the quadrature must give an integrand that is bitwise even on the
     grid.
     """
-    from atomflux.spectral import pieces
-
     half = grid.n_points // 2
     w = np.ones(half)
     w[-4:] += (-23.0 / 576.0, 93.0 / 576.0, -141.0 / 576.0, 71.0 / 576.0)
@@ -32,8 +30,8 @@ def _mirror_pair_sums(samples, grid):
     sums = []
     for t in terms:
         abs_sum = 0.0
-        for lo, hi in pieces(half):
-            abs_sum += float(np.sum(np.abs(t[lo:hi])))
+        for lo, kappa in grid.pieces():
+            abs_sum += float(np.sum(np.abs(t[lo : lo + kappa.size])))
         sums.append((math.fsum(t.tolist()) * h / TWO_PI, abs_sum * h / TWO_PI))
     return sums
 

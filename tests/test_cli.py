@@ -184,6 +184,25 @@ def test_cmd_budget_vacuum(tmp_path, capsys):
     assert abs(net) <= 1e-10 * abs(p_r)
 
 
+def test_budget_stdout_is_strict_json_with_a_null_vacuum_beta(tmp_path, capsys, monkeypatch):
+    # the vacuum's beta = inf prints as null and stays inf in budget.csv; a
+    # NaN flow still prints as NaN, so a faulty flow cannot pass for undefined
+    from dataclasses import replace
+
+    from atomflux import flux
+
+    argv = ["budget", "--vacuum", "--gamma", "0.1", "--grid-points", "4096", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_PASS
+    [budget] = _strict_json(capsys.readouterr().out)["budgets"]
+    assert budget["beta"] is None and budget["gamma"] == 0.1
+    assert (tmp_path / "budget.csv").read_text().splitlines()[2].split(",")[2] == "inf"
+    power_budget = flux.power_budget
+    monkeypatch.setattr(flux, "power_budget", lambda *args: replace(power_budget(*args), p_r=math.nan))
+    main(argv)
+    [budget] = json.loads(capsys.readouterr().out)["budgets"]
+    assert budget["beta"] is None and math.isnan(budget["P_r"])
+
+
 def test_cmd_budget_thermal_and_sweep(tmp_path):
     code = main(["budget", "--beta", "1.0", "--gamma", "0.1", "--grid-points", "16384",
                  "--sweep", "10,100,1000", "--out", str(tmp_path)])
@@ -273,6 +292,9 @@ def test_cmd_relax_rejects_dt_before_loading_the_engine(tmp_path):
         (["relax", "--t-total", "1e17", "--dt", "0.05", "--cutoff", "20", "--n-traj", "2", "--gamma", "0.5"],
          "langevin.t_total"),
         (["oracle", "--t", "4e16", "--cutoff", "20", "--grid-points", "4096"], "oracle.t"),
+        # below one mode spacing the band holds only the zero mode, whose vacuum spectrum is 0
+        (["relax", "--vacuum", "--gamma", "0.1", "--cutoff", "0.0001", "--n-traj", "60", "--t-total", "300"],
+         "grid.cutoff"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -281,7 +303,7 @@ def test_cmd_relax_rejects_dt_before_loading_the_engine(tmp_path):
         "history_past_intp", "oracle_t_past_intp", "record_past_intp",
         "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
         "empty_sweep", "time_step_past_nyquist", "lag_kernel_nodes_past_intp",
-        "record_past_complex128", "oracle_history_past_complex128",
+        "record_past_complex128", "oracle_history_past_complex128", "zero_mode_band",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):
@@ -394,35 +416,47 @@ def test_cmd_relax_low_power_warns_but_passes(tmp_path, capsys):
     assert stats["warned_low_power"] is True
 
 
-def _strict_json(path):
-    """Parse ``path`` as standard JSON: NaN, Infinity and -Infinity are refused."""
+def _strict_json(text):
+    """Parse ``text`` as standard JSON: NaN, Infinity and -Infinity are refused."""
 
     def refuse(constant):
-        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+        raise ValueError(f"the non-JSON constant {constant}")
 
-    return json.loads(path.read_text(), parse_constant=refuse)
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_relax_stats_of_one_trajectory_write_undefined_errors_as_null(tmp_path, capsys):
     # one trajectory has no scatter, so its standard errors are undefined
     argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "1", "--t-total", "300"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_PASS
-    assert "WARN relax" in capsys.readouterr().out
-    stats = _strict_json(tmp_path / "relax_stats.json")
+    out = capsys.readouterr().out
+    assert "WARN relax" in out and "n_sigma=undefined" in out
+    stats = _strict_json((tmp_path / "relax_stats.json").read_text())
     assert stats["passed"] is True and stats["warned_low_power"] is True
     assert [stats["stats"][k] for k in ("se_mean_q", "se_var_q", "se_var_qdot")] == [None] * 3
-    assert math.isfinite(stats["n_sigma"]) and math.isfinite(stats["stats"]["var_q"])
+    assert stats["n_sigma"] is None and math.isfinite(stats["stats"]["var_q"])
 
 
-def test_relax_stats_of_a_zero_mode_band_write_undefined_n_sigma_as_null(tmp_path, capsys):
-    # below one mode spacing the vacuum band holds only its zero mode, whose
-    # spectrum vanishes: every trajectory is at rest, so the scatter is 0
-    argv = ["relax", "--vacuum", "--gamma", "0.1", "--cutoff", "0.0001", "--n-traj", "60", "--t-total", "300"]
-    # the exit code is pinned only until a cutoff below one mode spacing is
-    # refused as a config error (exit 2 naming grid.cutoff)
+def test_relax_stats_of_zero_scatter_write_undefined_n_sigma_as_null(tmp_path, capsys, monkeypatch):
+    # without scatter n_sigma is undefined: written as null, printed as
+    # undefined, and the verdict fails
+    from dataclasses import replace
+
+    from atomflux import langevin
+
+    run_ensemble = langevin.run_ensemble
+
+    def no_scatter(*args, **kwargs):
+        result = run_ensemble(*args, **kwargs)
+        result.stats = replace(result.stats, se_var_q=0.0)
+        return result
+
+    monkeypatch.setattr(langevin, "run_ensemble", no_scatter)
+    argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "50", "--t-total", "300"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_PHYSICS_FAIL
-    assert "FAIL relax" in capsys.readouterr().out
-    stats = _strict_json(tmp_path / "relax_stats.json")
+    out = capsys.readouterr().out
+    assert "FAIL relax" in out and "n_sigma=undefined" in out
+    stats = _strict_json((tmp_path / "relax_stats.json").read_text())
     assert stats["passed"] is False and stats["n_sigma"] is None
     assert stats["stats"]["se_var_q"] == 0.0
 

@@ -56,7 +56,7 @@ def test_field_fdr_mollified_kernel_cross_check():
     moll = np.exp(-((t - r) ** 2) / (2 * sigma**2)) / (sigma * math.sqrt(2 * math.pi))
     bath = BathSpec(beta)
     worst = 0.0
-    for kappa in grid.positive_slice(0, grid.n_points // 2):
+    for kappa in np.concatenate([kap for _, kap in grid.pieces()]):
         ft = np.trapezoid(moll * np.exp(1j * kappa * t), t) / (FOUR_PI * r)
         im_numeric = ft.imag / math.exp(-(kappa * sigma) ** 2 / 2.0)
         lhs = field_hadamard_ft(r, kappa, bath)
@@ -207,40 +207,56 @@ def _concatenated_report(name, grid, kap, abs_res, scale, rtol, atol):
     )
 
 
-def _crafted(case, size):
-    """Residuals and scales over two grid-length blocks that stress one rule of the report."""
-    abs_res = np.full(size, 1e-17)
-    scale = np.full(size, 1.0)
+def _crafted(case, half):
+    """Two (residual, scale) rows over a grid's n/2 kappa > 0 points that stress one rule of the report.
+
+    Also returns the index of the point whose kappa the report must name:
+    rows 0 and 1 of a piece are visited in turn before the next piece, so the
+    first maximum visited may sit at a larger kappa than another.
+    """
+    abs_res = np.full((2, half), 1e-17)
+    scale = np.ones((2, half))
+    worst = 0
     if case == "tie_across_parts":
-        abs_res[[5, 19, 40]] = 3e-13  # the same relative maximum in three parts
+        abs_res[1, 5] = abs_res[0, 40] = abs_res[0, 20000] = 3e-13  # the same relative maximum in three parts
+        worst = 40
     elif case == "nan_residual":
-        abs_res[[7, 33]] = 2e-13
-        abs_res[[21, 50]] = np.nan  # the first NaN wins, and max_abs is NaN
+        abs_res[0, [7, 20001]] = 2e-13
+        abs_res[1, 21] = abs_res[0, 30] = abs_res[0, 20050] = np.nan  # the first NaN wins, and max_abs is NaN
+        worst = 30
     elif case == "all_skipped":
         scale[:] = 1e-16
-        abs_res[[9, 30]] = 5e-16  # the largest residual names the kappa, tied across parts
+        abs_res[1, 9] = abs_res[0, 30] = abs_res[0, 20000] = 5e-16  # the largest residual names the kappa, tied across parts
+        worst = 30
     elif case == "max_rel_zero":
         abs_res[:] = 0.0
-        scale[:4] = 0.0  # the first meaningful entry names the kappa
+        scale[0, :4] = 0.0  # the first meaningful entry names the kappa
+        worst = 4
     elif case == "skipped_over_atol":
-        scale[12] = 0.0
-        abs_res[12] = 1e-14  # a skipped entry above atol fails the check
-    return abs_res, scale
+        scale[1, 12] = 0.0
+        abs_res[1, 12] = 1e-14  # a skipped entry above atol fails the check
+    return abs_res, scale, worst
 
 
 @pytest.mark.parametrize("case", ["tie_across_parts", "nan_residual", "all_skipped", "max_rel_zero", "skipped_over_atol"])
-def test_streamed_report_equals_the_concatenated_report(case, mirror_values):
-    # whatever order the parts come in, the report is that of their residuals
-    # laid end to end in that order: the first maximum visited names the kappa
-    grid = FrequencyGrid(3.0, 32)
-    abs_res, scale = _crafted(case, 2 * grid.n_points)
-    kap = np.tile(mirror_values(grid), 2)
-    edges = [0, 3, 16, 20, 37, 50, 64]
-    parts = [(kap[lo:hi], abs_res[lo:hi], scale[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    for order in (parts, parts[::-1], parts[1::2] + parts[::2]):
-        want = _concatenated_report("crafted", grid, *(np.concatenate(column) for column in zip(*order)), **TOL)
-        got = _report("crafted", grid, iter(order), **TOL)
-        assert repr(got) == repr(want)
+def test_streamed_report_equals_the_concatenated_report(case):
+    # the report is that of the residuals laid end to end in the order they
+    # are visited, piece by piece and row by row within a piece: the first
+    # maximum visited names the kappa
+    grid = FrequencyGrid(3.0, 2**16 + 12)  # two pieces of 16387 points
+    abs_res, scale, worst = _crafted(case, grid.n_points // 2)
+
+    def residuals(kap):
+        i = np.rint(kap / grid.spacing - 0.5).astype(int)
+        for row in range(2):
+            yield abs_res[row, i], scale[row, i]
+
+    order = [(kap, *pair) for _, kap in grid.pieces() for pair in residuals(kap)]
+    assert len(order) == 4
+    want = _concatenated_report("crafted", grid, *(np.concatenate(column) for column in zip(*order)), **TOL)
+    got = _report("crafted", grid, residuals, **TOL)
+    assert repr(got) == repr(want)
+    assert got.worst_kappa == (worst + 0.5) * grid.spacing
 
 
 @pytest.mark.parametrize("check", ["field_r0", "field_r1", "atom", "parity"])

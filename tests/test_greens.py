@@ -295,9 +295,6 @@ def test_frequency_grid_mirror_symmetry_exact(mirror_values):
     g = FrequencyGrid(10.0, 48)
     vals = mirror_values(g)
     assert np.array_equal(vals, -vals[::-1])
-    # any run of the kappa > 0 points has the bits of the whole half, however it is cut
-    runs = [g.positive_slice(lo, hi) for lo, hi in ((0, 5), (5, 17), (17, 24))]
-    assert np.array_equal(np.concatenate(runs), g.positive_slice(0, 24))
     assert np.max(np.abs(vals)) <= g.cutoff
     assert 0.0 not in vals
     assert g.spacing == pytest.approx(20.0 / 48)

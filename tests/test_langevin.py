@@ -886,6 +886,16 @@ def test_run_ensemble_insufficient_burn_raises():
         run_ensemble(p, bath, n_traj=0, master_seed=1, t_burn=80.0, **kw)
 
 
+def test_run_ensemble_refuses_a_band_of_the_zero_mode_alone():
+    # the band holds mode 1 once the cutoff reaches the spacing 2 pi/(n_fft dt)
+    p, bath, kw = _small_ensemble_params()
+    n_fft = langevin._next_fast_len(int(round(kw["t_total"] / kw["dt"])) + 1, real=True)
+    spacing = 2.0 * math.pi / (n_fft * kw["dt"])
+    with pytest.raises(langevin.BandError, match="only the zero mode"):
+        run_ensemble(p, bath, n_traj=2, master_seed=1, t_burn=80.0, **dict(kw, cutoff=math.nextafter(spacing, 0.0)))
+    assert run_ensemble(p, bath, n_traj=2, master_seed=1, t_burn=80.0, **dict(kw, cutoff=spacing)).stats.var_q > 0
+
+
 def test_fit_decay_rate_on_synthetic_series():
     t = np.linspace(0.0, 60.0, 1201)
     rate = 0.2

@@ -13,7 +13,6 @@ from atomflux.spectral import (
     _reduce,
     fit_log_slope,
     integrate_spectrum,
-    pieces,
 )
 from atomflux.flux import corrected_hadamard_spectrum, far_field_flux_integrand, radiated_power_density
 
@@ -74,7 +73,8 @@ def test_nonfinite_integrand_names_offender():
     import re
 
     g = FrequencyGrid(2.0, 16)
-    bad_kappa = float(g.positive_slice(3, 4)[0])
+    [(_, kappa)] = g.pieces()
+    bad_kappa = float(kappa[3])
 
     def f(k):
         out = np.asarray(k, dtype=float).copy()
@@ -107,7 +107,8 @@ def test_nonfinite_value_in_any_row_raises():
     import re
 
     g = FrequencyGrid(2.0, 32)
-    bad_kappa = float(g.positive_slice(5, 6)[0])
+    [(_, kappa)] = g.pieces()
+    bad_kappa = float(kappa[5])
     for bad_row in range(3):
 
         def f(k, bad_row=bad_row):
@@ -332,7 +333,7 @@ def test_exact_sum_matches_fsum_at_short_and_odd_lengths(n):
 
 def _sampled(g, vals):
     """An integrand that returns ``vals``, the samples at the kappa > 0 points of ``g``, at any run of them."""
-    return lambda k: vals[..., np.searchsorted(g.positive_slice(0, g.n_points // 2), k)]
+    return lambda k: vals[..., np.searchsorted(np.concatenate([kappa for _, kappa in g.pieces()]), k)]
 
 
 def _mirrored(vals):
@@ -358,7 +359,7 @@ def test_reduce_real_rows_match_fsum_and_np_sum_across_pieces(mirror_pair_sums):
     # each row's value is math.fsum over all its weighted mirror pairs, bit
     # for bit, however many pieces the row came in, and abs_scale the
     # in-order sum of each piece's np.sum of their magnitudes
-    assert [len(pieces(n // 2)) for n in SIZES] == [1, 1, 1, 4, 8]
+    assert [len(list(FrequencyGrid(10.0, n).pieces())) for n in SIZES] == [1, 1, 1, 4, 8]
     for n in SIZES:
         g = FrequencyGrid(10.0, n)
         vals = _rows_of(np.random.default_rng(n), n // 2)
@@ -422,11 +423,12 @@ def test_nonfinite_sample_in_the_last_piece_names_its_global_index():
     import re
 
     # kappa > 0 points 49156 to 65541 are the last of four pieces
-    n = 2**17 + 12
-    assert pieces(n // 2)[-1] == (49156, 65542)
-    g = FrequencyGrid(50.0, n)
+    g = FrequencyGrid(50.0, 2**17 + 12)
+    *_, (lo, kappa) = g.pieces()
+    assert (lo, lo + kappa.size) == (49156, 65542)
+    points = np.concatenate([kappa for _, kappa in g.pieces()])
     for index in (49156, 65541, 0):
-        bad_kappa = float(g.positive_slice(index, index + 1)[0])
+        bad_kappa = float(points[index])
 
         def f(k, bad_kappa=bad_kappa):
             out = np.stack([np.cos(k), k**2])
@@ -438,17 +440,20 @@ def test_nonfinite_sample_in_the_last_piece_names_its_global_index():
             integrate_spectrum(f, g)
 
 
-@pytest.mark.parametrize("n", [1, 8, 2**14 - 1, 2**14, 2**15 - 1, 2**17 + 6, 2**19])
+@pytest.mark.parametrize("n", [8, 2**14 - 1, 2**14, 2**15 - 1, 2**17 + 6, 2**19])
 def test_pieces_split_a_range_evenly(n):
-    # contiguous ascending runs covering range(n), each 2^14 to 2^15 - 1
-    # points long, or a single run when n is shorter than 2^14
-    runs = pieces(n)
-    assert runs[0][0] == 0 and runs[-1][1] == n and all(lo < hi for lo, hi in runs)
-    assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(runs, runs[1:]))
+    # contiguous ascending runs covering the n kappa > 0 points of a grid,
+    # each 2^14 to 2^15 - 1 points long, or a single run when n is shorter
+    # than 2^14; each point has the bits it has in one run of all n
+    g = FrequencyGrid(10.0, 2 * n)
+    runs = list(g.pieces())
+    los, his = [lo for lo, _ in runs], [lo + kappa.size for lo, kappa in runs]
+    assert los[0] == 0 and his[-1] == n and los[1:] == his[:-1]
     if n >= 2**14:
-        assert all(2**14 <= hi - lo <= 2**15 - 1 for lo, hi in runs)
+        assert all(2**14 <= kappa.size <= 2**15 - 1 for _, kappa in runs)
     else:
-        assert runs == [(0, n)]
+        assert len(runs) == 1
+    assert np.array_equal(np.concatenate([kappa for _, kappa in runs]), (np.arange(n) + 0.5) * g.spacing)
 
 
 def test_integer_and_boolean_samples_integrate_as_floats():
@@ -471,11 +476,10 @@ def test_integrand_sees_pieces_in_ascending_order_then_the_half_grid():
 
     g = FrequencyGrid(8.0, 2**17 + 12)
     integrate_spectrum(f, g)
-    runs = [(lo, hi) for grid in (g, g.halved()) for lo, hi in pieces(grid.n_points // 2)]
-    assert [k.size for k in seen] == [hi - lo for lo, hi in runs]
-    for k, (lo, hi), grid in zip(seen, runs, [g] * 4 + [g.halved()] * 2):
-        assert np.array_equal(k, grid.positive_slice(0, grid.n_points // 2)[lo:hi])
-    assert all(min(hi - lo for lo, hi in pieces(grid.n_points // 2)) >= 2**14 for grid in (g, g.halved()))
+    # four pieces of the 65542 kappa > 0 points, then two of the half grid's 32771
+    assert [k.size for k in seen] == [16385, 16386] * 3
+    for grid, run in ((g, seen[:4]), (g.halved(), seen[4:])):
+        assert np.array_equal(np.concatenate(run), (np.arange(grid.n_points // 2) + 0.5) * grid.spacing)
 
 
 def test_a_piece_with_another_row_count_raises():
@@ -536,7 +540,8 @@ def test_even_grid_nonfinite_sample_names_kappa_and_index():
     import re
 
     g = FrequencyGrid(2.0, 32)
-    bad_kappa = float(g.positive_slice(5, 6)[0])
+    [(_, kappa)] = g.pieces()
+    bad_kappa = float(kappa[5])
 
     def f(k):
         out = np.stack([np.cos(k), k**2])
