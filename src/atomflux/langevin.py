@@ -50,12 +50,16 @@ The q and qdot blocks and their squares live in one workspace per process
 batch and task of the run, so the steady state makes no large allocation that
 the allocator would hand back to the operating system and fault in again.
 ``run_ensemble`` empties the workspace when the run ends, and a pool worker's
-goes with the worker when the pool shuts down; no result is a view of it.  The
-band spectrum stays a fresh array per batch, freed before the batch is
-propagated, so it never adds to the propagation's peak.  ``run_ensemble``
-makes min(chunks, 4 workers) tasks, adds each task's chunk series into the
-running sum as the task's result arrives, in task order, and frees them
-before the next task runs.
+goes with the worker when the pool shuts down; no result is a view of it.  A
+batch's forcing is synthesized in row groups of max(1, ``_BLOCK_STEPS`` //
+n_band) rows, about one block of modes (one row of C5's 161145-mode band, 63
+rows of C7's 258 modes).  The band spectrum stays a fresh array per row
+group, and each group's inverse FFT writes straight into the batch's fresh
+record, so a batch never holds its whole spectrum beside its record, and
+the last group's spectrum is freed before the batch is propagated.
+``run_ensemble`` makes min(chunks, 4 workers) tasks, adds each task's chunk
+series into the running sum as the task's result arrives, in task order,
+and frees them before the next task runs.
 """
 
 from __future__ import annotations
@@ -231,29 +235,41 @@ def _synthesize_rows(amplitudes, n_samples, seed, indices) -> np.ndarray:
     n_band ``b`` normals, so a row does not depend on which other rows share
     the batch.  Mode k gets amp_k (a_k + i b_k); the zero mode is real, and
     so is the Nyquist mode, set only when it lies in the band.  The spectrum
-    holds the band only: one batched inverse FFT of length n_fft zero-pads
-    the modes above it, the same zeros a full-length spectrum would hold, and
-    shapes every row.
+    holds the band only, for one row group of max(1, ``_BLOCK_STEPS`` //
+    n_band) rows at a time: each group's inverse FFT of length n_fft
+    zero-pads the modes above the band, the same zeros a full-length
+    spectrum would hold, and writes the group's rows straight into the
+    record.  The record is made once the first group's draws are freed, so a
+    one-row batch peaks at its spectrum and record alone.  Each row is
+    transformed on its own, so the grouping moves no bit.
     """
     n_fft, amp, amp_real = amplitudes
     n_band = amp.size
     nyquist_in_band = n_band == n_fft // 2 + 1 and n_fft % 2 == 0
-    ab = np.empty((2, n_band))
-    y = np.empty((len(indices), n_band), dtype=complex)
+    group = max(1, _BLOCK_STEPS // n_band)  # rows per spectrum: about one block of modes
+    record = None  # made once the first group's draws are freed
     rng = _noise_generator(seed, indices[0])  # re-keyed below before every draw
     bit_generator = rng.bit_generator
     key = bit_generator.state["state"]["key"]
-    for j, index in enumerate(indices):
-        bit_generator.state = _fresh_philox_state(key, index)
-        rng.standard_normal(out=ab)
-        # amp * (a + 1j * b), written one real part at a time
-        np.multiply(amp, ab[0], out=y.real[j])
-        np.multiply(amp, ab[1], out=y.imag[j])
-        y[j, 0] = amp_real[0] * ab[0, 0]  # zero mode is real
-        if nyquist_in_band:
-            y[j, -1] = amp_real[-1] * ab[0, -1]  # Nyquist mode is real
-    del ab
-    return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
+    for g0 in range(0, len(indices), group):
+        rows = indices[g0 : g0 + group]
+        ab = np.empty((2, n_band))
+        y = np.empty((len(rows), n_band), dtype=complex)
+        for j, index in enumerate(rows):
+            bit_generator.state = _fresh_philox_state(key, index)
+            rng.standard_normal(out=ab)
+            # amp * (a + 1j * b), written one real part at a time
+            np.multiply(amp, ab[0], out=y.real[j])
+            np.multiply(amp, ab[1], out=y.imag[j])
+            y[j, 0] = amp_real[0] * ab[0, 0]  # zero mode is real
+            if nyquist_in_band:
+                y[j, -1] = amp_real[-1] * ab[0, -1]  # Nyquist mode is real
+        del ab
+        if record is None:
+            record = np.empty((len(indices), n_fft))
+        np.fft.irfft(y, n=n_fft, axis=-1, out=record[g0 : g0 + len(rows)])
+        del y  # free this group's spectrum before the next one is made
+    return record[:, :n_samples]
 
 
 def _step_coefficients(p: AtomParams, dt: float):

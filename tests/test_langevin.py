@@ -136,6 +136,42 @@ def test_full_band_rows_equal_full_length_draws(n_samples):
         assert np.array_equal(rows, want)
 
 
+def _one_call_rows(amplitudes, n_samples, seed, indices):
+    """The whole (rows, n_band) band spectrum of ``indices``, shaped by one inverse FFT call."""
+    n_fft, amp, amp_real = amplitudes
+    y = np.empty((len(indices), amp.size), dtype=complex)
+    for j, index in enumerate(indices):
+        a, b = _trajectory_stream(seed, index).standard_normal((2, amp.size))
+        y[j] = amp * (a + 1j * b)
+        y[j, 0] = amp_real[0] * a[0]
+        if n_fft % 2 == 0 and amp.size == n_fft // 2 + 1:
+            y[j, -1] = amp_real[-1] * a[-1]
+    return np.fft.irfft(y, n=n_fft, axis=-1)[:, :n_samples]
+
+
+@pytest.mark.parametrize("cutoff, n_band", [(math.pi / 0.1, 513), (0.1, 2)])  # Nyquist mode in the band; two modes
+def test_grouped_synthesis_matches_the_one_call_transform(monkeypatch, cutoff, n_band):
+    # a block of 2 n_band + 1 steps makes row groups of two rows: the batch of
+    # 7 rows is transformed as 2, 2, 2 and 1 rows, each group straight into the
+    # record, and every row keeps the bits of one transform of the whole spectrum
+    dt, n_samples, indices = 0.1, 1024, [0, 1, 5, 31, 32, 2**32 + 1, 3]
+    amplitudes = langevin._synthesis_amplitudes(BathSpec(1.0), P_STD, cutoff, dt, n_samples)
+    n_fft, amp, amp_real = amplitudes
+    assert n_fft == n_samples and amp.size == n_band and amp_real[-1] > 0
+    want = _one_call_rows(amplitudes, n_samples, 20240, indices)
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 2 * n_band + 1)
+    irfft, groups = np.fft.irfft, []
+
+    def counted(y, *args, **kwargs):
+        groups.append(len(y))
+        return irfft(y, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    rows = langevin._synthesize_rows(amplitudes, n_samples, 20240, indices)
+    assert groups == [2, 2, 2, 1]
+    assert np.array_equal(rows, want)
+
+
 def test_band_keeps_the_mode_at_the_cutoff_and_drops_the_next():
     dt, n_samples, m = 0.1, 1000, 37
     kap = 2.0 * math.pi / (n_samples * dt) * np.arange(n_samples // 2 + 1)
@@ -762,6 +798,20 @@ def test_ensemble_chunk_memory_bounded(monkeypatch):
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
     job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, k, 40_000)
     assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= 5 * r * (n + 1) * 8
+
+
+def test_multi_row_long_record_task_memory_bounded(monkeypatch):
+    # one batch of 6 rows of C5's 400k-step record: each row group's spectrum
+    # (one row of 161145 band modes here) is transformed straight into the
+    # batch's record, so the peak is the record, one row's spectrum and draws,
+    # the series and the block working set: 9.45 records, where the whole
+    # batch's spectrum held alongside the record made 12.31
+    p = AtomParams.from_damping(0.01, 1.0, 1.0)
+    n, r = 400_000, 6
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
+    assert langevin._batch_edges(0, r, n + 1) == [0, r]
+    job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, r, 40_000)
+    assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= (r + 4) * (n + 1) * 8
 
 
 def test_one_trajectory_chunk_memory_bounded():
