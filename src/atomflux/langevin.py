@@ -28,11 +28,10 @@ between batches: the streams are those of one generator built per trajectory.
 
 Engine layout: the trajectories are reduced in chunks of ``_CHUNK_SIZE``,
 and a pool task (one ``_ensemble_chunk`` call) covers a contiguous run of
-whole chunks.  A task is split into row batches of about r = ``_ROW_SAMPLES``
-// max(n, ``_BLOCK_STEPS``) trajectories (at least one, at most the task's),
-which may cross chunk edges; a record shorter than one block counts as one
-block, so r blocks never exceed ``_ROW_SAMPLES`` samples, however short the
-record.
+whole chunks.  A task is cut into batches of r = max(1, ``_ROW_SAMPLES`` //
+max(n, ``_BLOCK_STEPS``)) rows, the last one shorter, which may cross chunk
+edges; a record shorter than one block counts as one block, so r blocks never
+exceed ``_ROW_SAMPLES`` samples, however short the record.
 Each batch is synthesized trajectory-major as one (r, n) record and stays
 trajectory-major: each eigenmode is one first-order filter section over the
 forcing rows, its two taps folding in the piecewise-linear drive (run
@@ -46,9 +45,11 @@ by block in time order, each chunk's series over its own rows in trajectory
 order, and the ensemble series over the chunk series in chunk order.
 
 The q and qdot blocks and their squares live in one workspace per process
-(per thread), sized for the largest batch of a task and reused by every later
-batch and task of the run, so the steady state makes no large allocation that
-the allocator would hand back to the operating system and fault in again.
+(per thread), sized by its first request, a task's first and largest batch,
+grown only when a later task's first batch is larger, and reused by every
+later batch and task of the run, so the steady state makes no large
+allocation that the allocator would hand back to the operating system and
+fault in again.
 ``run_ensemble`` empties the workspace when the run ends, and a pool worker's
 goes with the worker when the pool shuts down; no result is a view of it.  A
 batch's forcing is synthesized in row groups of max(1, ``_BLOCK_STEPS`` //
@@ -87,7 +88,9 @@ from .spectral import integrate_spectrum
 
 _CHUNK_SIZE = 32  # trajectories per reduction chunk; fixed so reductions never move
 _BLOCK_STEPS = 1 << 14  # steps per propagation block; bounds the working set at O(r * block)
-_ROW_SAMPLES = 1 << 21  # record samples per synthesis batch: r ~ _ROW_SAMPLES // max(n, block) rows
+# record samples per batch, the unit of both synthesis and propagation: a
+# batch holds r = max(1, _ROW_SAMPLES // max(n, block)) rows
+_ROW_SAMPLES = 1 << 21
 
 
 class _Workspace(threading.local):
@@ -95,20 +98,16 @@ class _Workspace(threading.local):
 
     ``take(name, shape)`` views a C-contiguous prefix of the flat float64
     buffer ``name`` as ``shape``, so every shape with no more elements reuses
-    it.  A buffer is reallocated only when it is too small, and then sized for
-    ``rows`` rows (a task sets it to its largest batch), so batches of r and
-    r + 1 rows share it: without that, the C5 relax cell of 64 trajectories x
-    400k steps at one worker (batches of 5 and 6 rows) peaked at 161.8-162.2
-    MB of RSS against 159.9-160.1 MB, with the same output bytes (8 runs each,
-    2-core Xeon).  Reuse keeps the steady state free of large
-    allocations, which the allocator would otherwise return to the operating
-    system after each task and fault in again for the next.
+    it.  A buffer is reallocated, at the size asked for, only when it is too
+    small; a task's first batch is its largest, so the later batches of the
+    task reuse what the first one took.  Reuse keeps the steady state free of
+    large allocations, which the allocator would otherwise return to the
+    operating system after each task and fault in again for the next.
     Nothing the engine returns is a view of a buffer.  The buffers are
     per-thread so that concurrent ensembles in one process never share them.
     """
 
     def __init__(self):
-        self.rows = 1
         self.buffers = {}
 
     def take(self, name: str, shape: tuple) -> np.ndarray:
@@ -116,8 +115,7 @@ class _Workspace(threading.local):
         buf = self.buffers.get(name)
         if buf is None or buf.size < size:
             buf = self.buffers[name] = None  # free the old buffer before allocating its successor
-            capacity = max(shape[0], self.rows) * math.prod(shape[1:])
-            buf = self.buffers[name] = np.empty(capacity)
+            buf = self.buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
     def clear(self):
@@ -423,17 +421,16 @@ class EnsembleResult:
 
 
 def _batch_edges(start: int, stop: int, n_samples: int) -> list[int]:
-    """Split trajectories start .. stop - 1 into near-equal row batches; returns the edges.
+    """Cut trajectories start .. stop - 1 into batches of r rows, the last one shorter; returns the edges.
 
-    There are k // r batches, r = _ROW_SAMPLES // max(n_samples, _BLOCK_STEPS)
-    kept between 1 and the row count k, so each holds r to 2 r - 1 rows.  A
-    record shorter than one block counts as one block, so that r blocks never
-    exceed _ROW_SAMPLES samples.  The edges ignore chunk edges: a batch may
-    hold rows of several chunks.
+    r = max(1, _ROW_SAMPLES // max(n_samples, _BLOCK_STEPS)), so no batch
+    holds more than r rows, and the first batch is the largest.  A record
+    shorter than one block counts as one block, so that r blocks never exceed
+    _ROW_SAMPLES samples.  The edges ignore chunk edges: a batch may hold rows
+    of several chunks.
     """
-    k = stop - start
-    n_batches = k // min(k, max(1, _ROW_SAMPLES // max(n_samples, _BLOCK_STEPS)))
-    return [start + (b * k) // n_batches for b in range(n_batches + 1)]
+    r = max(1, _ROW_SAMPLES // max(n_samples, _BLOCK_STEPS))
+    return [*range(start, stop, r), stop]
 
 
 def _reduce_batch(p, dt, xi, burn_index, series):
@@ -470,15 +467,14 @@ def _ensemble_chunk(job):
     means of q, q^2 and qdot^2.  Trajectory i belongs to chunk i //
     ``_CHUNK_SIZE``, whichever row batch carries it, so each chunk's row has
     the bits of that chunk run alone.  The batches run in this thread's
-    workspace, sized for the task's largest batch; the results are fresh
-    arrays.
+    workspace, which the first batch, the largest, sizes; the results are
+    fresh arrays.
     """
     (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = job
     amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
     first_chunk = start // _CHUNK_SIZE
     series = np.zeros((-(-stop // _CHUNK_SIZE) - first_chunk, n_steps + 1))
     edges = _batch_edges(start, stop, n_steps + 1)
-    _WORKSPACE.rows = max(hi - lo for lo, hi in zip(edges, edges[1:]))
     means = []
     for lo, hi in zip(edges, edges[1:]):
         xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, range(lo, hi))

@@ -714,11 +714,12 @@ def _row_samples_for(r, n_steps):
 
 
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
-@pytest.mark.parametrize("start, stop", [(0, 32), (64, 71)])
+@pytest.mark.parametrize("start, stop", [(0, 32), (64, 71), (64, 73)])
 def test_ensemble_chunk_independent_of_batch_size(monkeypatch, regime, start, stop):
-    # r = 1 gives one batch per row, r = 2 16 batches of 2 rows (3 batches of
-    # 2, 2, 3 for the 7-row chunk), r = 5 gives 5, 5, 5, 5, 6, 6 (one batch of
-    # 7), r = k one batch; every output must be the same bits whatever the split
+    # r = 1 gives one batch per row, r = 2 and 5 batches of r rows and a
+    # shorter last one (5, 2 for the 7-row chunk, 5, 4 for the 9 = 2 r - 1
+    # rows), r = k one batch: no batch holds more than r rows, and every
+    # output must be the same bits whatever the split
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
     n_steps = 1237
     job = (_REGIMES[regime], BathSpec(1.0), 10.0, 0.2, n_steps, 11, start, stop, 437)
@@ -728,7 +729,7 @@ def test_ensemble_chunk_independent_of_batch_size(monkeypatch, regime, start, st
         edges = langevin._batch_edges(start, stop, n_steps + 1)
         sizes = np.diff(edges)
         assert edges[0] == start and edges[-1] == stop
-        assert sizes.min() >= min(r, stop - start) and sizes.max() - sizes.min() <= 1
+        assert np.all(sizes[:-1] == r) and 1 <= sizes[-1] <= r
         outputs[r] = langevin._ensemble_chunk(job)
     base = outputs.pop(stop - start)
     for got in outputs.values():
@@ -739,14 +740,14 @@ def test_ensemble_chunk_independent_of_batch_size(monkeypatch, regime, start, st
 @pytest.mark.parametrize("regime", sorted(_REGIMES))
 def test_batches_across_chunk_edges_keep_each_chunk_byte(monkeypatch, regime):
     # a task of chunks 1, 2 and 3, the last one partial (13 rows), in batches
-    # of 10 or 11 rows, of which 54..64 and 87..97 straddle the chunk edges at
-    # 64 and 96: each chunk's series row and each trajectory's means are the
-    # bytes of that chunk run alone
+    # of 10 rows and a last one of 7, of which 62..72 and 92..102 straddle the
+    # chunk edges at 64 and 96: each chunk's series row and each trajectory's
+    # means are the bytes of that chunk run alone
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
     n_steps = 1237
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(10, n_steps))
     edges = langevin._batch_edges(32, 109, n_steps + 1)
-    assert edges == [32, 43, 54, 65, 76, 87, 98, 109]
+    assert edges == [32, 42, 52, 62, 72, 82, 92, 102, 109]
     job = (_REGIMES[regime], BathSpec(1.0), 10.0, 0.2, n_steps, 11, 32, 109, 437)
     series, *means = langevin._ensemble_chunk(job)
     assert series.shape == (3, n_steps + 1)
@@ -805,13 +806,16 @@ def test_multi_row_long_record_task_memory_bounded(monkeypatch):
     # (one row of 161145 band modes here) is transformed straight into the
     # batch's record, so the peak is the record, one row's spectrum and draws,
     # the series and the block working set: 9.45 records, where the whole
-    # batch's spectrum held alongside the record made 12.31
+    # batch's spectrum held alongside the record made 12.31.  A task of 9 =
+    # 2 r - 1 rows at r = 5 runs as batches of 5 and 4 rows, never one of 9:
+    # 8.11 records, where one 9-row batch made 13.47
     p = AtomParams.from_damping(0.01, 1.0, 1.0)
-    n, r = 400_000, 6
-    monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
-    assert langevin._batch_edges(0, r, n + 1) == [0, r]
-    job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, r, 40_000)
-    assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= (r + 4) * (n + 1) * 8
+    n = 400_000
+    for r, k, edges in ((6, 6, [0, 6]), (5, 9, [0, 5, 9])):
+        monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(r, n))
+        job = (p, BathSpec(1.0), 50.0, 0.05, n, 1, 0, k, 40_000)
+        assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= (r + 4) * (n + 1) * 8, (r, k)
+        assert langevin._batch_edges(0, k, n + 1) == edges
 
 
 def test_one_trajectory_chunk_memory_bounded():
@@ -826,10 +830,11 @@ def test_one_trajectory_chunk_memory_bounded():
 
 def test_short_record_task_memory_bounded():
     # a record shorter than one block counts as one block, so a batch holds at
-    # most _ROW_SAMPLES // _BLOCK_STEPS rows: 128 or so rows of 1601 samples at
-    # C7's shape, a tenth of _ROW_SAMPLES.  The batch's record, workspace and
-    # mode output set the traced peak, and the task's (chunks, n + 1) series
-    # adds little: measured 0.70-0.78 _ROW_SAMPLES samples at 8 to 78 chunks
+    # most _ROW_SAMPLES // _BLOCK_STEPS rows: 128 rows of 1601 samples at C7's
+    # shape, a tenth of _ROW_SAMPLES, and a shorter last batch.  The batch's
+    # record, workspace and mode output set the traced peak, and the task's
+    # (chunks, n + 1) series adds little: measured 0.70-0.76 _ROW_SAMPLES
+    # samples at 8 to 78 chunks
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     for chunks in (1, 8, 78):
         job = (p, BathSpec(1.0), 20.0, 0.05, 1600, 1, 0, 32 * chunks, 20)
@@ -837,12 +842,13 @@ def test_short_record_task_memory_bounded():
 
 
 def test_serial_run_holds_one_task_of_series(monkeypatch):
-    # C5's shape scaled down: records of 20001 samples in batches of 5 or 6
-    # rows and 21 blocks.  One worker runs 13 chunks as 4 tasks of 3 or 4
-    # chunks and adds each task's series into the running sum before the next
-    # task starts, so the run peaks a task's four series, the running sum and
-    # the task's small arrays above a one-chunk task: measured 5.2 records.
-    # Holding every chunk's series until the run ends added 13.2
+    # C5's shape scaled down: records of 20001 samples in batches of 5 rows,
+    # the last of each task shorter, and 21 blocks.  One worker runs 13 chunks
+    # as 4 tasks of 3 or 4 chunks and adds each task's series into the running
+    # sum before the next task starts, so the run peaks a task's four series,
+    # the running sum and the task's small arrays above a one-chunk task:
+    # measured 4.9 records.  Holding every chunk's series until the run ends
+    # added 13.2
     p, bath, n = AtomParams.from_damping(0.01, 1.0, 1.0), BathSpec(1.0), 20_000
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 1000)
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(5, n))
@@ -863,9 +869,9 @@ def _chunk_bytes(job):
 def test_reused_workspace_keeps_every_chunk_byte(monkeypatch, regime):
     # chunks of other shapes run back to back in one workspace, each one
     # after each of the others: a 32 x 1600 chunk in one batch and one block, a
-    # 32-row chunk of 9999 steps in batches of 5, 5, 6, 5, 5, 6 rows and 7
-    # blocks, and a one-trajectory chunk; each gives the bytes it gives from an
-    # empty workspace, the state a fresh process starts in
+    # 32-row chunk of 9999 steps in six batches of 5 rows and one of 2, each in
+    # 7 blocks, and a one-trajectory chunk; each gives the bytes it gives from
+    # an empty workspace, the state a fresh process starts in
     monkeypatch.setattr(langevin, "_BLOCK_STEPS", 1600)
     monkeypatch.setattr(langevin, "_ROW_SAMPLES", 32 * 1601)
     p, bath = _REGIMES[regime], BathSpec(1.0)
@@ -875,7 +881,7 @@ def test_reused_workspace_keeps_every_chunk_byte(monkeypatch, regime):
         "single": (p, bath, 10.0, 0.2, 9999, 11, 96, 97, 437),
     }
     assert langevin._batch_edges(0, 32, 1601) == [0, 32]
-    assert langevin._batch_edges(32, 64, 10000) == [32, 37, 42, 48, 53, 58, 64]
+    assert langevin._batch_edges(32, 64, 10000) == [32, 37, 42, 47, 52, 57, 62, 64]
     fresh = {}
     for name, job in jobs.items():
         langevin._WORKSPACE.clear()
