@@ -2,10 +2,14 @@
 
 Closed-form frequency-domain kernels, machine-precision fluctuation-dissipation
 checks, and the four-way power balance of the emitted radiation, in natural
-units (hbar = c = k_B = 1).  ``import atomflux`` loads no scipy subpackage.
+units (hbar = c = k_B = 1).  The modules imported here run on numpy alone:
+``import atomflux`` loads no scipy module, and neither do the identity
+suites, the budget or the brute-force oracle, whose chirp-z transforms run
+in ``numpy.fft``.
 
 The time-domain stochastic (Langevin) cross-check is imported as
-``atomflux.langevin``; it loads scipy.signal and scipy.fft.
+``atomflux.langevin``; it alone loads scipy (``scipy.signal`` and
+``scipy.linalg``).
 """
 
 from .greens import (

@@ -49,6 +49,7 @@ from .greens import (
     check_nyquist,
     damped_cos,
     damped_sinc,
+    fast_fft_length,
     field_hadamard_ft,
     field_retarded_ft,
     thermal_factor,
@@ -420,15 +421,16 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     over even and odd j are chirp-z transforms (Bluestein's algorithm), so the
     cost is O((n + m) log) rather than n * m.  Both sums share one chirp
     w^(k^2/2) and one run of powers a^-k, each built once.  Every other step
-    repeats the arithmetic of ``scipy.signal.czt`` in its order, so the bits
-    are those of one ``czt`` call per sum, and only ``scipy.fft`` is loaded.
+    repeats the arithmetic of ``scipy.signal.czt`` in its order, on the FFT
+    lengths of ``scipy.fft.next_fast_len`` (``fast_fft_length``).  The
+    transforms run in ``numpy.fft``, the same pocketfft code as
+    ``scipy.fft``, so the bits are those of one ``czt`` call per sum and the
+    oracle loads no scipy module.
     """
     n_nodes = svals.size
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("need an odd number of nodes (even number of Filon panels)")
     taus = tau0 + dtau * np.arange(m)
-
-    from scipy.fft import fft, ifft, next_fast_len  # imported here: only the oracle needs it
 
     even, odd = svals[0::2], svals[1::2]
     step = 2.0 * h
@@ -444,12 +446,12 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     # array is dropped once consumed, so at most two are held at a time
     def _node_sum(x):
         n = x.size
-        nfft = next_fast_len(n + m - 1)
+        nfft = fast_fft_length(n + m - 1)
         awk2 = a_k[:n] * wk2[:n]
-        fwk2 = fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
-        product = fwk2 * fft(x * awk2, nfft)
+        fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2[:m])), nfft)
+        product = fwk2 * np.fft.fft(x * awk2, nfft)
         del fwk2
-        sums = ifft(product)
+        sums = np.fft.ifft(product)
         del product
         return sums[n - 1 : n + m - 1] * wk2[:m]
 

@@ -62,6 +62,26 @@ def check_nyquist(name: str, step: float, cutoff: float):
         )
 
 
+def fast_fft_length(target: int, real: bool = False) -> int:
+    """The smallest n >= ``target`` (a positive int) with no prime factor above 11, or above 5 for ``real``.
+
+    This is ``scipy.fft.next_fast_len(target, real)``: pocketfft, which runs
+    numpy's FFTs as well as scipy's, has a radix pass of its own for each of
+    these primes.  Each odd smooth factor up to the first power of two >=
+    target is doubled until it reaches target, and the least result wins.
+    """
+    power_of_two = 1 << (target - 1).bit_length()
+    odd = [1]
+    for prime in (3, 5) if real else (3, 5, 7, 11):
+        grown = []
+        for f in odd:
+            while f <= power_of_two:
+                grown.append(f)
+                f *= prime
+        odd = grown
+    return min(f << (-(-target // f) - 1).bit_length() for f in odd)
+
+
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
     return arr, arr.ndim == 0

@@ -71,7 +71,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len as _next_fast_len
 from scipy.linalg import expm as _expm
 from scipy.signal import sosfilt as _sosfilt
 
@@ -82,6 +81,7 @@ from .greens import (
     NyquistError,  # re-exported: run_ensemble raises it
     atom_hadamard_ft,
     check_nyquist,
+    fast_fft_length,
     field_hadamard_ft,
 )
 from .spectral import integrate_spectrum
@@ -195,7 +195,7 @@ def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
     amplitude and ``amp_real[-1]`` the last band mode's, which is used only
     when that mode is the Nyquist mode.
     """
-    n_fft = _next_fast_len(n_samples, real=True)
+    n_fft = fast_fft_length(n_samples, real=True)
     dk = 2.0 * math.pi / (n_fft * dt)
     kap = dk * np.arange(n_fft // 2 + 1)
     spec = noise_spectrum(kap[kap <= cutoff], p, bath)
@@ -313,12 +313,14 @@ def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, q, v, 
     return [np.array([c1, c0]), np.array([1.0, -lam]), zi[:, None]]
 
 
-def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
+def _propagate(p: AtomParams, dt: float, step_map, xi: np.ndarray, q0, qdot0, block: int):
     """Propagate rows of forcing samples; yield ``(t0, q, v)`` blocks of ``block`` steps.
 
-    ``xi`` has shape (k, n + 1), one trajectory per row.  Each yielded ``q``
-    and ``v`` is trajectory-major, shape (k, L), and holds samples
-    t0 .. t0 + L - 1; the first block starts at the initial condition, sample 0.
+    ``step_map`` is ``_step_coefficients(p, dt)``, which the caller builds
+    once for all its batches.  ``xi`` has shape (k, n + 1), one trajectory
+    per row.  Each yielded ``q`` and ``v`` is trajectory-major, shape (k, L),
+    and holds samples t0 .. t0 + L - 1; the first block starts at the
+    initial condition, sample 0.
     The blocks are views of the workspace's buffers, overwritten by the next
     block.
 
@@ -335,7 +337,7 @@ def _propagate(p: AtomParams, dt: float, xi: np.ndarray, q0, qdot0, block: int):
     The critically damped point has a defective map and falls back to an
     explicit step loop.
     """
-    e00, e01, e10, e11, f0q, f0v, f1q, f1v = _step_coefficients(p, dt)
+    e00, e01, e10, e11, f0q, f0v, f1q, f1v = step_map
     k, n = xi.shape[0], xi.shape[1] - 1
     q = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
     v = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
@@ -433,8 +435,10 @@ def _batch_edges(start: int, stop: int, n_samples: int) -> list[int]:
     return [*range(start, stop, r), stop]
 
 
-def _reduce_batch(p, dt, xi, burn_index, series):
+def _reduce_batch(p, dt, step_map, xi, burn_index, series):
     """Propagate one batch of forcing records from rest and reduce it block by block.
+
+    ``step_map`` is ``_step_coefficients(p, dt)``.
 
     ``series`` holds one 1-D array per row of ``xi``, the q^2 series of the
     row's chunk, shared by the rows of one chunk.  Each row adds its q^2 into
@@ -447,7 +451,7 @@ def _reduce_batch(p, dt, xi, burn_index, series):
     """
     n_steps = xi.shape[1] - 1
     sums = np.zeros((3, len(xi)))  # post-burn row sums of q, q^2 and qdot^2
-    for t0, q, v in _propagate(p, dt, xi, 0.0, 0.0, _BLOCK_STEPS):
+    for t0, q, v in _propagate(p, dt, step_map, xi, 0.0, 0.0, _BLOCK_STEPS):
         q2 = np.multiply(q, q, out=_WORKSPACE.take("q2", q.shape))
         t1 = t0 + q.shape[1]
         for row, chunk_series in zip(q2, series):
@@ -468,10 +472,12 @@ def _ensemble_chunk(job):
     ``_CHUNK_SIZE``, whichever row batch carries it, so each chunk's row has
     the bits of that chunk run alone.  The batches run in this thread's
     workspace, which the first batch, the largest, sizes; the results are
-    fresh arrays.
+    fresh arrays.  The amplitudes and the step map (one matrix exponential)
+    are built once and shared by every batch.
     """
     (p, bath, cutoff, dt, n_steps, master_seed, start, stop, burn_index) = job
     amplitudes = _synthesis_amplitudes(bath, p, cutoff, dt, n_steps + 1)
+    step_map = _step_coefficients(p, dt)
     first_chunk = start // _CHUNK_SIZE
     series = np.zeros((-(-stop // _CHUNK_SIZE) - first_chunk, n_steps + 1))
     edges = _batch_edges(start, stop, n_steps + 1)
@@ -479,7 +485,7 @@ def _ensemble_chunk(job):
     for lo, hi in zip(edges, edges[1:]):
         xi = _synthesize_rows(amplitudes, n_steps + 1, master_seed, range(lo, hi))
         rows = [series[i // _CHUNK_SIZE - first_chunk] for i in range(lo, hi)]
-        means.append(_reduce_batch(p, dt, xi, burn_index, rows))
+        means.append(_reduce_batch(p, dt, step_map, xi, burn_index, rows))
         del xi  # free this batch's record before the next one is synthesized
     return (series, *(np.concatenate(m) for m in zip(*means)))
 
@@ -531,7 +537,7 @@ def run_ensemble(
             f"insufficient post-burn-in samples: t_total={t_total:g} must exceed "
             f"t_burn={t_burn:g} by at least 16 steps of dt={dt:g}; increase t_total or reduce t_burn"
         )
-    spacing = 2.0 * math.pi / (_next_fast_len(n_steps + 1, real=True) * dt)  # as in _synthesis_amplitudes
+    spacing = 2.0 * math.pi / (fast_fft_length(n_steps + 1, real=True) * dt)  # as in _synthesis_amplitudes
     if spacing > cutoff:
         raise BandError(
             f"cutoff={cutoff:g} is below the mode spacing 2 pi/(n_fft dt)={spacing:g} of the record, "

@@ -143,7 +143,7 @@ def test_criterion_5_langevin_fdr_closure(gamma, beta):
         cutoff = 50.0
         res = run_ensemble(
             p, bath, cutoff=cutoff, dt=0.05, t_total=200.0 / gamma, n_traj=400, master_seed=20240,
-            t_burn=20.0 / p.gamma,
+            t_burn=20.0 / p.gamma, workers=2,
         )
         pred = predicted_variance(p, bath, cutoff, n_points=2**16)
         stats = res.stats
@@ -181,7 +181,7 @@ def test_criterion_7_relaxation_rate():
         p = AtomParams.from_damping(gamma, 1.0, 1.0)
         bath = BathSpec(1.0)
         res = run_ensemble(
-            p, bath, cutoff=20.0, dt=0.05, t_total=80.0, n_traj=20000, master_seed=991, t_burn=1.0
+            p, bath, cutoff=20.0, dt=0.05, t_total=80.0, n_traj=20000, master_seed=991, t_burn=1.0, workers=2
         )
         pred = predicted_variance(p, bath, 20.0, 32768)
         omega_osc = math.sqrt(p.omega**2 - p.gamma**2)

@@ -537,7 +537,7 @@ def test_import_cli_loads_no_heavy_scipy_modules():
 
 
 def test_oracle_command_loads_neither_scipy_signal_nor_langevin(tmp_path):
-    # the lag kernels' chirp-z transforms need scipy.fft alone, and the oracle
+    # the lag kernels' chirp-z transforms run in numpy.fft, and the oracle
     # never touches the Langevin engine
     code = (
         "import sys; from atomflux import cli; "
@@ -551,4 +551,26 @@ def test_oracle_command_loads_neither_scipy_signal_nor_langevin(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(atomflux.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "oracle.json").is_file()
+
+
+def test_frequency_domain_commands_load_no_scipy_module(tmp_path):
+    # fdr-check, budget and the oracle run on numpy alone: scipy belongs to
+    # the Langevin engine, which none of them imports
+    runs = [
+        ["fdr-check", "--vacuum", "--gamma", "0.05", "--grid-points", "4096"],
+        ["budget", "--beta", "1.0", "--grid-points", "4096"],
+        ["oracle", "--vacuum", "--gamma", "0.5", "--cutoff", "10", "--grid-points", "1024", "--r", "2",
+         "--t", "60", "--time-step", "0.05"],
+    ]
+    code = (
+        "import sys; from atomflux import cli; "
+        f"codes = [cli.main([*argv, '--out', {str(tmp_path)!r}]) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'atomflux.langevin'))"
+    )
+    import atomflux
+
+    env = dict(os.environ, PYTHONPATH=str(Path(atomflux.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] []"
     assert (tmp_path / "oracle.json").is_file()

@@ -15,6 +15,7 @@ from atomflux.greens import (
     atom_retarded_ft,
     damped_cos,
     damped_sinc,
+    fast_fft_length,
     field_hadamard_ft,
     field_retarded_ft,
     field_retarded_im,
@@ -363,3 +364,21 @@ def test_damped_sinc_keeps_every_digit_next_to_critical():
     t = np.array([0.05, 1.0, 30.0, 400.0])
     series = t * np.exp(-p.gamma * t) * (1.0 + nu2 * t**2 / 6.0)
     assert damped_sinc(t, p) == pytest.approx(series, rel=1e-13, abs=0.0)
+
+
+def test_fast_fft_length_is_scipy_next_fast_len():
+    # scipy's rule, complex and real: every target up to 8192, the C7 (1601)
+    # and C5 (400001) record lengths and the C8 oracle's chirp-z lengths with
+    # their neighbours, random targets up to 1e9, and 2^40 + 1
+    from scipy.fft import next_fast_len
+
+    lengths = (1601, 42596, 42597, 81096, 81097, 400001)
+    targets = [
+        *range(1, 8193),
+        *(n + d for n in lengths for d in range(-64, 65)),
+        *np.random.default_rng(29).integers(1, 10**9, 2000).tolist(),
+        2**40 + 1,
+    ]
+    for target in targets:
+        for real in (False, True):
+            assert fast_fft_length(target, real=real) == next_fast_len(target, real=real), (target, real)

@@ -9,7 +9,7 @@ import pytest
 import scipy.signal
 
 from atomflux import langevin
-from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, atom_hadamard_ft
+from atomflux.greens import AtomParams, BathSpec, FrequencyGrid, atom_hadamard_ft, fast_fft_length
 from atomflux.spectral import integrate_spectrum
 from atomflux.langevin import (
     NyquistError,
@@ -33,7 +33,8 @@ def _noise_rows(bath, p, cutoff, dt, t_total, seed, indices):
 def _propagate_one(p, dt, xi, q0=0.0, qdot0=0.0):
     """Coordinate and velocity of one trajectory driven by the record ``xi``."""
     q, qdot = np.empty(xi.size), np.empty(xi.size)
-    for t0, q_blk, v_blk in langevin._propagate(p, dt, xi[None, :], q0, qdot0, langevin._BLOCK_STEPS):
+    step_map = langevin._step_coefficients(p, dt)
+    for t0, q_blk, v_blk in langevin._propagate(p, dt, step_map, xi[None, :], q0, qdot0, langevin._BLOCK_STEPS):
         q[t0 : t0 + q_blk.shape[1]] = q_blk[0]
         qdot[t0 : t0 + v_blk.shape[1]] = v_blk[0]
     return q, qdot
@@ -102,7 +103,7 @@ def test_synthesized_rows_match_complex_spectrum_reference(n_samples):
 
 def _full_length_rows(bath, p, cutoff, dt, n_samples, seed, indices):
     """The synthesis that drew normals for every rfft mode, the band's and the rest."""
-    n_fft = langevin._next_fast_len(n_samples, real=True)
+    n_fft = fast_fft_length(n_samples, real=True)
     kap = 2.0 * math.pi / (n_fft * dt) * np.arange(n_fft // 2 + 1)
     spec = noise_spectrum(kap, p, bath)
     spec[kap > cutoff] = 0.0
@@ -504,7 +505,8 @@ def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
     amplitudes = langevin._synthesis_amplitudes(bath, p, kw["cutoff"], kw["dt"], n + 1)
     xi = langevin._synthesize_rows(amplitudes, n + 1, 5, range(6))
     q_batch, v_batch = np.empty((6, n + 1)), np.empty((6, n + 1))
-    for t0, q, v in langevin._propagate(p, kw["dt"], xi, 0.0, 0.0, langevin._BLOCK_STEPS):
+    step_map = langevin._step_coefficients(p, kw["dt"])
+    for t0, q, v in langevin._propagate(p, kw["dt"], step_map, xi, 0.0, 0.0, langevin._BLOCK_STEPS):
         q_batch[:, t0 : t0 + q.shape[1]] = q
         v_batch[:, t0 : t0 + v.shape[1]] = v
     for i in range(6):
@@ -694,9 +696,11 @@ def test_initial_state_superposes_on_the_forced_motion(regime):
     p, dt = _REGIMES[regime], 0.2
     xi = _noise_rows(BathSpec(1.0), p, 10.0, dt, 240.0, 31, range(4))
 
+    step_map = langevin._step_coefficients(p, dt)
+
     def propagate(forcing, q0, qdot0):
         q, v = np.empty(forcing.shape), np.empty(forcing.shape)
-        for t0, q_blk, v_blk in langevin._propagate(p, dt, forcing, q0, qdot0, 100):
+        for t0, q_blk, v_blk in langevin._propagate(p, dt, step_map, forcing, q0, qdot0, 100):
             q[:, t0 : t0 + q_blk.shape[1]], v[:, t0 : t0 + v_blk.shape[1]] = q_blk, v_blk
         return q, v
 
@@ -756,6 +760,24 @@ def test_batches_across_chunk_edges_keep_each_chunk_byte(monkeypatch, regime):
         assert np.array_equal(series[c : c + 1], alone_series)
         for got, want in zip(means, alone_means):
             assert np.array_equal(got[lo - 32 : hi - 32], want)
+
+
+def test_ensemble_chunk_builds_the_step_map_once(monkeypatch):
+    # a task of 32 rows in 16 batches of 2 takes one matrix exponential for
+    # its step map, not one per batch
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
+    n_steps = 1237
+    monkeypatch.setattr(langevin, "_ROW_SAMPLES", _row_samples_for(2, n_steps))
+    assert len(langevin._batch_edges(0, 32, n_steps + 1)) == 17
+    expm, calls = langevin._expm, []
+
+    def counted(generator):
+        calls.append(generator)
+        return expm(generator)
+
+    monkeypatch.setattr(langevin, "_expm", counted)
+    langevin._ensemble_chunk((_REGIMES["underdamped"], BathSpec(1.0), 10.0, 0.2, n_steps, 11, 0, 32, 437))
+    assert len(calls) == 1
 
 
 def test_one_row_batches_match_one_trajectory_chunks(monkeypatch):
@@ -945,7 +967,7 @@ def test_run_ensemble_insufficient_burn_raises():
 def test_run_ensemble_refuses_a_band_of_the_zero_mode_alone():
     # the band holds mode 1 once the cutoff reaches the spacing 2 pi/(n_fft dt)
     p, bath, kw = _small_ensemble_params()
-    n_fft = langevin._next_fast_len(int(round(kw["t_total"] / kw["dt"])) + 1, real=True)
+    n_fft = fast_fft_length(int(round(kw["t_total"] / kw["dt"])) + 1, real=True)
     spacing = 2.0 * math.pi / (n_fft * kw["dt"])
     with pytest.raises(langevin.BandError, match="only the zero mode"):
         run_ensemble(p, bath, n_traj=2, master_seed=1, t_burn=80.0, **dict(kw, cutoff=math.nextafter(spacing, 0.0)))
