@@ -368,12 +368,6 @@ def interacting_hadamard_late(
 # ---------------------------------------------------------------------------
 
 
-def atom_response_kernel(tau, p: AtomParams):
-    """Retarded response of the oscillator coordinate: theta(tau) e^{-gamma tau} sin(Omega tau)/Omega."""
-    t = np.asarray(tau, dtype=float)
-    return np.where(t >= 0.0, damped_sinc(np.maximum(t, 0.0), p), 0.0)
-
-
 def transient_correlator(s, s_prime, p: AtomParams):
     """Symmetric autocorrelation of the freely decaying oscillator coordinate.
 
@@ -589,10 +583,11 @@ def interacting_hadamard_direct(
     tp_eff = frame.t_prime if m_up is None else r + up_eff
 
     def _history(m_hist):
-        # Simpson weights and GR samples over the emission history v in [0, u]
+        # Simpson weights and GR samples over the emission history v in [0, u]:
+        # the retarded response at the lags v >= 0 is damped_sinc itself
         if not m_hist:  # outside the light cone, or an empty history
             return None
-        return _simpson_weights(m_hist, step), atom_response_kernel(step * np.arange(m_hist + 1), p)
+        return _simpson_weights(m_hist, step), damped_sinc(step * np.arange(m_hist + 1), p)
 
     hist_u = _history(m_u)
     hist_up = hist_u if m_up == m_u else _history(m_up)  # one history when t = t'

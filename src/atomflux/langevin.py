@@ -33,8 +33,9 @@ max(n, ``_BLOCK_STEPS``)) rows, the last one shorter, which may cross chunk
 edges; a record shorter than one block counts as one block, so r blocks never
 exceed ``_ROW_SAMPLES`` samples, however short the record.
 Each batch is synthesized trajectory-major as one (r, n) record and stays
-trajectory-major: each eigenmode is one first-order filter section over the
-forcing rows, its two taps folding in the piecewise-linear drive (run
+trajectory-major.  Every trajectory starts at rest, q = qdot = 0: each
+eigenmode is one first-order filter section over the forcing rows, started
+from a zero mode, its two taps folding in the piecewise-linear drive (run
 through ``sosfilt``, with ``lfilter``'s bits), run in blocks of
 ``_BLOCK_STEPS`` steps with the filter state carried from block to block, and
 each (r, block) block is reduced along its rows as soon as it is made.  A
@@ -44,8 +45,9 @@ order that depends on neither r nor the task: the per-trajectory sums block
 by block in time order, each chunk's series over its own rows in trajectory
 order, and the ensemble series over the chunk series in chunk order.
 
-The q and qdot blocks and their squares live in one workspace per process
-(per thread), sized by its first request, a task's first and largest batch,
+The q and qdot blocks live in one workspace per process (per thread), and
+the reduction squares them in place, so the workspace holds two buffers.
+It is sized by its first request, a task's first and largest batch,
 grown only when a later task's first batch is larger, and reused by every
 later batch and task of the run, so the steady state makes no large
 allocation that the allocator would hand back to the operating system and
@@ -204,31 +206,16 @@ def _synthesis_amplitudes(bath, p, cutoff, dt, n_samples):
     return n_fft, amp, amp_real
 
 
-def _fresh_philox_state(key, index) -> dict:
-    """The state of ``_noise_generator(seed, index)`` for the 128-bit key that ``Philox(seed)`` holds.
-
-    Counter ``[0, index, 0, 0]``, an empty buffer (``buffer_pos`` 4) and no
-    cached 32-bit half: assigning it to ``bit_generator.state`` restarts that
-    generator at the first block of trajectory ``index``'s stream, whatever it
-    drew before.
-    """
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, index, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
 def _synthesize_rows(amplitudes, n_samples, seed, indices) -> np.ndarray:
     """Forcing records of shape (len(indices), n_samples); row j is trajectory indices[j]'s.
 
     ``amplitudes`` is the ``_synthesis_amplitudes`` triple for ``n_samples``.
     Row j draws from the stream of ``_noise_generator(seed, indices[j])``:
-    the batch builds one generator, reads its key once and, for each row, sets
-    its state to the start of the row's stream (``_fresh_philox_state``).
+    the batch builds one generator and reads its state once, before any draw:
+    counter ``[0, indices[0], 0, 0]``, an empty buffer and no cached 32-bit
+    half.  For each row it sets that state's counter word 1 to the row's index
+    and assigns it back, which restarts the generator at the first block of the
+    row's stream, whatever it drew before.
     Each row draws 2 n_band normals, its n_band ``a`` normals and then its
     n_band ``b`` normals, so a row does not depend on which other rows share
     the batch.  Mode k gets amp_k (a_k + i b_k); the zero mode is real, and
@@ -248,13 +235,14 @@ def _synthesize_rows(amplitudes, n_samples, seed, indices) -> np.ndarray:
     record = None  # made once the first group's draws are freed
     rng = _noise_generator(seed, indices[0])  # re-keyed below before every draw
     bit_generator = rng.bit_generator
-    key = bit_generator.state["state"]["key"]
+    fresh = bit_generator.state  # the start of indices[0]'s stream
     for g0 in range(0, len(indices), group):
         rows = indices[g0 : g0 + group]
         ab = np.empty((2, n_band))
         y = np.empty((len(rows), n_band), dtype=complex)
         for j, index in enumerate(rows):
-            bit_generator.state = _fresh_philox_state(key, index)
+            fresh["state"]["counter"][1] = index
+            bit_generator.state = fresh
             rng.standard_normal(out=ab)
             # amp * (a + 1j * b), written one real part at a time
             np.multiply(amp, ab[0], out=y.real[j])
@@ -293,36 +281,36 @@ def _step_coefficients(p: AtomParams, dt: float):
     return e00, e01 * dt, e10 / dt, e11, f0q * dt**2, f0v * dt, f1q * dt**2, f1v * dt
 
 
-def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, q, v, x0):
-    """Taps, poles and initial state of the filter that runs one eigenmode of the step map.
+def _mode_filter(mu: complex, mu_other: complex, dt: float, coefficients, x0):
+    """Taps, poles and initial state of the filter that runs one eigenmode of the step map from rest.
 
     The mode ``z = (v - mu_other q) / (mu - mu_other)`` obeys
     ``z_{n+1} = lam z_n + c0 xi_n + c1 xi_{n+1}`` with ``lam = exp(mu dt)``, so
     ``_lfilter(b, a, xi[1:], zi=zi)`` yields z_1, z_2, ... from the forcing samples
     alone, and the state it returns after z_m is ``lam z_m + c0 xi_m``, which
     is the ``zi`` that continues the recursion from sample m: one first-order
-    section ``[c1, c0, 0, 1, -lam, 0]``.  A real pair of eigenvalues gives real
-    taps, a complex pair complex ones.
+    section ``[c1, c0, 0, 1, -lam, 0]``.  At rest z_0 = 0, so the first
+    ``zi`` is ``c0 x0``, with ``x0`` the forcing rows' first samples.  A real
+    pair of eigenvalues gives real taps, a complex pair complex ones.
     """
     f0q, f0v, f1q, f1v = coefficients
     denom = mu - mu_other
     c0 = ((f0v - f1v) - mu_other * (f0q - f1q)) / denom
     c1 = (f1v - mu_other * f1q) / denom
-    lam = np.exp(mu * dt)
-    zi = lam * ((v - mu_other * q) / denom) + c0 * x0
-    return [np.array([c1, c0]), np.array([1.0, -lam]), zi[:, None]]
+    return [np.array([c1, c0]), np.array([1.0, -np.exp(mu * dt)]), (c0 * x0)[:, None]]
 
 
-def _propagate(p: AtomParams, dt: float, step_map, xi: np.ndarray, q0, qdot0, block: int):
-    """Propagate rows of forcing samples; yield ``(t0, q, v)`` blocks of ``block`` steps.
+def _propagate(p: AtomParams, dt: float, step_map, xi: np.ndarray):
+    """Propagate rows of forcing samples from rest; yield ``(t0, q, v)`` blocks of ``_BLOCK_STEPS`` steps.
 
     ``step_map`` is ``_step_coefficients(p, dt)``, which the caller builds
     once for all its batches.  ``xi`` has shape (k, n + 1), one trajectory
-    per row.  Each yielded ``q`` and ``v`` is trajectory-major, shape (k, L),
-    and holds samples t0 .. t0 + L - 1; the first block starts at the
-    initial condition, sample 0.
+    per row, and every trajectory starts at rest, q = qdot = 0.  Each yielded
+    ``q`` and ``v`` is trajectory-major, shape (k, L), and holds samples
+    t0 .. t0 + L - 1; the first block starts at sample 0, the rest state.
     The blocks are views of the workspace's buffers, overwritten by the next
-    block.
+    block; the propagation never reads a block once it has yielded it, so the
+    caller may overwrite it.
 
     The exact one-step map ``y_{n+1} = E y_n + Phi0 xi_n + Phi1 dxi_n`` is
     diagonalized: in the eigenbasis of the damped oscillator it splits into two
@@ -339,8 +327,6 @@ def _propagate(p: AtomParams, dt: float, step_map, xi: np.ndarray, q0, qdot0, bl
     """
     e00, e01, e10, e11, f0q, f0v, f1q, f1v = step_map
     k, n = xi.shape[0], xi.shape[1] - 1
-    q = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
-    v = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
     forcing_maps = (f0q, f0v, f1q, f1v)
 
     disc = p.gamma**2 - p.omega**2
@@ -349,23 +335,24 @@ def _propagate(p: AtomParams, dt: float, step_map, xi: np.ndarray, q0, qdot0, bl
         # underdamped: the second mode is the conjugate of the first, so one
         # complex filter carries the whole state
         mu_p = complex(-p.gamma, math.sqrt(-disc))
-        filters = [_mode_filter(mu_p, mu_p.conjugate(), dt, forcing_maps, q, v, xi[:, 0])]
+        filters = [_mode_filter(mu_p, mu_p.conjugate(), dt, forcing_maps, xi[:, 0])]
     elif disc > 0:
         # overdamped: two real decaying modes
         mu_p, mu_m = -p.gamma + math.sqrt(disc), -p.gamma - math.sqrt(disc)
         filters = [
-            _mode_filter(mu_p, mu_m, dt, forcing_maps, q, v, xi[:, 0]),
-            _mode_filter(mu_m, mu_p, dt, forcing_maps, q, v, xi[:, 0]),
+            _mode_filter(mu_p, mu_m, dt, forcing_maps, xi[:, 0]),
+            _mode_filter(mu_m, mu_p, dt, forcing_maps, xi[:, 0]),
         ]
+    else:  # critically damped: the explicit loop's state
+        q = v = np.zeros(k)
 
-    for s in range(0, n, block):
-        e = min(s + block, n)
+    for s in range(0, n, _BLOCK_STEPS):
+        e = min(s + _BLOCK_STEPS, n)
         first = s == 0
         q_blk = _WORKSPACE.take("q", (k, e - s + first))
         v_blk = _WORKSPACE.take("v", (k, e - s + first))
         if first:
-            q_blk[:, 0] = q
-            v_blk[:, 0] = v
+            q_blk[:, 0] = v_blk[:, 0] = 0.0
         q_out, v_out = q_blk[:, first:], v_blk[:, first:]
         modes = []
         for f in filters:
@@ -445,21 +432,22 @@ def _reduce_batch(p, dt, step_map, xi, burn_index, series):
     its array, the rows in trajectory order, and sums its post-burn q, q^2 and
     qdot^2 over each ``_BLOCK_STEPS`` block, adding the block sums in time
     order.  Every sum reads one row of fixed blocks, so no output depends on
-    how many rows share the batch or on which chunks they come from.  The
-    blocks and their squares live in the workspace.  Returns the batch's
-    post-burn means of q, q^2 and qdot^2.
+    how many rows share the batch or on which chunks they come from.  Each
+    block's post-burn sums of q are taken first; then q and qdot are squared
+    in place in the workspace blocks, which nothing reads again.  Returns the
+    batch's post-burn means of q, q^2 and qdot^2.
     """
     n_steps = xi.shape[1] - 1
     sums = np.zeros((3, len(xi)))  # post-burn row sums of q, q^2 and qdot^2
-    for t0, q, v in _propagate(p, dt, step_map, xi, 0.0, 0.0, _BLOCK_STEPS):
-        q2 = np.multiply(q, q, out=_WORKSPACE.take("q2", q.shape))
-        t1 = t0 + q.shape[1]
-        for row, chunk_series in zip(q2, series):
-            chunk_series[t0:t1] += row
+    for t0, q, v in _propagate(p, dt, step_map, xi):
         cut = max(burn_index - t0, 0)
+        q_sums = q[:, cut:].sum(axis=1)
+        q2 = np.multiply(q, q, out=q)
+        for row, chunk_series in zip(q2, series):
+            chunk_series[t0 : t0 + q2.shape[1]] += row
         post_v = v[:, cut:]
-        v2 = np.multiply(post_v, post_v, out=_WORKSPACE.take("v2", post_v.shape))
-        sums += (q[:, cut:].sum(axis=1), q2[:, cut:].sum(axis=1), v2.sum(axis=1))
+        v2 = np.multiply(post_v, post_v, out=post_v)
+        sums += (q_sums, q2[:, cut:].sum(axis=1), v2.sum(axis=1))
     return tuple(sums / (n_steps + 1 - burn_index))
 
 

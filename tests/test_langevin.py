@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,11 +32,11 @@ def _noise_rows(bath, p, cutoff, dt, t_total, seed, indices):
     return langevin._synthesize_rows(amplitudes, n_samples, seed, indices)
 
 
-def _propagate_one(p, dt, xi, q0=0.0, qdot0=0.0):
-    """Coordinate and velocity of one trajectory driven by the record ``xi``."""
+def _propagate_one(p, dt, xi):
+    """Coordinate and velocity of one trajectory driven from rest by the record ``xi``."""
     q, qdot = np.empty(xi.size), np.empty(xi.size)
     step_map = langevin._step_coefficients(p, dt)
-    for t0, q_blk, v_blk in langevin._propagate(p, dt, step_map, xi[None, :], q0, qdot0, langevin._BLOCK_STEPS):
+    for t0, q_blk, v_blk in langevin._propagate(p, dt, step_map, xi[None, :]):
         q[t0 : t0 + q_blk.shape[1]] = q_blk[0]
         qdot[t0 : t0 + v_blk.shape[1]] = v_blk[0]
     return q, qdot
@@ -236,11 +238,12 @@ def test_rekeyed_generator_draws_each_trajectory_stream(seed):
     n_band = 317
     indices = [0, 5, 2**32 + 1, 3]
     rng = langevin._noise_generator(seed, indices[0])
-    key = rng.bit_generator.state["state"]["key"]
+    fresh = rng.bit_generator.state  # read before any draw, as the engine reads it
     for index in indices:
         rng.bit_generator.random_raw(3)
         rng.integers(2**32, dtype=np.uint32)
-        rng.bit_generator.state = langevin._fresh_philox_state(key, index)
+        fresh["state"]["counter"][1] = index
+        rng.bit_generator.state = fresh
         got = rng.standard_normal((2, n_band))
         want = _trajectory_stream(seed, index).standard_normal((2, n_band))
         assert np.array_equal(got, want)
@@ -286,31 +289,40 @@ def test_noise_lag_zero_autocovariance_matches_spectral_integral():
 # ---------------------------------------------------------------------------
 
 
+def _step_response(p, dt, n):
+    """q and qdot from rest under the constant forcing omega^2, whose equilibrium is q = 1.
+
+    q - 1 is then the free decay from (q, qdot) = (-1, 0), so 1 - q is the
+    free decay from (1, 0), and qdot is minus its velocity.
+    """
+    return _propagate_one(p, dt, np.full(n + 1, p.omega**2))
+
+
 def test_integrate_homogeneous_closed_form():
     dt, n = 1e-3, 20000
-    q, _ = _propagate_one(P_STD, dt, np.zeros(n + 1), q0=1.0, qdot0=0.0)
+    q, _ = _step_response(P_STD, dt, n)
     t = dt * np.arange(n + 1)
     om = math.sqrt(P_STD.omega**2 - P_STD.gamma**2)
     exact = np.exp(-P_STD.gamma * t) * (np.cos(om * t) + (P_STD.gamma / om) * np.sin(om * t))
-    assert np.max(np.abs(q - exact)) <= 1e-10
+    assert np.max(np.abs((1.0 - q) - exact)) <= 1e-10
 
 
 def test_integrate_overdamped_closed_form():
     p = AtomParams.from_damping(2.0, 1.0, 1.0)
     nu = math.sqrt(p.gamma**2 - p.omega**2)
-    q, _ = _propagate_one(p, 1e-3, np.zeros(5001), q0=1.0, qdot0=0.0)
+    q, _ = _step_response(p, 1e-3, 5000)
     t = 1e-3 * np.arange(5001)
     exact = np.exp(-p.gamma * t) * (np.cosh(nu * t) + (p.gamma / nu) * np.sinh(nu * t))
-    assert np.max(np.abs(q - exact)) <= 1e-11
+    assert np.max(np.abs((1.0 - q) - exact)) <= 1e-11
 
 
 def test_integrate_critical_exact_branch():
     p = AtomParams(e=1.0, m=1.0, omega=1.0 / (8.0 * math.pi))
     assert p.gamma == p.omega
-    q, _ = _propagate_one(p, 0.05, np.zeros(201), q0=1.0, qdot0=0.0)
+    q, _ = _step_response(p, 0.05, 200)
     t = 0.05 * np.arange(201)
     exact = np.exp(-p.gamma * t) * (1.0 + p.gamma * t)
-    assert np.max(np.abs(q - exact)) <= 1e-12
+    assert np.max(np.abs((1.0 - q) - exact)) <= 1e-12
 
 
 def test_integrate_driven_steady_state_amplitude():
@@ -327,10 +339,11 @@ def test_integrate_driven_steady_state_amplitude():
 
 
 def test_integrate_energy_decay_rate():
+    # the energy about the step response's equilibrium q = 1
     dt, n = 1e-3, 20000
-    q, qdot = _propagate_one(P_STD, dt, np.zeros(n + 1), q0=1.0, qdot0=0.0)
+    q, qdot = _step_response(P_STD, dt, n)
     t = dt * np.arange(n + 1)
-    energy = 0.5 * (qdot**2 + P_STD.omega**2 * q**2)
+    energy = 0.5 * (qdot**2 + P_STD.omega**2 * (1.0 - q) ** 2)
     om = math.sqrt(P_STD.omega**2 - P_STD.gamma**2)
     stride = int(round(2.0 * math.pi / om / dt))
     idx = np.arange(0, n, stride)[:15]
@@ -506,7 +519,7 @@ def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
     xi = langevin._synthesize_rows(amplitudes, n + 1, 5, range(6))
     q_batch, v_batch = np.empty((6, n + 1)), np.empty((6, n + 1))
     step_map = langevin._step_coefficients(p, kw["dt"])
-    for t0, q, v in langevin._propagate(p, kw["dt"], step_map, xi, 0.0, 0.0, langevin._BLOCK_STEPS):
+    for t0, q, v in langevin._propagate(p, kw["dt"], step_map, xi):
         q_batch[:, t0 : t0 + q.shape[1]] = q
         v_batch[:, t0 : t0 + v.shape[1]] = v
     for i in range(6):
@@ -517,30 +530,23 @@ def test_run_ensemble_matches_single_trajectory_path(monkeypatch):
         assert np.array_equal(v_batch[i], qdot)
 
 
-def _reference_advance(p, dt, xi, q0, qdot0):
-    """The time-major propagator the block engine replaced: xi is (n + 1, k)."""
+def _reference_advance(p, dt, xi):
+    """The time-major propagator from rest that the block engine replaced: xi is (n + 1, k)."""
     e00, e01, e10, e11, f0q, f0v, f1q, f1v = langevin._step_coefficients(p, dt)
     n, k = xi.shape[0] - 1, xi.shape[1]
     dxi = xi[1:] - xi[:-1]
     u = f0q * xi[:-1] + f1q * dxi
     w = f0v * xi[:-1] + f1v * dxi
-    q0 = np.broadcast_to(np.asarray(q0, dtype=float), (k,)).astype(float)
-    v0 = np.broadcast_to(np.asarray(qdot0, dtype=float), (k,)).astype(float)
 
-    def ar1(lam, drive, z0):
-        out = np.empty((n + 1, k), dtype=complex)
-        out[0] = z0
-        zi = lam * np.atleast_2d(z0)
-        out[1:], _ = scipy.signal.lfilter(
-            np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=0, zi=zi
-        )
+    def ar1(lam, drive):
+        out = np.zeros((n + 1, k), dtype=complex)
+        out[1:] = scipy.signal.lfilter(np.array([1.0 + 0j]), np.array([1.0 + 0j, -lam]), drive, axis=0)
         return out
 
     disc = p.gamma**2 - p.omega**2
     if disc == 0:
-        q_mat, v_mat = np.empty((n + 1, k)), np.empty((n + 1, k))
-        q_mat[0], v_mat[0] = q0, v0
-        q, v = q0.copy(), v0.copy()
+        q_mat, v_mat = np.zeros((n + 1, k)), np.zeros((n + 1, k))
+        q = v = np.zeros(k)
         for i in range(n):
             q, v = e00 * q + e01 * v + u[i], e10 * q + e11 * v + w[i]
             q_mat[i + 1], v_mat[i + 1] = q, v
@@ -548,13 +554,13 @@ def _reference_advance(p, dt, xi, q0, qdot0):
     if disc < 0:
         mu_p = complex(-p.gamma, math.sqrt(-disc))
         denom = 2j * math.sqrt(-disc)
-        alpha = ar1(np.exp(mu_p * dt), (w - np.conj(mu_p) * u) / denom, (v0 - np.conj(mu_p) * q0) / denom)
+        alpha = ar1(np.exp(mu_p * dt), (w - np.conj(mu_p) * u) / denom)
         return 2.0 * alpha.real, 2.0 * (mu_p * alpha).real
     nu = math.sqrt(disc)
     mu_p, mu_m = -p.gamma + nu, -p.gamma - nu
     denom = mu_p - mu_m
-    alpha = ar1(math.exp(mu_p * dt), (w - mu_m * u) / denom, (v0 - mu_m * q0) / denom).real
-    beta = ar1(math.exp(mu_m * dt), (mu_p * u - w) / denom, (mu_p * q0 - v0) / denom).real
+    alpha = ar1(math.exp(mu_p * dt), (w - mu_m * u) / denom).real
+    beta = ar1(math.exp(mu_m * dt), (mu_p * u - w) / denom).real
     return alpha + beta, mu_p * alpha + mu_m * beta
 
 
@@ -565,7 +571,7 @@ def _reference_chunk(args):
     xi = np.empty((n_steps + 1, stop - start))
     for j, idx in enumerate(range(start, stop)):
         xi[:, j] = _band_limited_row(amplitudes, master_seed, idx)[: n_steps + 1]
-    q_mat, v_mat = _reference_advance(p, dt, xi, 0.0, 0.0)
+    q_mat, v_mat = _reference_advance(p, dt, xi)
     n_post = n_steps + 1 - burn_index
     return (
         np.einsum("ti,ti->t", q_mat, q_mat),
@@ -645,9 +651,8 @@ def test_filter_equals_scipy_lfilter_bitwise(taps, shape):
     k, length = shape
     rng = np.random.default_rng(20240)
     xi = rng.standard_normal((k, 4 * length + 1))
-    q0, v0 = rng.standard_normal(k), rng.standard_normal(k)
     for mu, mu_other in modes:
-        b, a, zi = langevin._mode_filter(mu, mu_other, dt, coefficients, q0, v0, xi[:, 0])
+        b, a, zi = langevin._mode_filter(mu, mu_other, dt, coefficients, xi[:, 0])
         assert np.iscomplexobj(b) == (taps == "complex")
         got_state = want_state = zi
         for s in range(1, xi.shape[1], length):
@@ -685,31 +690,6 @@ def test_block_engine_matches_time_major_reference(monkeypatch, regime, start, s
     assert len(got) == 4 and got[0].shape == (1, 1238)  # one chunk, one series row
     for g, w in zip((got[0][0], *got[1:]), want):
         _assert_near_reference(g, w)
-
-
-@pytest.mark.parametrize("regime", sorted(_REGIMES))
-def test_initial_state_superposes_on_the_forced_motion(regime):
-    # the ensemble starts at rest; another initial state adds only its free
-    # decay, which the burn-in removes.  From that state too, the block engine
-    # (blocks of 100 steps) stays within the stated tolerance of the time-major
-    # reference
-    p, dt = _REGIMES[regime], 0.2
-    xi = _noise_rows(BathSpec(1.0), p, 10.0, dt, 240.0, 31, range(4))
-
-    step_map = langevin._step_coefficients(p, dt)
-
-    def propagate(forcing, q0, qdot0):
-        q, v = np.empty(forcing.shape), np.empty(forcing.shape)
-        for t0, q_blk, v_blk in langevin._propagate(p, dt, step_map, forcing, q0, qdot0, 100):
-            q[:, t0 : t0 + q_blk.shape[1]], v[:, t0 : t0 + v_blk.shape[1]] = q_blk, v_blk
-        return q, v
-
-    kicked, rest = propagate(xi, 2.0, -1.0), propagate(xi, 0.0, 0.0)
-    free = propagate(np.zeros_like(xi), 2.0, -1.0)
-    reference = _reference_advance(p, dt, xi.T, 2.0, -1.0)
-    for from_kick, from_rest, decay, want in zip(kicked, rest, free, reference):  # q, then qdot
-        _assert_near_reference(from_kick, want.T)
-        assert np.max(np.abs(from_kick - from_rest - decay)) <= 1e-14 * np.max(np.abs(from_kick))
 
 
 def _row_samples_for(r, n_steps):
@@ -854,13 +834,14 @@ def test_short_record_task_memory_bounded():
     # a record shorter than one block counts as one block, so a batch holds at
     # most _ROW_SAMPLES // _BLOCK_STEPS rows: 128 rows of 1601 samples at C7's
     # shape, a tenth of _ROW_SAMPLES, and a shorter last batch.  The batch's
-    # record, workspace and mode output set the traced peak, and the task's
-    # (chunks, n + 1) series adds little: measured 0.70-0.76 _ROW_SAMPLES
-    # samples at 8 to 78 chunks
+    # record, its q and qdot workspace blocks (squared in place) and mode
+    # output set the traced peak, and the task's (chunks, n + 1) series adds
+    # little: measured 0.51-0.57 _ROW_SAMPLES samples at 8 to 78 chunks, where
+    # separate q^2 and qdot^2 blocks made 0.70-0.76
     p = AtomParams.from_damping(0.1, 1.0, 1.0)
     for chunks in (1, 8, 78):
         job = (p, BathSpec(1.0), 20.0, 0.05, 1600, 1, 0, 32 * chunks, 20)
-        assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= langevin._ROW_SAMPLES * 8, chunks
+        assert _traced_peak(lambda: langevin._ensemble_chunk(job)) <= 0.65 * langevin._ROW_SAMPLES * 8, chunks
 
 
 def test_serial_run_holds_one_task_of_series(monkeypatch):
@@ -912,6 +893,32 @@ def test_reused_workspace_keeps_every_chunk_byte(monkeypatch, regime):
     assert {pair for pair in zip(sequence, sequence[1:])} == set(itertools.permutations(jobs, 2))
     for step, name in enumerate(sequence):
         assert _chunk_bytes(jobs[name]) == fresh[name], (step, name)
+    langevin._WORKSPACE.clear()
+
+
+def test_threads_keep_their_own_workspace(monkeypatch):
+    # the engine squares each block in place in its thread's workspace, so a
+    # second thread must never share it: here another thread runs a whole
+    # chunk between each block the main thread's propagation yields and that
+    # block's reduction, and both threads keep the bytes of their serial runs
+    monkeypatch.setattr(langevin, "_BLOCK_STEPS", 100)
+    p = _REGIMES["underdamped"]
+    main_job = (p, BathSpec(1.0), 10.0, 0.2, 1237, 11, 0, 32, 437)
+    other_job = (p, BathSpec(1.0), 10.0, 0.2, 1237, 12, 32, 64, 437)  # the same shapes: it fits the same buffers
+    serial_main, serial_other = _chunk_bytes(main_job), _chunk_bytes(other_job)
+    assert serial_main != serial_other
+    propagate, other_bytes = langevin._propagate, []
+    with ThreadPoolExecutor(max_workers=1) as other_thread:
+
+        def interleaved(*args):
+            for block in propagate(*args):
+                if threading.current_thread() is threading.main_thread():
+                    other_bytes.append(other_thread.submit(_chunk_bytes, other_job).result())
+                yield block
+
+        monkeypatch.setattr(langevin, "_propagate", interleaved)
+        assert _chunk_bytes(main_job) == serial_main
+    assert len(other_bytes) == 13 and set(other_bytes) == {serial_other}  # one chunk per block
     langevin._WORKSPACE.clear()
 
 

@@ -12,7 +12,6 @@ from atomflux.flux import (
     _filon_coefficients,
     _filon_cos_uniform,
     _filon_panels,
-    atom_response_kernel,
     free_hadamard_kernel_lags,
     interacting_hadamard_direct,
     interacting_hadamard_late,
@@ -188,15 +187,6 @@ def test_free_hadamard_kernel_even_in_lag():
     pos = free_hadamard_kernel_lags(1.5, BathSpec(2.0), lam, 0.8, 0.3, 3, n_kappa=2048)
     neg = free_hadamard_kernel_lags(1.5, BathSpec(2.0), lam, -0.8, -0.3, 3, n_kappa=2048)
     assert pos == pytest.approx(neg, rel=1e-12)
-
-
-def test_atom_response_kernel_causal():
-    p = AtomParams.from_damping(0.1, 1.0, 1.0)
-    tau = np.array([-2.0, -0.1, 0.0, 0.5, 3.0])
-    vals = atom_response_kernel(tau, p)
-    assert np.all(vals[:2] == 0.0)
-    om = math.sqrt(1.0 - p.gamma**2)
-    assert vals[3] == pytest.approx(math.exp(-p.gamma * 0.5) * math.sin(om * 0.5) / om, rel=1e-14)
 
 
 def test_transient_correlator_free_oscillator_limit():
