@@ -9,6 +9,10 @@ the resolved physics configuration (worker count, output format and output
 paths are excluded from the hash so byte-identical outputs are reproducible at
 any parallelism and whatever is printed).
 
+Every command judges its results as a list of ``Check`` records, and
+``_conclude`` prints one line per check, writes them under ``checks`` in the
+command's JSON file and sets the exit code from them.
+
 Exit codes: 0 pass, 1 physics-invariant failure, 2 usage/config error.
 """
 
@@ -56,6 +60,10 @@ class _Rule(NamedTuple):
 
 
 _POSITIVE = _Rule(lambda v: 0 < v < math.inf, "positive and finite")
+# the kernels' closed forms are quartic in omega and kappa (omega**4 in the
+# atom's Hadamard limit at kappa = 0, (omega^2 - kappa^2)^2 in Im G_R's
+# denominator), and a rate's fourth power is finite below 2^(1024/4)
+_RATE = _Rule(lambda v: 0 < v < 2.0**256, "positive and below 2^256 (its fourth power must be finite)")
 _NON_NEGATIVE = _Rule(lambda v: 0 <= v < math.inf, ">= 0 and finite")
 _AT_LEAST_ONE = _Rule(lambda v: v >= 1, ">= 1")
 _FINITE = _Rule(math.isfinite, "finite")
@@ -89,12 +97,12 @@ class _Key(NamedTuple):
 
 _SCHEMA = (
     _Key("atom", "m", "1.0", float, _POSITIVE, None),
-    _Key("atom", "omega", "1.0", float, _POSITIVE, None, "--omega"),
+    _Key("atom", "omega", "1.0", float, _RATE, None, "--omega"),
     # exactly one of e / gamma may be given; the other is derived
     _Key("atom", "e", None, float, _POSITIVE, None),
     _Key("atom", "gamma", "0.01", float, _POSITIVE, None, "--gamma"),
     _Key("bath", "beta", "vacuum", str, None, None, "--beta"),  # or --vacuum
-    _Key("grid", "cutoff", "100.0", float, _POSITIVE, "cutoff", "--cutoff"),
+    _Key("grid", "cutoff", "100.0", float, _RATE, "cutoff", "--cutoff"),
     _Key("grid", "n_points", "65536", int, None, "n_points", "--grid-points"),
     _Key("langevin", "dt", "0.05", float, _POSITIVE, "langevin_dt", "--dt", ("relax",)),
     _Key("langevin", "t_total", "auto", float, _POSITIVE, "t_total", "--t-total", ("relax",),
@@ -274,14 +282,67 @@ def _out_path(cfg: RunConfig, name: str) -> Path:
     return directory / name
 
 
-def _write_json(cfg: RunConfig, name: str, payload: dict):
-    payload = dict(payload)
+class Check(NamedTuple):
+    """One verdict: ``value`` against ``reference``, judged by ``error`` against ``tolerance``.
+
+    ``kind`` is exact, statistical, convergence or warn.  A warn check keeps
+    the verdict it would have, but never fails its command.  ``error`` is
+    None where it is undefined.
+    """
+
+    name: str
+    value: float
+    reference: float
+    error: float | None
+    tolerance: float
+    kind: str
+    passed: bool
+
+
+def _check(name, value, reference, error, tolerance, kind) -> Check:
+    """A check that passes when its error is defined and at most its tolerance."""
+    return Check(name, value, reference, error, tolerance, kind, error is not None and error <= tolerance)
+
+
+def _passed(checks) -> bool:
+    return all(c.passed for c in checks if c.kind != "warn")
+
+
+def _conclude(cfg: RunConfig, name: str, payload: dict, checks, stream=None) -> int:
+    """Print one line per check to ``stream`` (stdout by default), write the
+    payload with the checks and their verdict to the JSON file ``name``, and
+    return the exit code: 1 if any check that is not a warning failed.
+    """
+    for c in checks:
+        status = "WARN" if c.kind == "warn" else "PASS" if c.passed else "FAIL"
+        error = "undefined" if c.error is None else f"{c.error:.3e}"
+        print(
+            f"{status} {c.name}: value={c.value:.6e} reference={c.reference:.6e} "
+            f"error={error} tolerance={c.tolerance:.3g} ({c.kind})",
+            file=stream,
+        )
+    passed = _passed(checks)
+    payload = dict(payload, checks=[c._asdict() for c in checks], passed=passed)
     payload["config_sha256"] = cfg.config_hash()
-    path = _out_path(cfg, name)
-    with open(path, "w") as fh:
+    with open(_out_path(cfg, name), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
+    return EXIT_PASS if passed else EXIT_PHYSICS_FAIL
+
+
+def _budget_checks(b: flux.PowerBudget, rtol: float) -> list[Check]:
+    """The five balances of one budget: three within ``rtol`` of their flow, two within est_error."""
+    balances = (
+        ("net", b.net_far_field, 0.0, rtol * abs(b.p_r)),
+        ("P_r+P_cross", b.p_cross, -b.p_r, rtol * abs(b.p_r)),
+        ("P_gamma+P_xi", b.p_xi, -b.p_gamma, rtol * abs(b.p_gamma)),
+        ("|P_gamma|-|P_r|", abs(b.p_gamma), abs(b.p_r), b.est_error),
+        ("|P_cross|-|P_xi|", abs(b.p_cross), abs(b.p_xi), b.est_error),
+    )
+    return [
+        _check(f"budget[Lambda={b.cutoff!r}] {label}", value, ref, abs(value - ref), tol, "exact")
+        for label, value, ref, tol in balances
+    ]
 
 
 def cmd_fdr_check(cfg: RunConfig) -> int:
@@ -294,15 +355,12 @@ def cmd_fdr_check(cfg: RunConfig) -> int:
         fdr.check_atom_fdr_reduction(grid, cfg.atom, cfg.bath, **tol),
         fdr.check_parity(grid, cfg.atom, cfg.bath, **tol),
     ]
-    for rep in reports:
-        print(rep.format_line())
-    all_passed = all(rep.passed for rep in reports)
-    _write_json(
-        cfg,
-        "fdr_report.json",
-        {"reports": [rep.to_dict() for rep in reports], "passed": all_passed},
-    )
-    return EXIT_PASS if all_passed else EXIT_PHYSICS_FAIL
+    # an identity's residual is exactly 0: its worst absolute value against 0
+    checks = [
+        Check(rep.name, rep.max_abs_residual, 0.0, rep.max_rel_residual, rep.rtol, "exact", rep.passed)
+        for rep in reports
+    ]
+    return _conclude(cfg, "fdr_report.json", {"reports": [rep.to_dict() for rep in reports]}, checks)
 
 
 def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
@@ -317,20 +375,17 @@ def cmd_budget(cfg: RunConfig, sweep: list[float] | None = None) -> int:
         fh.write(header + "\n")
         for b in budgets:
             fh.write(b.csv_row() + "\n")
-    violations = {repr(b.cutoff): b.closure_violations(cfg.budget_rtol) for b in budgets}
-    ok = not any(v for v in violations.values())
+    checks = [c for b in budgets for c in _budget_checks(b, cfg.budget_rtol)]
+    # strict JSON: the vacuum's beta = inf is null here, and stays inf in budget.csv
+    rows = [dict(b.to_dict(), beta=None if math.isinf(b.beta) else b.beta) for b in budgets]
     if cfg.out_format == "csv":
         print(header)
         for b in budgets:
             print(b.csv_row())
     else:
-        # strict JSON: the vacuum's beta = inf is null here, and stays inf in budget.csv
-        rows = [dict(b.to_dict(), beta=None if math.isinf(b.beta) else b.beta) for b in budgets]
-        print(json.dumps({"budgets": rows, "passed": ok}, sort_keys=True))
-    for lam, v in violations.items():
-        for line in v:
-            print(f"FAIL budget[Lambda={lam}]: {line}", file=sys.stderr)
-    return EXIT_PASS if ok else EXIT_PHYSICS_FAIL
+        print(json.dumps({"budgets": rows, "passed": _passed(checks)}, sort_keys=True))
+    # stdout is the data, so the check lines go to stderr
+    return _conclude(cfg, "budget.json", {"budgets": rows}, checks, sys.stderr)
 
 
 def cmd_relax(cfg: RunConfig) -> int:
@@ -365,12 +420,11 @@ def cmd_relax(cfg: RunConfig) -> int:
         raise ConfigError(length_key, f"the record is too long to hold: {exc}") from None
     predicted = langevin.predicted_variance(cfg.atom, cfg.bath, cfg.cutoff, cfg.n_points)
     stats = result.stats
-    rel_dev = abs(stats.var_q - predicted) / predicted
-    # undefined without a finite, nonzero scatter (one trajectory, or none);
-    # a NaN standard error gives a NaN n_sigma, which stays visible
+    # n_sigma is undefined without a finite, nonzero scatter (one trajectory,
+    # or none); a NaN standard error gives a NaN n_sigma, which stays visible
     n_sigma = None if stats.se_var_q in (0.0, math.inf) else abs(stats.var_q - predicted) / stats.se_var_q
-    warned = cfg.n_traj < _MIN_TRAJ_FOR_POWER
-    passed = warned or (n_sigma is not None and n_sigma <= 3.0)
+    kind = "warn" if cfg.n_traj < _MIN_TRAJ_FOR_POWER else "statistical"
+    checks = [_check("relax", stats.var_q, predicted, n_sigma, 3.0, kind)]
 
     # decimated series so the file stays plot-sized whatever the step count
     stride = max(1, (result.n_steps + 1) // 2000)
@@ -389,24 +443,8 @@ def cmd_relax(cfg: RunConfig) -> int:
     stats_out = stats.to_dict()
     if stats.n_traj < 2:  # one trajectory has no scatter to take an error from
         stats_out.update(se_mean_q=None, se_var_q=None, se_var_qdot=None)
-    payload = {
-        "stats": stats_out,
-        "predicted_var_q": predicted,
-        "rel_deviation": rel_dev,
-        "n_sigma": n_sigma,
-        "warned_low_power": warned,
-        "passed": passed,
-    }
-    _write_json(cfg, "relax_stats.json", payload)
-    status = "WARN" if warned else ("PASS" if passed else "FAIL")
-    sigma_text = "undefined" if n_sigma is None else f"{n_sigma:.2f}"
-    print(
-        f"{status} relax: var_q={stats.var_q:.6e} +- {stats.se_var_q:.1e} "
-        f"predicted={predicted:.6e} rel_dev={rel_dev:.2%} n_sigma={sigma_text}"
-    )
-    if warned:
-        print(f"WARN statistical power insufficient (n_traj={cfg.n_traj} < {_MIN_TRAJ_FOR_POWER})")
-    return EXIT_PASS if passed else EXIT_PHYSICS_FAIL
+    payload = {"stats": stats_out, "rel_deviation": abs(stats.var_q - predicted) / predicted}
+    return _conclude(cfg, "relax_stats.json", payload, checks)
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
@@ -428,7 +466,6 @@ def cmd_oracle(cfg: RunConfig) -> int:
     # bound, cutoff * r stays below about pi * history_samples, so it is finite
     kernel_nodes = flux._filon_panels(cfg.cutoff, frame.r) + 1 if history > frame.r else 0
     _check_length("oracle.r", kernel_nodes)
-    margin_ok = frame.late_time_ok(cfg.atom.gamma)
     grid = FrequencyGrid(cfg.cutoff, cfg.n_points)
     late = flux.interacting_hadamard_late(frame, cfg.atom, cfg.bath, grid)
     try:
@@ -444,26 +481,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
             message = f"{kernel_nodes} lag-kernel nodes are too many to hold: {exc}"
             raise ConfigError("oracle.r", message) from None
         raise ConfigError(length_key, f"the emission history is too long to hold: {exc}") from None
-    rel_dev = abs(late - direct.total) / max(abs(direct.total), 1e-300)
-    passed = (rel_dev <= cfg.oracle_rtol) if margin_ok else True
-    payload = {
-        "frame": {"r": frame.r, "t": frame.t, "t_prime": frame.t_prime},
-        "late_time_margin_ok": margin_ok,
-        "late_value": late,
-        "direct": direct.to_dict(),
-        "rel_deviation": rel_dev,
-        "passed": passed,
-    }
-    _write_json(cfg, "oracle.json", payload)
-    if margin_ok:
-        status = "PASS" if passed else "FAIL"
-        print(f"{status} oracle: late={late:.6e} direct={direct.total:.6e} rel_dev={rel_dev:.2%}")
-    else:
-        print(
-            f"NOTE transient regime (late-time margin violated): late={late:.6e} "
-            f"direct={direct.total:.6e} rel_dev={rel_dev:.2%}; the direct value is ground truth"
-        )
-    return EXIT_PASS if passed else EXIT_PHYSICS_FAIL
+    # before the late-time margin the transient regime holds: the direct value
+    # is the ground truth, and the late-time value only a warning's estimate
+    kind = "convergence" if frame.late_time_ok(cfg.atom.gamma) else "warn"
+    rel_dev = abs(late - direct.total) / abs(direct.total) if direct.total else None
+    checks = [_check("oracle", late, direct.total, rel_dev, cfg.oracle_rtol, kind)]
+    payload = {"frame": {"r": frame.r, "t": frame.t, "t_prime": frame.t_prime}, "direct": direct.to_dict()}
+    return _conclude(cfg, "oracle.json", payload, checks)
 
 
 @functools.cache  # built once per process, however often an in-process caller runs main
@@ -512,8 +536,8 @@ def main(argv=None) -> int:
                     sweep = [float(tok) for tok in args.sweep.split(",") if tok.strip()]
                 except ValueError:
                     raise ConfigError("budget.sweep", f"cannot parse {args.sweep!r}") from None
-                if not sweep or not all(map(_POSITIVE.test, sweep)):
-                    message = f"must list one or more cutoffs, each {_POSITIVE.text}, got {args.sweep!r}"
+                if not sweep or not all(map(_RATE.test, sweep)):
+                    message = f"must list one or more cutoffs, each {_RATE.text}, got {args.sweep!r}"
                     raise ConfigError("budget.sweep", message)
             return cmd_budget(cfg, sweep)
         if args.command == "relax":

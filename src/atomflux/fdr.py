@@ -62,14 +62,6 @@ class IdentityReport:
     atol: float
     n_rel_skipped: int
 
-    def format_line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status} {self.name}: max_rel={self.max_rel_residual:.3e} "
-            f"max_abs={self.max_abs_residual:.3e} worst_kappa={self.worst_kappa:+.6g} "
-            f"(n={self.n_points}, cutoff={self.cutoff:g})"
-        )
-
     def to_dict(self) -> dict:
         return asdict(self)
 

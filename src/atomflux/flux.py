@@ -223,25 +223,6 @@ class PowerBudget:
     def to_dict(self) -> dict:
         return dict(zip(self.CSV_COLUMNS, astuple(self)))
 
-    def closure_violations(self, rtol: float) -> list[str]:
-        """Empty list when all balance identities hold at the given tolerance."""
-        out = []
-        scale_r = abs(self.p_r)
-        if abs(self.net_far_field) > rtol * scale_r:
-            out.append(f"|net|={abs(self.net_far_field):.3e} > {rtol:g}*|P_r|={rtol * scale_r:.3e}")
-        if abs(self.p_r + self.p_cross) > rtol * scale_r:
-            out.append(f"|P_r + P_cross|={abs(self.p_r + self.p_cross):.3e} exceeds {rtol:g}*|P_r|")
-        if abs(self.p_gamma + self.p_xi) > rtol * abs(self.p_gamma):
-            out.append(f"|P_gamma + P_xi|={abs(self.p_gamma + self.p_xi):.3e} exceeds tolerance")
-        if abs(abs(self.p_gamma) - abs(self.p_r)) > self.est_error:
-            out.append(
-                f"||P_gamma|-|P_r||={abs(abs(self.p_gamma) - abs(self.p_r)):.3e} "
-                f"> est_error={self.est_error:.3e}"
-            )
-        if abs(abs(self.p_cross) - abs(self.p_xi)) > self.est_error:
-            out.append("||P_cross|-|P_xi|| exceeds est_error")
-        return out
-
 
 def _budget_rows(p: AtomParams, bath: BathSpec, r: float, kap, out):
     """Write the P_r density, the P_gamma density and the net integrand at ``kap`` into ``out``.

@@ -295,6 +295,12 @@ def test_cmd_relax_rejects_dt_before_loading_the_engine(tmp_path):
         # below one mode spacing the band holds only the zero mode, whose vacuum spectrum is 0
         (["relax", "--vacuum", "--gamma", "0.1", "--cutoff", "0.0001", "--n-traj", "60", "--t-total", "300"],
          "grid.cutoff"),
+        # the kernels take omega and the cutoff to the fourth power, which overflows from 2^256 on
+        (["fdr-check", "--omega", "1e200"], "atom.omega"),
+        (["relax", "--omega", "1e100", "--beta", "1", "--cutoff", "20", "--n-traj", "2", "--t-total", "2100"],
+         "atom.omega"),
+        (["budget", "--cutoff", "1e200"], "grid.cutoff"),
+        (["budget", "--sweep", "10,1e200"], "budget.sweep"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -304,6 +310,8 @@ def test_cmd_relax_rejects_dt_before_loading_the_engine(tmp_path):
         "relax_step_past_intp", "oracle_step_past_intp", "negative_seed", "odd_grid_points",
         "empty_sweep", "time_step_past_nyquist", "lag_kernel_nodes_past_intp",
         "record_past_complex128", "oracle_history_past_complex128", "zero_mode_band",
+        "omega_fourth_power_overflows", "relax_omega_fourth_power_overflows",
+        "cutoff_fourth_power_overflows", "sweep_cutoff_fourth_power_overflows",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):
@@ -312,6 +320,17 @@ def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, ar
     assert code == EXIT_CONFIG_ERROR
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_rates_below_two_to_the_256_are_accepted():
+    # 2^256 is the first rate whose fourth power overflows a float
+    below = math.nextafter(2.0**256, 0.0)
+    assert below**4 < math.inf
+    cfg = load_config(None, {("atom", "omega"): repr(below), ("grid", "cutoff"): repr(below)})
+    assert cfg.atom.omega == cfg.cutoff == below
+    for key in (("atom", "omega"), ("grid", "cutoff")):
+        with pytest.raises(ConfigError, match=".".join(key)):
+            load_config(None, {key: repr(2.0**256)})
 
 
 def test_huge_grid_config_allocates_nothing():
@@ -385,7 +404,10 @@ def test_oracle_outside_the_light_cone_is_not_bound_by_kernel_nodes(tmp_path, ca
     # whose kernels could not be indexed is still a valid frame
     code = main(["oracle", "--r", "1e17", "--cutoff", "20", "--grid-points", "4096", "--out", str(tmp_path)])
     assert code == EXIT_PASS
-    assert "NOTE transient regime" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("WARN oracle:")
+    # the direct total is 0 there, so the relative error is undefined, not a 1e-300 quotient
+    [check] = _strict_json((tmp_path / "oracle.json").read_text())["checks"]
+    assert check["kind"] == "warn" and check["reference"] == 0.0 and check["error"] is None
 
 
 def test_load_config_rejects_non_finite_atom_values():
@@ -399,7 +421,7 @@ def test_cmd_relax_small_ensemble(tmp_path, capsys):
     code = main(RELAX_ARGS + ["--n-traj", "64", "--out", str(tmp_path)])
     assert code == EXIT_PASS
     stats = json.loads((tmp_path / "relax_stats.json").read_text())
-    assert stats["warned_low_power"] is False
+    assert [c["kind"] for c in stats["checks"]] == ["statistical"]
     series = (tmp_path / "relax_series.csv").read_text().splitlines()
     assert series[1] == "t,var_q"
     assert len(series) > 10
@@ -411,9 +433,9 @@ def test_cmd_relax_low_power_warns_but_passes(tmp_path, capsys):
     code = main(RELAX_ARGS + ["--n-traj", "10", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
-    assert "WARN" in out
+    assert out.startswith("WARN relax:")
     stats = json.loads((tmp_path / "relax_stats.json").read_text())
-    assert stats["warned_low_power"] is True
+    assert [c["kind"] for c in stats["checks"]] == ["warn"]
 
 
 def _strict_json(text):
@@ -430,11 +452,12 @@ def test_relax_stats_of_one_trajectory_write_undefined_errors_as_null(tmp_path, 
     argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "1", "--t-total", "300"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_PASS
     out = capsys.readouterr().out
-    assert "WARN relax" in out and "n_sigma=undefined" in out
+    assert out.startswith("WARN relax:") and "error=undefined" in out
     stats = _strict_json((tmp_path / "relax_stats.json").read_text())
-    assert stats["passed"] is True and stats["warned_low_power"] is True
+    [check] = stats["checks"]
+    assert stats["passed"] is True and check["kind"] == "warn" and check["passed"] is False
     assert [stats["stats"][k] for k in ("se_mean_q", "se_var_q", "se_var_qdot")] == [None] * 3
-    assert stats["n_sigma"] is None and math.isfinite(stats["stats"]["var_q"])
+    assert check["error"] is None and math.isfinite(stats["stats"]["var_q"])
 
 
 def test_relax_stats_of_zero_scatter_write_undefined_n_sigma_as_null(tmp_path, capsys, monkeypatch):
@@ -455,9 +478,9 @@ def test_relax_stats_of_zero_scatter_write_undefined_n_sigma_as_null(tmp_path, c
     argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "50", "--t-total", "300"]
     assert main(argv + ["--out", str(tmp_path)]) == EXIT_PHYSICS_FAIL
     out = capsys.readouterr().out
-    assert "FAIL relax" in out and "n_sigma=undefined" in out
+    assert out.startswith("FAIL relax:") and "error=undefined" in out
     stats = _strict_json((tmp_path / "relax_stats.json").read_text())
-    assert stats["passed"] is False and stats["n_sigma"] is None
+    assert stats["passed"] is False and stats["checks"][0]["error"] is None
     assert stats["stats"]["se_var_q"] == 0.0
 
 
@@ -479,7 +502,9 @@ def test_relax_stats_write_a_nan_statistic_as_nan_not_null(tmp_path, capsys, mon
     argv = ["relax", "--gamma", "0.1", "--beta", "1.0", "--cutoff", "20", "--n-traj", "2", "--t-total", "300"]
     main(argv + ["--out", str(tmp_path)])
     stats = json.loads((tmp_path / "relax_stats.json").read_text())
-    values = (stats["stats"]["var_q"], stats["stats"]["se_var_q"], stats["rel_deviation"], stats["n_sigma"])
+    [check] = stats["checks"]
+    values = (stats["stats"]["var_q"], stats["stats"]["se_var_q"], stats["rel_deviation"],
+              check["value"], check["error"])
     assert all(isinstance(v, float) and math.isnan(v) for v in values)
 
 
@@ -497,8 +522,9 @@ def test_cmd_oracle_late_time(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == EXIT_PASS
     payload = json.loads((tmp_path / "oracle.json").read_text())
-    assert payload["late_time_margin_ok"] is True
-    assert payload["rel_deviation"] <= 0.01
+    [check] = payload["checks"]
+    assert check["kind"] == "convergence" and check["reference"] == payload["direct"]["total"]
+    assert check["error"] <= check["tolerance"] == 0.01
     assert payload["config_sha256"] == "b44904e610872a783ab7858b45b8cbe90028742ba8fec619b8b0b093ee4cb37d"
 
 
@@ -515,9 +541,92 @@ def test_cmd_oracle_transient_regime_not_fatal(tmp_path, capsys):
                  "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == EXIT_PASS
-    assert "transient regime" in out
+    assert out.startswith("WARN oracle:")
     payload = json.loads((tmp_path / "oracle.json").read_text())
-    assert payload["late_time_margin_ok"] is False
+    assert payload["checks"][0]["kind"] == "warn"
+
+
+def _verdict(argv, tmp_path, capsys, name, stream="out"):
+    """Run ``argv``; check that exit code, JSON ``passed`` and the checks agree, and that
+    one line per check was printed to ``stream``.  Returns the exit code and the checks."""
+    code = main(argv + ["--out", str(tmp_path)])
+    printed = getattr(capsys.readouterr(), stream).splitlines()
+    payload = _strict_json((tmp_path / name).read_text())
+    checks = payload["checks"]
+    assert checks and (code == EXIT_PASS) == payload["passed"]
+    assert payload["passed"] == all(c["passed"] for c in checks if c["kind"] != "warn")
+    assert code in (EXIT_PASS, EXIT_PHYSICS_FAIL)
+    status = ["WARN" if c["kind"] == "warn" else "PASS" if c["passed"] else "FAIL" for c in checks]
+    assert [line.split(":")[0] for line in printed] == [
+        f"{s} {c['name']}" for s, c in zip(status, checks)
+    ]
+    return code, checks
+
+
+def test_fdr_check_verdict_agrees_with_its_checks(tmp_path, capsys):
+    argv = ["fdr-check", "--gamma", "0.05", "--grid-points", "4096"]
+    code, checks = _verdict(argv, tmp_path / "pass", capsys, "fdr_report.json")
+    assert code == EXIT_PASS and len(checks) == 4 and {c["kind"] for c in checks} == {"exact"}
+    report = json.loads((tmp_path / "pass" / "fdr_report.json").read_text())
+    for check, rep in zip(checks, report["reports"]):
+        assert (check["error"], check["tolerance"], check["passed"]) == (
+            rep["max_rel_residual"], rep["rtol"], rep["passed"])
+    code, checks = _verdict(argv + ["--fdr-rtol", "1e-20"], tmp_path / "fail", capsys, "fdr_report.json")
+    assert code == EXIT_PHYSICS_FAIL and not all(c["passed"] for c in checks)
+
+
+def test_budget_verdict_agrees_with_its_checks(tmp_path, tmp_path_factory, capsys):
+    # the check lines go to stderr: stdout carries the rows, with the same verdict
+    argv = ["budget", "--vacuum", "--gamma", "0.1", "--grid-points", "4096", "--sweep", "10,100"]
+    code, checks = _verdict(argv, tmp_path / "pass", capsys, "budget.json", "err")
+    assert code == EXIT_PASS and len(checks) == 10
+    budget = _strict_json((tmp_path / "pass" / "budget.json").read_text())
+    assert [row["Lambda"] for row in budget["budgets"]] == [10.0, 100.0]
+    main(argv + ["--out", str(tmp_path / "again")])
+    assert _strict_json(capsys.readouterr().out) == {"budgets": budget["budgets"], "passed": True}
+    # at a zero tolerance the net flux, rounding away from 0, fails
+    zero = _config_file(["--config", "[tolerances]\nbudget_rtol = 0\n"], tmp_path_factory)
+    code, checks = _verdict(argv + zero, tmp_path / "fail", capsys, "budget.json", "err")
+    assert code == EXIT_PHYSICS_FAIL
+    assert not all(c["passed"] for c in checks if c["name"].endswith(" net"))
+
+
+def test_relax_verdict_agrees_with_its_checks(tmp_path, capsys, monkeypatch):
+    code, [check] = _verdict(RELAX_ARGS + ["--n-traj", "64"], tmp_path / "pass", capsys, "relax_stats.json")
+    assert code == EXIT_PASS and check["kind"] == "statistical" and check["tolerance"] == 3.0
+    code, [check] = _verdict(RELAX_ARGS + ["--n-traj", "10"], tmp_path / "warn", capsys, "relax_stats.json")
+    assert code == EXIT_PASS and check["kind"] == "warn"
+
+    from dataclasses import replace
+
+    from atomflux import langevin
+
+    run_ensemble = langevin.run_ensemble
+
+    def far_off(*args, **kwargs):  # a variance 10% off its prediction, with a tight error
+        result = run_ensemble(*args, **kwargs)
+        result.stats = replace(result.stats, var_q=1.1 * result.stats.var_q, se_var_q=1e-6)
+        return result
+
+    monkeypatch.setattr(langevin, "run_ensemble", far_off)
+    code, [check] = _verdict(RELAX_ARGS + ["--n-traj", "64"], tmp_path / "fail", capsys, "relax_stats.json")
+    assert code == EXIT_PHYSICS_FAIL and check["error"] > 3.0
+    # below 50 trajectories the same miss only warns
+    code, [check] = _verdict(RELAX_ARGS + ["--n-traj", "10"], tmp_path / "miss", capsys, "relax_stats.json")
+    assert code == EXIT_PASS and check["kind"] == "warn" and check["passed"] is False
+
+
+def test_oracle_verdict_agrees_with_its_checks(tmp_path, tmp_path_factory, capsys):
+    argv = ["oracle", "--vacuum", "--gamma", "0.1", "--cutoff", "20", "--grid-points", "4096",
+            "--r", "15", "--time-step", "0.02"]
+    code, [check] = _verdict(argv, tmp_path / "pass", capsys, "oracle.json")
+    assert code == EXIT_PASS and check["kind"] == "convergence"
+    zero = _config_file(["--config", "[tolerances]\noracle_rtol = 0\n"], tmp_path_factory)
+    code, [check] = _verdict(argv + zero, tmp_path / "fail", capsys, "oracle.json")
+    assert code == EXIT_PHYSICS_FAIL and check["error"] > 0.0
+    # before the late-time margin the comparison only warns, at any tolerance
+    code, [check] = _verdict(argv + zero + ["--t", "20"], tmp_path / "warn", capsys, "oracle.json")
+    assert code == EXIT_PASS and check["kind"] == "warn" and check["passed"] is False
 
 
 def test_import_cli_loads_no_heavy_scipy_modules():
