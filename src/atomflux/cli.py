@@ -64,6 +64,8 @@ _POSITIVE = _Rule(lambda v: 0 < v < math.inf, "positive and finite")
 # atom's Hadamard limit at kappa = 0, (omega^2 - kappa^2)^2 in Im G_R's
 # denominator), and a rate's fourth power is finite below 2^(1024/4)
 _RATE = _Rule(lambda v: 0 < v < 2.0**256, "positive and below 2^256 (its fourth power must be finite)")
+# gamma = e**2 / (8 pi m) must then pass _RATE
+_COUPLING = _Rule(lambda v: 0 < v < 2.0**512, "positive and below 2^512 (its square must be finite)")
 _NON_NEGATIVE = _Rule(lambda v: 0 <= v < math.inf, ">= 0 and finite")
 _AT_LEAST_ONE = _Rule(lambda v: v >= 1, ">= 1")
 _FINITE = _Rule(math.isfinite, "finite")
@@ -99,8 +101,8 @@ _SCHEMA = (
     _Key("atom", "m", "1.0", float, _POSITIVE, None),
     _Key("atom", "omega", "1.0", float, _RATE, None, "--omega"),
     # exactly one of e / gamma may be given; the other is derived
-    _Key("atom", "e", None, float, _POSITIVE, None),
-    _Key("atom", "gamma", "0.01", float, _POSITIVE, None, "--gamma"),
+    _Key("atom", "e", None, float, _COUPLING, None),
+    _Key("atom", "gamma", "0.01", float, _RATE, None, "--gamma"),
     _Key("bath", "beta", "vacuum", str, None, None, "--beta"),  # or --vacuum
     _Key("grid", "cutoff", "100.0", float, _RATE, "cutoff", "--cutoff"),
     _Key("grid", "n_points", "65536", int, None, "n_points", "--grid-points"),
@@ -215,6 +217,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     m, omega = field("atom", "m"), field("atom", "omega")
     if ("atom", "e") in values:
         atom = AtomParams(e=field("atom", "e"), m=m, omega=omega)
+        if not _RATE.test(atom.gamma):
+            raise ConfigError("atom.e", f"the derived gamma={atom.gamma!r} must be {_RATE.text}")
     else:
         atom = AtomParams.from_damping(gamma=field("atom", "gamma"), m=m, omega=omega)
     if not (math.isfinite(atom.e) and 0 < atom.gamma < math.inf):

@@ -63,6 +63,7 @@ _LATE_TIME_MARGIN = 20.0  # relaxation and light-crossing times before the late-
 # sin(kappa r), and there are never fewer than the floor
 _FILON_PANEL_PHASE = 0.075
 _FILON_MIN_PANELS = 8192
+_FILON_BLOCK = 4096  # lags per block of the Filon weights and the final sum
 
 
 @dataclass(frozen=True)
@@ -388,6 +389,22 @@ def _filon_coefficients(theta: np.ndarray):
     return alpha, beta, gamma
 
 
+def _chirp_powers(z: complex, e: np.ndarray) -> np.ndarray:
+    """``z ** e`` for a complex scalar ``z`` and real exponents ``e`` that grow in magnitude.
+
+    numpy raises a complex number to an integer exponent below 100 in
+    magnitude by repeated multiplication, and to any other through the C
+    library's cpow, which glibc computes as cexp(e clog z).  The exp-log form
+    here takes clog z once rather than once per entry; the leading 100
+    entries, which hold every exponent numpy multiplies out, come from ``**``
+    itself, so the bits are those of ``z ** e``.
+    """
+    out = e * np.log(z)
+    np.exp(out, out=out)
+    out[:100] = z ** e[:100]
+    return out
+
+
 def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m: int) -> np.ndarray:
     """Filon integral \\int_0^{n h} S(kappa) cos(kappa tau) dkappa on a uniform tau grid.
 
@@ -395,17 +412,18 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     returned at tau_k = tau0 + k dtau for k = 0..m-1.  The oscillatory node sums
     over even and odd j are chirp-z transforms (Bluestein's algorithm), so the
     cost is O((n + m) log) rather than n * m.  Both sums share one chirp
-    w^(k^2/2) and one run of powers a^-k, each built once.  Every other step
-    repeats the arithmetic of ``scipy.signal.czt`` in its order, on the FFT
-    lengths of ``scipy.fft.next_fast_len`` (``fast_fft_length``).  The
-    transforms run in ``numpy.fft``, the same pocketfft code as
-    ``scipy.fft``, so the bits are those of one ``czt`` call per sum and the
-    oracle loads no scipy module.
+    w^(k^2/2) and one run of powers a^-k, each built once (``_chirp_powers``).
+    Every other step repeats the arithmetic of ``scipy.signal.czt`` in its
+    order, on the FFT lengths of ``scipy.fft.next_fast_len``
+    (``fast_fft_length``).  The transforms run in ``numpy.fft``, the same
+    pocketfft code as ``scipy.fft``, so the bits are those of one ``czt`` call
+    per sum and the oracle loads no scipy module.  The Filon weights and the
+    final sum are elementwise in tau, and are evaluated in blocks of
+    ``_FILON_BLOCK`` lags so that their temporaries do not grow with m.
     """
     n_nodes = svals.size
     if n_nodes < 3 or n_nodes % 2 == 0:
         raise ValueError("need an odd number of nodes (even number of Filon panels)")
-    taus = tau0 + dtau * np.arange(m)
 
     even, odd = svals[0::2], svals[1::2]
     step = 2.0 * h
@@ -413,8 +431,8 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
     w = np.exp(1j * step * dtau)
     size = max(m, even.size)
     k = np.arange(size, dtype=np.min_scalar_type(-(size**2)))
-    wk2 = w ** (k**2 / 2.0)
-    a_k = a ** -k[: even.size]  # the odd sum's powers are its leading entries
+    wk2 = _chirp_powers(w, k**2 / 2.0)
+    a_k = _chirp_powers(a, -k[: even.size])  # the odd sum's powers are its leading entries
     del k
 
     # node sums Sum_j S_j exp(i kappa_j tau_k) over even / odd j; each padded
@@ -430,18 +448,24 @@ def _filon_cos_uniform(svals: np.ndarray, h: float, tau0: float, dtau: float, m:
         del product
         return sums[n - 1 : n + m - 1] * wk2[:m]
 
+    even_real = _node_sum(even).real.copy()  # the complex sum is not kept
+    odd_sum = _node_sum(odd)
+    del wk2, a_k
+
     lam = (n_nodes - 1) * h
     s_first = svals[0]
     s_last = svals[-1]
-    # the kappa = 0 end contributes s_first * cos(0) = s_first and s_first * sin(0) = 0
-    ends = 0.5 * (s_first + s_last * np.cos(lam * taus))
-    c_even = _node_sum(even).real - ends  # folded at once: the complex sum is not kept
-    del ends
-    c_odd = (np.exp(1j * h * taus) * _node_sum(odd)).real.copy()
-    del wk2, a_k
-    alpha, beta, gamma = _filon_coefficients(h * taus)
-    endpoint = s_last * np.sin(lam * taus)
-    return h * (alpha * endpoint + beta * c_even + gamma * c_odd)
+    out = np.empty(m)
+    for lo in range(0, m, _FILON_BLOCK):
+        hi = min(lo + _FILON_BLOCK, m)
+        taus = tau0 + dtau * np.arange(lo, hi)
+        # the kappa = 0 end contributes s_first * cos(0) = s_first and s_first * sin(0) = 0
+        c_even = even_real[lo:hi] - 0.5 * (s_first + s_last * np.cos(lam * taus))
+        c_odd = (np.exp(1j * h * taus) * odd_sum[lo:hi]).real
+        alpha, beta, gamma = _filon_coefficients(h * taus)
+        endpoint = s_last * np.sin(lam * taus)
+        out[lo:hi] = h * (alpha * endpoint + beta * c_even + gamma * c_odd)
+    return out
 
 
 def free_hadamard_kernel_lags(
@@ -524,7 +548,8 @@ def interacting_hadamard_direct(
     t' - r); the remaining single histories use composite Simpson, and the
     double history of the pure-radiation term is a Simpson x Simpson quadrature
     evaluated through an FFT convolution against the stationary kernel
-    G0H(0; s - s').  The free-field Hadamard kernels are regulated at ``cutoff``
+    G0H(0; s - s'), which is even in s - s' and is evaluated at |s - s'| only.
+    The free-field Hadamard kernels are regulated at ``cutoff``
     (match it with the grid cutoff of the late-time evaluation); each is a
     Filon integral over ``_filon_panels(cutoff, r)`` panels, at its own r.
 
@@ -592,12 +617,12 @@ def interacting_hadamard_direct(
         term_c = 0.0
     else:
         (w_u, grg_u), (w_up, grg_up) = hist_u, hist_up
-        ell0 = m_u - m_up  # (u_eff - up_eff)/step, exact integer
-        n_lags = m_u + m_up + 1
-        kvec = free_hadamard_kernel_lags(
-            0.0, bath, cutoff, (ell0 - m_u) * step, step, n_lags, _filon_panels(cutoff, 0.0)
+        # G0H(0; tau) is even in tau: evaluate it at the lags 0 .. max(m_u, m_up)
+        # steps, and read the window s - s' = m_u .. -m_up steps off it by |lag|
+        kern = free_hadamard_kernel_lags(
+            0.0, bath, cutoff, 0.0, step, max(m_u, m_up) + 1, _filon_panels(cutoff, 0.0)
         )
-        conv = _fft_convolve(w_up * grg_up, kvec[::-1])
+        conv = _fft_convolve(w_up * grg_up, np.concatenate((kern[m_u:0:-1], kern[: m_up + 1])))
         inner = conv[m_up : m_up + m_u + 1]
         term_c = pref_double * float(np.dot(w_u * grg_u, inner))
 

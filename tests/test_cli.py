@@ -301,6 +301,10 @@ def test_cmd_relax_rejects_dt_before_loading_the_engine(tmp_path):
          "atom.omega"),
         (["budget", "--cutoff", "1e200"], "grid.cutoff"),
         (["budget", "--sweep", "10,1e200"], "budget.sweep"),
+        # the damping gamma = e^2/(8 pi m) is a rate too, and e^2 must be finite
+        (["oracle", "--gamma", "1e200", "--cutoff", "20", "--grid-points", "64"], "atom.gamma"),
+        (["fdr-check", "--config", "[atom]\ne = 1e200\n"], "atom.e"),
+        (["fdr-check", "--config", "[atom]\ne = 1e100\n"], "atom.e"),
     ],
     ids=[
         "n_traj_zero", "burn_in_exceeds_record", "negative_time_step", "infinite_gamma",
@@ -312,6 +316,7 @@ def test_cmd_relax_rejects_dt_before_loading_the_engine(tmp_path):
         "record_past_complex128", "oracle_history_past_complex128", "zero_mode_band",
         "omega_fourth_power_overflows", "relax_omega_fourth_power_overflows",
         "cutoff_fourth_power_overflows", "sweep_cutoff_fourth_power_overflows",
+        "gamma_fourth_power_overflows", "coupling_square_overflows", "derived_gamma_fourth_power_overflows",
     ],
 )
 def test_bad_input_exits_2_naming_the_key(tmp_path, tmp_path_factory, capsys, argv, field):

@@ -102,8 +102,11 @@ def test_filon_transform_bitwise_on_c8_kernels(bath, monkeypatch):
     monkeypatch.setattr(flux_module, "_filon_cos_uniform", recording)
     p = AtomParams.from_damping(0.05, 1.0, 1.0)
     t = 40.0 / p.gamma
-    interacting_hadamard_direct(ObservationFrame(r=30.0, t=t, t_prime=t), p, bath, 0.02, 20.0)
-    assert len(calls) == 2 and calls[1][2] < 0.0  # the r = 0 kernel starts at a negative lag
+    res = interacting_hadamard_direct(ObservationFrame(r=30.0, t=t, t_prime=t), p, bath, 0.02, 20.0)
+    # the r = 0 kernel is even in its lag, so it starts at lag 0 and spans the
+    # max(m_u, m_up) + 1 history steps (38501 at C8)
+    m_u = round((res.t_eff - 30.0) / res.time_step)
+    assert len(calls) == 2 and calls[1][2] == 0.0 and calls[1][4] == m_u + 1 == 38501
     for args in calls:
         assert np.array_equal(_filon_cos_uniform(*args), _two_czt_filon(*args))
 
@@ -187,6 +190,73 @@ def test_free_hadamard_kernel_even_in_lag():
     pos = free_hadamard_kernel_lags(1.5, BathSpec(2.0), lam, 0.8, 0.3, 3, n_kappa=2048)
     neg = free_hadamard_kernel_lags(1.5, BathSpec(2.0), lam, -0.8, -0.3, 3, n_kappa=2048)
     assert pos == pytest.approx(neg, rel=1e-12)
+
+
+def _longdouble_filon_kernel(r, bath, cutoff, n_kappa, taus):
+    """(1/pi) times the Filon sum over ``n_kappa`` panels, taken directly in ``np.longdouble``.
+
+    The node values are the float64 ones the oracle uses; the weights, the
+    cosines and the sums carry the extended precision.  Below theta = 0.1 the
+    weights come from their Taylor series, whose closed forms cancel there.
+    """
+    one = np.longdouble(1)
+    h = np.longdouble(cutoff) / n_kappa
+    kap = h * np.arange(n_kappa + 1, dtype=np.longdouble)
+    svals = field_hadamard_ft(r, np.linspace(0.0, cutoff, n_kappa + 1), bath).astype(np.longdouble)
+    out = []
+    for tau in np.asarray(taus, dtype=np.longdouble):
+        th = h * tau
+        t2 = th * th
+        if abs(th) < 0.1:
+            alpha = th * t2 * (2 * one / 45 - t2 * (2 * one / 315 - t2 * (2 * one / 4725)))
+            beta = 2 * one / 3 + t2 * (2 * one / 15 - t2 * (4 * one / 105 - t2 * (2 * one / 567)))
+            gamma = 4 * one / 3 - t2 * (2 * one / 15 - t2 * (one / 210 - t2 * (one / 11340)))
+        else:
+            sn, cs = np.sin(th), np.cos(th)
+            alpha = (t2 + th * sn * cs - 2 * sn * sn) / (t2 * th)
+            beta = 2 * (th * (1 + cs * cs) - 2 * sn * cs) / (t2 * th)
+            gamma = 4 * (sn - th * cs) / (t2 * th)
+        cos_k = np.cos(kap * tau)
+        c_even = np.sum(svals[0::2] * cos_k[0::2]) - (svals[0] + svals[-1] * cos_k[-1]) / 2
+        c_odd = np.sum(svals[1::2] * cos_k[1::2])
+        endpoint = svals[-1] * np.sin(kap[-1] * tau)
+        out.append(h * (alpha * endpoint + beta * c_even + gamma * c_odd) / np.longdouble(math.pi))
+    return np.array(out)
+
+
+def test_radiation_kernel_window_is_even_and_accurate_near_zero_lag(monkeypatch):
+    # the radiation term convolves the history with G0H(0; tau) over the lags
+    # m_u .. -m_up steps; that kernel is even in tau, so the window must be
+    # bitwise even about lag 0, and near lag 0, where it peaks, it must match
+    # the Filon sum taken directly in extended precision (a chirp-z over the
+    # whole window was 8e-10 of max|K| off at one step)
+    import atomflux.flux as flux_module
+
+    convolve = flux_module._fft_convolve
+    windows = []
+
+    def recording(a, b):
+        windows.append(b)
+        return convolve(a, b)
+
+    monkeypatch.setattr(flux_module, "_fft_convolve", recording)
+    p = AtomParams.from_damping(0.05, 1.0, 1.0)
+    bath = BathSpec(1.0)
+    t = 40.0 / p.gamma
+    for dt_obs in (1.7, 0.0):
+        frame = ObservationFrame(r=30.0, t=t, t_prime=t - dt_obs)
+        res = interacting_hadamard_direct(frame, p, bath, 0.02, 20.0)
+        m_u = round((res.t_eff - 30.0) / res.time_step)
+        m_up = round((res.t_prime_eff - 30.0) / res.time_step)
+        window = windows[-1]  # the kernel at lag (m_u - i) steps for i = 0 .. m_u + m_up
+        assert window.size == m_u + m_up + 1
+        n = min(m_u, m_up)
+        assert np.array_equal(window[m_u - n : m_u + 1][::-1], window[m_u : m_u + n + 1])
+
+    # at dt_obs = 0, the C8 frame
+    lags = np.array([1, 100, 5000])
+    ref = _longdouble_filon_kernel(0.0, bath, 20.0, _filon_panels(20.0, 0.0), res.time_step * lags)
+    assert np.all(np.abs(window[m_u - lags] - ref) <= 1e-12 * np.max(np.abs(window)))
 
 
 def test_transient_correlator_free_oscillator_limit():
